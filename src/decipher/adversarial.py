@@ -42,6 +42,12 @@ def softmax_jacobian(prob_row: np.ndarray) -> np.ndarray:
     return np.diag(p) - np.outer(p, p)
 
 
+def apply_softmax_jacobian(P: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Row x is H(P_x) G_x for every row at once: H(p) g = p * (g - <p, g>)
+    needs no |Y| x |Y| Jacobian per row."""
+    return P * (G - np.sum(P * G, axis=1, keepdims=True))
+
+
 def _sigmoid(s: np.ndarray) -> np.ndarray:
     out = np.empty_like(s, dtype=float)
     pos = s >= 0
@@ -88,9 +94,6 @@ class Generator:
     @property
     def O(self) -> np.ndarray:
         return softmax(self.U, axis=1)
-
-    def save_matrix_csv(self, path) -> None:
-        np.savetxt(path, self.O, delimiter=",", fmt="%.12g")
 
 
 def generator_distribution(gen: Generator, PX: np.ndarray) -> np.ndarray:
@@ -245,7 +248,7 @@ def generator_gradient(gen: Generator, disc, PX: np.ndarray, objective: str,
 
     outside_cost: dF/dO = PX^T b(t) with t the per-symbol scores; soft_input:
     dF/dO[x] = sum_l PX[l,x] b'(m[l,x]) dm/d(input row). Either way the O
-    gradient is pushed through the softmax Jacobian row by row.
+    gradient is pushed through each row's softmax Jacobian.
     """
     _, _, b, bp = _transforms(objective)
     O = gen.O
@@ -265,11 +268,7 @@ def generator_gradient(gen: Generator, disc, PX: np.ndarray, objective: str,
             dF_dO = np.einsum("lx,lxy->xy", c, back)
     else:
         raise ValueError(f"unknown averaging {averaging!r}; expected one of {AVERAGING_MODES}")
-
-    dU = np.empty_like(gen.U)
-    for x in range(O.shape[0]):
-        dU[x] = dF_dO[x] @ softmax_jacobian(O[x])
-    return dU
+    return apply_softmax_jacobian(O, dF_dO)
 
 
 @dataclass

@@ -60,12 +60,6 @@ class HmmLanguage:
     def n_states(self) -> int:
         return self.nx**self.N
 
-    def is_permutation_emission(self) -> bool:
-        if self.nx != self.ny:
-            return False
-        one_hot = np.all((self.O == 0) | (self.O == 1))
-        return bool(one_hot and np.all(self.O.sum(axis=0) == 1))
-
 
 @dataclass
 class Corpus:
@@ -227,30 +221,21 @@ def sample_corpus(
     )
 
 
-def _positional_counts(seqs: np.ndarray, alphabet: int, N: int, L: int, average_block: bool) -> np.ndarray:
+def _positional_counts(seqs: np.ndarray, alphabet: int, N: int, L: int) -> np.ndarray:
     n = seqs.shape[0]
     out = np.empty((L, alphabet))
     for k in range(L):
-        if average_block:
-            block = seqs[:, k * N : (k + 1) * N].reshape(-1)
-            out[k] = np.bincount(block, minlength=alphabet) / (n * N)
-        else:
-            col = seqs[:, k * N + N - 1]
-            out[k] = np.bincount(col, minlength=alphabet) / n
+        out[k] = np.bincount(seqs[:, k * N + N - 1], minlength=alphabet) / n
     return out
 
 
-def empirical_positional_unigrams(corpus: Corpus, average_block: bool = False) -> PositionalUnigramPair:
-    """Relative frequencies of the selector unit (sequence index k*N + N - 1).
-
-    average_block=True instead averages the unigram over all N units of each
-    block; the default matches the analytic extraction and is what every
-    experiment uses.
-    """
+def empirical_positional_unigrams(corpus: Corpus) -> PositionalUnigramPair:
+    """Relative frequencies of the selector unit (sequence index k*N + N - 1),
+    the same unit the analytic extraction reads."""
     if corpus.speech.shape[0] == 0 or corpus.text.shape[0] == 0:
         raise ValueError("corpus must contain sequences on both sides")
-    PX = _positional_counts(corpus.speech, corpus.nx, corpus.N, corpus.L, average_block)
-    PY = _positional_counts(corpus.text, corpus.ny, corpus.N, corpus.L, average_block)
+    PX = _positional_counts(corpus.speech, corpus.nx, corpus.N, corpus.L)
+    PY = _positional_counts(corpus.text, corpus.ny, corpus.N, corpus.L)
     return PositionalUnigramPair(
         PX=PX, PY=PY, exact=False,
         n_speech=corpus.speech.shape[0], n_text=corpus.text.shape[0],

@@ -21,8 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .adversarial import softmax, softmax_jacobian
+from .adversarial import apply_softmax_jacobian, softmax, softmax_jacobian
 from .hmm import PositionalUnigramPair
+from .spectral import singular_values
 
 GENERATOR_KERNEL_MODES = ("instantaneous", "monte_carlo_init")
 OVERSHOOT_EPS = 1e-9
@@ -72,10 +73,8 @@ def generator_ntk(O_row: np.ndarray, mode: str = "instantaneous",
 
 def apply_generator_ntk(O: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Row x is H(O_x)^2 G_x, the instantaneous generator kernel applied to
-    G_x, for every row at once: with H(p) g = p * (g - <p, g>), applying H
-    twice needs no nx x nx matrix per row."""
-    Hg = O * (G - np.sum(O * G, axis=1, keepdims=True))
-    return O * (Hg - np.sum(O * Hg, axis=1, keepdims=True))
+    G_x, for every row at once."""
+    return apply_softmax_jacobian(O, apply_softmax_jacobian(O, G))
 
 
 def residual_orthogonality_check(PX: np.ndarray, PY: np.ndarray, O: np.ndarray) -> float:
@@ -108,7 +107,7 @@ def _spectral_radius_estimate(PX: np.ndarray, K_D: np.ndarray, O: np.ndarray,
                               tau_max: float) -> float:
     lam_D = float(np.max(np.linalg.eigvalsh(K_D)))
     lam_G = max(float(np.max(np.linalg.eigvalsh(generator_ntk(row)))) for row in O)
-    lam_X = float(np.max(np.linalg.eigvalsh(PX.T @ PX)))
+    lam_X = float(singular_values(PX)[0] ** 2)
     return tau_max * lam_D * lam_G * lam_X
 
 
@@ -186,7 +185,7 @@ def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = 
     rates = {
         "lambda_D": float(np.min(np.linalg.eigvalsh(K_D))),
         "lambda_G": float(min(np.linalg.eigvalsh(generator_ntk(row))[1] for row in O)),
-        "lambda_X": float(np.min(np.linalg.eigvalsh(PX.T @ PX))),
+        "lambda_X": float(singular_values(PX)[-1] ** 2),
     }
     return NtkTrajectory(
         times=np.array(times), C=np.array(Cs), residuals=np.array(resids),

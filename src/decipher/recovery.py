@@ -9,14 +9,13 @@ scores a decoded label map against the true assignment.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
 from .hmm import PositionalUnigramPair
-from .spectral import RANK_RTOL, symmetric_eigen
+from .spectral import RANK_RTOL
 
 ORACLE_MAX_UNITS = 8
 
@@ -28,39 +27,25 @@ class RecoveredAssignment:
     residual: float
     rank_deficient: bool
 
-    def decoded_labels(self) -> list[int]:
-        return [int(x) for x in self.decoded]
-
-    def save_matrix_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in self.O_hat:
-                writer.writerow([f"{v:.12g}" for v in row])
-
 
 def recover_pseudoinverse(pair: PositionalUnigramPair) -> RecoveredAssignment:
-    """Minimum-norm least squares through the Gram eigendecomposition.
+    """Minimum-norm least squares through the SVD of PX.
 
-    Eigenvalues of PX^T PX below the shared rank tolerance are pseudo-inverted
-    to 0, so rank-deficient inputs return the minimum-norm solution with the
-    rank_deficient flag raised instead of an error.
+    Singular values below the shared rank tolerance (relative to the largest)
+    are pseudo-inverted to 0, so rank-deficient inputs return the
+    minimum-norm solution with the rank_deficient flag raised instead of an
+    error.
     """
     PX = np.asarray(pair.PX, dtype=float)
     PY = np.asarray(pair.PY, dtype=float)
-    gram = PX.T @ PX
-    w, V = symmetric_eigen(gram, tol=max(1e-10, 1e-9 * max(1.0, float(np.max(np.abs(gram))))))
-    svals = np.sqrt(np.clip(w, 0.0, None))
-    smax = svals[-1] if svals.size else 0.0
-    keep = svals > RANK_RTOL * smax if smax > 0 else np.zeros_like(svals, dtype=bool)
-    inv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
-    O_hat = (V * inv) @ V.T @ PX.T @ PY
+    O_hat, _, rank, _ = np.linalg.lstsq(PX, PY, rcond=RANK_RTOL)
     decoded = np.argmax(O_hat, axis=1)  # ties resolve to the lowest index
     residual = float(np.linalg.norm(PX @ O_hat - PY))
     return RecoveredAssignment(
         O_hat=O_hat,
         decoded=decoded.astype(np.int64),
         residual=residual,
-        rank_deficient=bool(np.count_nonzero(keep) < PX.shape[1]),
+        rank_deficient=bool(rank < PX.shape[1]),
     )
 
 

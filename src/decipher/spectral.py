@@ -1,12 +1,19 @@
-"""Spectral diagnostics: eigenvalue reports, decipherability checks, the least
-singular value of the positional unigram matrix, its a-priori lower bound, and
-the finite-sample recovery threshold.
+"""Spectral diagnostics: eigenvalue reports, the least singular value of the
+positional unigram matrix, its a-priori lower bound, and the finite-sample
+recovery threshold.
 
 Eigenvalue conventions. Distinct-value merging uses EPS_EIG relative to the
 spectral radius (row-stochastic inputs have radius 1). Eigenspace projections
 of the initial vector count as nonzero above EPS_PROJ. Numerical column rank
 uses RANK_RTOL relative to the largest singular value. These constants are
 shared by every consumer in the package.
+
+Conditioning. sigma_min of PX, both factors of its lower bound and the NTK
+step-size estimate take their singular values from one SVD route,
+singular_values; recovery solves by SVD-based least squares with the same
+RANK_RTOL cut. Nothing eigendecomposes a Gram matrix A^T A for them: that
+squares the condition number and buries singular values below about
+1e-8 * sigma_max in roundoff.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ class NotApplicable(ValueError):
     """A bound's simplifying assumptions do not hold for this input."""
 
 
-def symmetric_eigen(matrix: np.ndarray, tol: float = SYMMETRY_TOL) -> tuple[np.ndarray, np.ndarray]:
+def symmetric_eigen(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dense symmetric eigendecomposition: ascending eigenvalues, orthonormal V.
 
     Thin wrapper over LAPACK's symmetric solver that enforces this package's
@@ -45,8 +52,8 @@ def symmetric_eigen(matrix: np.ndarray, tol: float = SYMMETRY_TOL) -> tuple[np.n
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     asym = np.max(np.abs(M - M.T)) if M.size else 0.0
-    if asym > tol:
-        raise ValueError(f"matrix is not symmetric: max |M - M^T| = {asym:.3e} > {tol}")
+    if asym > SYMMETRY_TOL:
+        raise ValueError(f"matrix is not symmetric: max |M - M^T| = {asym:.3e} > {SYMMETRY_TOL}")
     w, V = np.linalg.eigh((M + M.T) / 2.0)
     return w, V
 
@@ -233,138 +240,20 @@ def right_eigensystem(T: TransitionMatrix) -> tuple[np.ndarray, np.ndarray, np.n
     return w, U, U_inv
 
 
+def singular_values(matrix: np.ndarray) -> np.ndarray:
+    """Singular values in descending order, zero-padded to the column count.
+
+    A matrix with fewer rows than columns has a null space, so its last
+    entry, sigma_min, is exactly 0.
+    """
+    A = np.asarray(matrix, dtype=float)
+    s = np.linalg.svd(A, compute_uv=False)
+    return np.concatenate([s, np.zeros(A.shape[1] - s.size)])
+
+
 def sigma_min(PX: np.ndarray) -> float:
-    """Least singular value via the Gram matrix, clamped at 0 for roundoff."""
-    PX = np.asarray(PX, dtype=float)
-    gram = PX.T @ PX
-    w, _ = symmetric_eigen(gram, tol=max(SYMMETRY_TOL, 1e-9 * max(1.0, np.max(np.abs(gram)))))
-    return float(np.sqrt(max(w[0], 0.0)))
-
-
-def numerical_rank(PX: np.ndarray) -> int:
-    gram = np.asarray(PX, dtype=float).T @ np.asarray(PX, dtype=float)
-    w, _ = symmetric_eigen(gram, tol=max(SYMMETRY_TOL, 1e-9 * max(1.0, np.max(np.abs(gram)))))
-    svals = np.sqrt(np.clip(w, 0.0, None))
-    if svals.size == 0 or svals[-1] == 0.0:
-        return 0
-    return int(np.sum(svals > RANK_RTOL * svals[-1]))
-
-
-@dataclass
-class DecipherabilityReport:
-    """Assumption flags (None when the spectrum is unavailable), rank data,
-    and the a-priori sigma_min lower bound when its preconditions hold."""
-
-    assumption1_holds: Optional[bool]
-    assumption2_holds: Optional[bool]
-    rank_PX: int
-    sigma_min: float
-    sigma_min_bound: Optional[float]
-    distinct_nonzero_eigenvalues: Optional[int]
-
-    def to_record(self) -> dict:
-        return {
-            "assumption1_holds": self.assumption1_holds,
-            "assumption2_holds": self.assumption2_holds,
-            "rank_PX": self.rank_PX,
-            "sigma_min": self.sigma_min,
-            "sigma_min_bound": self.sigma_min_bound,
-            "distinct_nonzero_eigenvalues": self.distinct_nonzero_eigenvalues,
-        }
-
-
-def _eigenspace_projections(lang: HmmLanguage) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Per-eigenvalue max |pi^T u| over unit right eigenvectors.
-
-    Returns (eigenvalues, projections) aligned index-wise, or None when no
-    eigenvector route exists. Tiled unions are handled blockwise so large
-    assembled graphs never need a full dense decomposition.
-    """
-    T = lang.T
-    spec = T.spec
-    pi = lang.pi
-    tiled = spec is not None and (
-        (spec.copies is not None and spec.copies > 1)
-        or (spec.filler_self_loops is not None and spec.filler_self_loops > 0)
-    )
-    if tiled:
-        sub = build_subgraph(spec)
-        if sub.reversible:
-            vals, U_sub, _ = right_eigensystem(sub)
-        elif spec.family == "circulant":
-            vals = circulant_eigenvalues(spec.n, spec.action_set)
-            freqs = np.arange(spec.n)
-            U_sub = np.exp(2j * np.pi * np.outer(np.arange(spec.n), freqs) / spec.n)
-        else:
-            return None
-        U_sub = U_sub / np.linalg.norm(U_sub, axis=0, keepdims=True)
-        s = sub.n_states
-        copies = spec.copies
-        fillers = spec.filler_self_loops or 0
-        blocks = pi[: copies * s].reshape(copies, s)
-        proj = np.abs(blocks @ U_sub)  # (copies, s)
-        all_vals = [np.tile(vals, copies), np.ones(fillers)]
-        all_proj = [proj.reshape(-1), np.abs(pi[copies * s :])]
-        return np.concatenate(all_vals), np.concatenate(all_proj)
-    if T.reversible and T.weights is not None:
-        vals, U, _ = right_eigensystem(T)
-        U = U / np.linalg.norm(U, axis=0, keepdims=True)
-        return vals, np.abs(pi @ U)
-    if spec is not None and spec.family == "circulant":
-        n = spec.n
-        vals = circulant_eigenvalues(n, spec.action_set)
-        U = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
-        return vals, np.abs(pi @ U)
-    weights = stationary_weights(T.probs)
-    if weights is not None:
-        vals, U, _ = right_eigensystem(
-            TransitionMatrix(T.probs, reversible=True, weights=weights, spec=spec)
-        )
-        U = U / np.linalg.norm(U, axis=0, keepdims=True)
-        return vals, np.abs(pi @ U)
-    return None
-
-
-def check_decipherability(lang: HmmLanguage, L: int) -> DecipherabilityReport:
-    """Assumption checks plus rank/sigma_min of the exact unigram matrix.
-
-    Assumption flags come back None (absent), not False, when the chain has
-    no supported spectrum route. rank and sigma_min are always computed.
-    """
-    pair = exact_positional_unigrams(lang, L)
-    rank = numerical_rank(pair.PX)
-    smin = sigma_min(pair.PX)
-
-    a1: Optional[bool] = None
-    a2: Optional[bool] = None
-    nonzero_count: Optional[int] = None
-    try:
-        report = spectrum_of_chain(lang.T)
-        nonzero_count = report.nonzero_distinct_count
-        a1 = bool(nonzero_count >= lang.nx)
-    except NonReversibleNoClosedForm:
-        pass
-
-    proj = _eigenspace_projections(lang)
-    if proj is not None:
-        vals, projections = proj
-        radius = float(np.max(np.abs(vals))) if vals.size else 0.0
-        groups, _ = cluster_eigenvalues(vals, EPS_EIG * max(radius, 1.0))
-        hit = sum(1 for g in groups if np.max(projections[g]) > EPS_PROJ)
-        a2 = bool(hit >= lang.nx)
-
-    try:
-        bound = sigma_min_lower_bound(lang, L)
-    except (NotApplicable, NonReversibleNoClosedForm):
-        bound = None
-    return DecipherabilityReport(
-        assumption1_holds=a1,
-        assumption2_holds=a2,
-        rank_PX=rank,
-        sigma_min=smin,
-        sigma_min_bound=bound,
-        distinct_nonzero_eigenvalues=nonzero_count,
-    )
+    """Least singular value of PX (0 when PX has fewer rows than columns)."""
+    return float(singular_values(PX)[-1])
 
 
 def sigma_min_lower_bound(lang: HmmLanguage, L: int) -> float:
@@ -408,16 +297,14 @@ def sigma_min_lower_bound(lang: HmmLanguage, L: int) -> float:
         coeff = lang.pi @ U[:, g]
         selected = np.stack([final_unit_selector(r, lang.nx) for r in U_inv[g]])
         M[row] = coeff @ selected
-    gm, _ = symmetric_eigen(M.T @ M, tol=max(SYMMETRY_TOL, 1e-9 * max(1.0, np.max(np.abs(M)) ** 2)))
-    sigma_M = float(np.sqrt(max(gm[0], 0.0)))
+    sigma_M = sigma_min(M)
 
     lam = reps
     vander = np.vander(lam[np.argsort(-lam)], N=K, increasing=True).T  # row l = lambda^l
-    gw, _ = symmetric_eigen(vander.T @ vander, tol=1e-6 * max(1.0, np.max(np.abs(vander)) ** 2))
-    svals = np.sqrt(np.clip(gw, 0.0, None))
-    if svals[0] <= 0:
+    svals = singular_values(vander)
+    if svals[-1] <= 0:
         raise NotApplicable("Vandermonde of the eigenvalues is numerically singular")
-    kappa = svals[-1] / svals[0]
+    kappa = svals[0] / svals[-1]
 
     diffs = np.abs(lam[:, None] - lam[None, :])
     delta_min = float(np.min(diffs[~np.eye(K, dtype=bool)])) if K > 1 else 1.0

@@ -10,6 +10,7 @@ from decipher.adversarial import (
     LinearPositionalDiscriminator,
     PerStepMlpDiscriminator,
     TrainConfig,
+    apply_softmax_jacobian,
     discriminator_gradient,
     erm_least_squares,
     generator_distribution,
@@ -70,6 +71,10 @@ class TestSoftmaxPieces:
             assert np.max(np.abs(H - H.T)) < 1e-15
             assert np.max(np.abs(H @ np.ones(dim))) < 1e-12
             assert np.min(np.linalg.eigvalsh(H)) > -1e-12
+            # the closed form every trainer uses, against the explicit matrix
+            g = rng.normal(0, 1, size=dim)
+            closed = apply_softmax_jacobian(p[None, :], g[None, :])[0]
+            assert np.max(np.abs(closed - g @ H)) < 1e-15
 
     def test_softmax_rows_are_distributions(self):
         rng = np.random.default_rng(0)
@@ -308,13 +313,6 @@ class TestTraining:
         first = lines[1].split(",")
         assert int(first[0]) == 0
         assert abs(float(first[2]) - res.trace[0]["frobenius_residual"]) < 1e-8
-
-    def test_generator_matrix_csv_export(self, tmp_path):
-        gen = Generator.initialize(3, 5, np.random.default_rng(8))
-        path = tmp_path / "gen.csv"
-        gen.save_matrix_csv(path)
-        back = np.loadtxt(path, delimiter=",")
-        assert np.allclose(back, gen.O, atol=1e-10)
 
 
 class TestMlpDiscriminator:

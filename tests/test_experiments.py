@@ -95,6 +95,9 @@ class TestAsymptoticRunner:
             assert r["error"] == ""
             assert 0.0 <= r["per"] <= 1.0
             assert r["distinct_nonzero"] == r["knob"]
+            # exact data: the least-squares fit reproduces PY at every rank
+            assert r["residual"] <= 1e-12, r
+            assert r["rank_deficient"] == int(r["knob"] < r["nx"])
             by_knob.setdefault(r["knob"], []).append(r["per"])
         assert all(p > 0 for p in by_knob[2])
         assert all(p == 0 for p in by_knob[10] + by_knob[12])
@@ -107,6 +110,17 @@ class TestAsymptoticRunner:
         good = [r for r in rows if r["knob"] == 10][0]
         assert bad["error"] != "" and np.isnan(bad["per"])
         assert good["error"] == "" and good["per"] == 0.0
+
+    def test_short_px_is_rank_deficient(self):
+        # PX is 10 x 11 at L=10, nx=11, so it cannot have full column rank
+        # even with 11 distinct eigenvalues
+        cfg = replace(default_config("asymptotic_phase", family="de_bruijn"),
+                      nx_values=(11,), knob_values=(16,), seeds=(14,))
+        [row] = run_experiment(cfg)
+        assert row["error"] == "" and row["distinct_nonzero"] >= 11
+        assert row["rank_deficient"] == 1
+        assert row["per"] == 0.0
+        assert row["residual"] < 1e-12
 
     def test_rerun_identical(self):
         cfg = tiny_asymptotic(seeds=(3,))
@@ -237,10 +251,13 @@ class TestOutputs:
                                n_sequences=200, seeds=(0,),
                                train=TrainConfig(objective="mmd", epochs=5),
                                write_traces=True)
-        out = write_outputs(cfg, run_experiment(cfg), tmp_path)
+        [row] = run_experiment(cfg)
+        out = write_outputs(cfg, [row], tmp_path)
         names = sorted(p.name for p in out.iterdir())
         assert any(n.startswith("trace_") for n in names)
-        assert any(n.startswith("assign_") for n in names)
+        [assign] = [n for n in names if n.startswith("assign_")]
+        loaded = np.loadtxt(out / assign, delimiter=",")
+        assert np.allclose(loaded, row["_matrix"], rtol=0, atol=1e-10)
         trace = [n for n in names if n.startswith("trace_")][0]
         header = (out / trace).read_text().splitlines()[0]
         assert header == "step,J,frobenius_residual,per"

@@ -187,15 +187,6 @@ def test_empirical_block_position_matches_selector_convention():
     assert np.linalg.norm(leading - exact.PX) > 3.0 * np.sqrt(L * 3 / n)
 
 
-def test_block_averaging_option():
-    lang = make_language(n_units=4, N=2, seed=10, graph=build_circulant(16, (-1, 1)))
-    corpus = sample_corpus(lang, 100, 4, matched=True, seed=2)
-    averaged = empirical_positional_unigrams(corpus, average_block=True)
-    default = empirical_positional_unigrams(corpus)
-    npt.assert_allclose(averaged.PX.sum(axis=1), 1.0, atol=1e-12)
-    assert not np.allclose(averaged.PX, default.PX)
-
-
 def test_corpus_roundtrip(tmp_path):
     lang = make_language(n_units=5, seed=30)
     corpus = sample_corpus(lang, 12, 7, matched=False, seed=9)

@@ -13,19 +13,25 @@ from decipher.graphs import (
     build_hypercube,
     interpolate_with_hamiltonian,
 )
-from decipher.hmm import HmmLanguage, exact_positional_unigrams, random_initial_vector
+from decipher.experiments import default_config, finite_language
+from decipher.hmm import (
+    HmmLanguage,
+    PositionalUnigramPair,
+    exact_positional_unigrams,
+    random_initial_vector,
+)
+from decipher.recovery import recover_pseudoinverse
 from decipher.spectral import (
     NonReversibleNoClosedForm,
     NotApplicable,
-    check_decipherability,
     circulant_eigenvalues,
     cluster_eigenvalues,
     debruijn_candidate_values,
     hypercube_eigenvalues,
-    numerical_rank,
     sample_size_threshold,
     sigma_min,
     sigma_min_lower_bound,
+    singular_values,
     spectrum_of_chain,
     symmetric_eigen,
     symmetrized_form,
@@ -176,7 +182,12 @@ def test_sigma_min_identity_padded():
 def test_sigma_min_duplicated_rows_zero():
     PX = np.array([[0.2, 0.8], [0.2, 0.8]])
     assert sigma_min(PX) <= 1e-8
-    assert numerical_rank(PX) == 1
+    pair = PositionalUnigramPair(PX=PX, PY=PX, exact=True)
+    assert recover_pseudoinverse(pair).rank_deficient
+    # fewer rows than columns: a null space, so exactly zero
+    wide = np.array([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]])
+    assert sigma_min(wide) == 0.0
+    npt.assert_allclose(singular_values(wide)[:2], np.linalg.svd(wide, compute_uv=False))
 
 
 def _inverse_iteration_sigma(PX, iters=2000):
@@ -197,6 +208,16 @@ def test_sigma_min_matches_inverse_iteration():
         assert sigma_min(PX) == pytest.approx(_inverse_iteration_sigma(PX), abs=1e-6)
 
 
+def test_sigma_min_matches_svd_on_criterion_5_exact_matrices():
+    # near-degenerate matrices: sigma_min sits far below the roundoff floor of PX^T PX
+    cfg = default_config("finite_sample_phase", family="circulant")
+    for knob in cfg.knob_values:
+        lang = finite_language("circulant", cfg.nx_values[0], knob, cfg.ngram, seed=0)
+        PX = exact_positional_unigrams(lang, cfg.L).PX
+        s = np.linalg.svd(PX, compute_uv=False)
+        assert abs(sigma_min(PX) - s[-1]) <= 1e-14 * s[0], knob
+
+
 # --------------------------------------------------------- decipherability
 
 
@@ -204,21 +225,21 @@ def test_decipherability_directed_cycle_all_good():
     T = build_circulant(4, (1,))
     pi = np.array([0.85, 0.05, 0.05, 0.05])
     lang = HmmLanguage(pi=pi, T=T, O=np.eye(4), N=1, nx=4, ny=4)
-    rep = check_decipherability(lang, 8)
-    assert rep.assumption1_holds is True
-    assert rep.assumption2_holds is True
-    assert rep.rank_PX == 4
-    assert rep.sigma_min > 1e-8
-    assert rep.distinct_nonzero_eigenvalues == 4
+    assert spectrum_of_chain(T).nonzero_distinct_count == 4
+    pair = exact_positional_unigrams(lang, 8)
+    assert sigma_min(pair.PX) > 1e-8
+    assert not recover_pseudoinverse(pair).rank_deficient
 
 
 def test_decipherability_uniform_pi_kills_assumption2():
     T = build_circulant(4, (1,))
     lang = HmmLanguage(pi=np.full(4, 0.25), T=T, O=np.eye(4), N=1, nx=4, ny=4)
-    rep = check_decipherability(lang, 8)
-    # uniform is stationary here: only the constant eigenvector survives
-    assert rep.assumption2_holds is False
-    assert rep.rank_PX == 1
+    pair = exact_positional_unigrams(lang, 8)
+    # uniform is stationary here: only the constant eigenvector survives, so
+    # every row of PX is the same and PX has rank 1
+    npt.assert_allclose(pair.PX, np.full((8, 4), 0.25), atol=1e-15)
+    assert sigma_min(pair.PX) <= 1e-12
+    assert recover_pseudoinverse(pair).rank_deficient
 
 
 def test_decipherability_c3_too_few_eigenvalues():
@@ -226,18 +247,20 @@ def test_decipherability_c3_too_few_eigenvalues():
     lang = HmmLanguage(
         pi=random_initial_vector(3, 5), T=T, O=np.eye(3), N=1, nx=3, ny=3
     )
-    rep = check_decipherability(lang, 6)
-    assert rep.distinct_nonzero_eigenvalues == 2
-    assert rep.assumption1_holds is False
+    assert spectrum_of_chain(T).nonzero_distinct_count == 2
+    rec = recover_pseudoinverse(exact_positional_unigrams(lang, 6))
+    assert rec.rank_deficient
+    assert rec.residual <= 1e-12
 
 
 def test_decipherability_q3_both_directions():
     T = build_hypercube(3)
     pi = random_initial_vector(8, 12)
+    assert spectrum_of_chain(T).nonzero_distinct_count == 4
     two = HmmLanguage(pi=pi, T=T, O=np.eye(2), N=3, nx=2, ny=2)
-    assert check_decipherability(two, 6).assumption1_holds is True  # 4 >= 2
+    assert not recover_pseudoinverse(exact_positional_unigrams(two, 6)).rank_deficient  # 4 >= 2
     eight = HmmLanguage(pi=pi, T=T, O=np.eye(8), N=1, nx=8, ny=8)
-    assert check_decipherability(eight, 10).assumption1_holds is False  # 4 < 8
+    assert recover_pseudoinverse(exact_positional_unigrams(eight, 10)).rank_deficient  # 4 < 8
 
 
 def test_stationary_language_sigma_zero():
@@ -256,20 +279,20 @@ def test_generic_pi_full_rank_100_seeds():
         pi = random_initial_vector(4, seed)
         lang = HmmLanguage(pi=pi, T=T, O=np.eye(4), N=1, nx=4, ny=4)
         pair = exact_positional_unigrams(lang, 8)
-        if numerical_rank(pair.PX) != 4:
+        if recover_pseudoinverse(pair).rank_deficient:
             failures += 1
     assert failures == 0
 
 
 def test_decipherability_interpolated_flags_absent():
+    # no spectrum route, but conditioning and recovery need none
     T = interpolate_with_hamiltonian(build_circulant(4, (-1, 1)), w=0.3)
     lang = HmmLanguage(pi=random_initial_vector(4, 3), T=T, O=np.eye(4), N=1, nx=4, ny=4)
-    rep = check_decipherability(lang, 8)
-    assert rep.assumption1_holds is None
-    assert rep.assumption2_holds is None
-    assert rep.rank_PX >= 1
-    record = rep.to_record()
-    assert record["assumption1_holds"] is None
+    with pytest.raises(NonReversibleNoClosedForm):
+        spectrum_of_chain(T)
+    pair = exact_positional_unigrams(lang, 8)
+    assert singular_values(pair.PX)[0] > 0
+    assert recover_pseudoinverse(pair).residual <= 1e-12
 
 
 # ------------------------------------------------------------ lower bound
