@@ -384,20 +384,6 @@ def train(pair: PositionalUnigramPair, cfg: TrainConfig,
     return TrainResult(generator=gen, discriminator=disc, trace=trace)
 
 
-def write_loss_trace(trace: list[dict], path) -> None:
-    cols = ["step", "J", "frobenius_residual"] + (["per"] if trace and "per" in trace[0] else [])
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in trace:
-            fh.write(",".join(_fmt(row[c]) for c in cols) + "\n")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.9g}"
-    return str(v)
-
-
 def project_row_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex (sorted threshold)."""
     v = np.asarray(v, dtype=float)

@@ -22,14 +22,13 @@ import multiprocessing
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from time import perf_counter
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .adversarial import TrainConfig, erm_least_squares, train, write_loss_trace
+from .adversarial import TrainConfig, erm_least_squares, train
 from .graphs import (
     GraphSpec,
-    TransitionMatrix,
     assemble,
     build_debruijn,
     build_hypercube,
@@ -209,12 +208,14 @@ def default_config(kind: str, family: str = "circulant") -> ExperimentConfig:
 # language construction
 
 
-def asymptotic_language(family: str, nx: int, knob: int, ngram: int, seed: int) -> tuple[HmmLanguage, GraphSpec]:
+def asymptotic_language(family: str, nx: int, knob: int, ngram: int, seed: int) -> HmmLanguage:
     """Tiled-subgraph language whose distinct-eigenvalue count tracks knob.
 
     circulant: copies of the undirected cycle C_{2*knob-1} (knob distinct
     nonzero cosine values). de_bruijn: copies of DB(2, m) with m chosen so the
     candidate spectrum has about knob values. hypercube: copies of Q_knob.
+    The chain is assembled once under a seeded relabel, and its spec carries
+    the tiling that spectrum_of_chain reads.
     """
     states = nx**ngram
     if family == "circulant":
@@ -227,21 +228,15 @@ def asymptotic_language(family: str, nx: int, knob: int, ngram: int, seed: int) 
         spec = GraphSpec(family="hypercube", dim=int(knob))
     else:
         raise ValueError(f"unknown graph family: {family!r}")
-    T = assemble(spec, states)
     # A consecutive copy layout can share a factor with the alphabet size, in
     # which case every copy projects identically through the final-unit
     # selector and the visible diversity collapses below the eigenvalue
     # count. A seeded relabeling puts the selector in generic position.
     relabel = np.random.default_rng([RELABEL_STREAM, seed]).permutation(states)
-    T = TransitionMatrix(
-        T.probs[np.ix_(relabel, relabel)],
-        reversible=T.reversible,
-        weights=None if T.weights is None else T.weights[np.ix_(relabel, relabel)],
-        spec=T.spec,
-    )
+    T = assemble(spec, states, relabel=relabel)
     pi = random_initial_vector(states, [PI_STREAM, seed])
     O = random_permutation_emission(nx, [EMISSION_STREAM, seed])
-    return HmmLanguage(pi=pi, T=T, O=O, N=ngram, nx=nx, ny=nx), T.spec
+    return HmmLanguage(pi=pi, T=T, O=O, N=ngram, nx=nx, ny=nx)
 
 
 def finite_language(family: str, nx: int, knob, ngram: int, seed: int) -> HmmLanguage:
@@ -305,8 +300,8 @@ def _asymptotic_cell(args) -> dict:
            "distinct_nonzero": -1, "per": float("nan"), "residual": float("nan"),
            "rank_deficient": 0, "error": ""}
     try:
-        lang, spec = asymptotic_language(cfg.family, nx, knob, cfg.ngram, seed)
-        report = spectrum_of_chain(lang.T, graph=spec)
+        lang = asymptotic_language(cfg.family, nx, knob, cfg.ngram, seed)
+        report = spectrum_of_chain(lang.T)
         pair = exact_positional_unigrams(lang, L=cfg.L)
         rec = recover_pseudoinverse(pair)
         row["distinct_nonzero"] = report.nonzero_distinct_count
@@ -501,7 +496,7 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_results_csv(rows: Sequence[dict], path, columns: Sequence[str]) -> None:
+def write_results_csv(rows: Iterable[dict], path, columns: Sequence[str]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
@@ -565,10 +560,17 @@ def write_outputs(cfg: ExperimentConfig, rows: Sequence[dict], out_dir) -> Path:
     if cfg.write_traces:
         for row in rows:
             stem = _artifact_stem(row)
-            if "_trace" in row:
-                write_loss_trace(row["_trace"], out / f"trace_{stem}.csv")
+            if "_trace" in row:  # one row per training epoch
+                trace = row["_trace"]
+                per = ["per"] if trace and "per" in trace[0] else []
+                write_results_csv(trace, out / f"trace_{stem}.csv",
+                                  ["step", "J", "frobenius_residual"] + per)
             if "_ntk_traj" in row:
-                row["_ntk_traj"].write_csv(out / f"trace_{stem}.csv")
+                # one row per accepted step, formed only as it is written
+                traj, cols = row["_ntk_traj"], ["t", "C_t", "frobenius_residual", "min_O_entry"]
+                steps = zip(traj.times, traj.C, traj.residuals, traj.min_entries)
+                write_results_csv((dict(zip(cols, step)) for step in steps),
+                                  out / f"trace_{stem}.csv", cols)
             if "_matrix" in row:
                 _save_matrix(row["_matrix"], out / f"assign_{stem}.csv")
     return out

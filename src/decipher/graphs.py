@@ -2,9 +2,9 @@
 
 Three families are supported: circulant graphs on n nodes with an arbitrary
 offset action set, undirected De Bruijn graphs DB(k, m), and hypercube graphs
-Q_n. Graphs can be tiled into block-diagonal disjoint unions padded with
-self-loop filler nodes, and any row-stochastic matrix can be interpolated
-toward a deterministic Hamiltonian cycle.
+Q_n. Graphs can be tiled into disjoint unions padded with self-loop filler
+nodes, laid out under a node relabeling in one pass, and any row-stochastic
+matrix can be interpolated toward a deterministic Hamiltonian cycle.
 
 All constructors return a TransitionMatrix carrying the row-stochastic
 probabilities plus enough provenance (undirected edge weights, originating
@@ -33,7 +33,8 @@ class GraphSpec:
     circulant: node count ``n`` and offset ``action_set`` (nonzero mod n)
     de_bruijn: arity ``k`` and word length ``m`` (k^m nodes)
     hypercube: dimension ``dim`` (2^dim nodes)
-    copies / filler_self_loops: tiling bookkeeping filled in by assemble().
+    copies / filler_self_loops: outputs only, one copy and no fillers unless
+    assemble() recorded its tiling here; assemble() never reads them.
     """
 
     family: str
@@ -42,27 +43,14 @@ class GraphSpec:
     k: Optional[int] = None
     m: Optional[int] = None
     dim: Optional[int] = None
-    copies: Optional[int] = None
-    filler_self_loops: Optional[int] = None
+    copies: int = 1
+    filler_self_loops: int = 0
 
     def __post_init__(self):
         if self.family not in ("circulant", "de_bruijn", "hypercube"):
             raise ValueError(f"unknown graph family: {self.family!r}")
         if self.action_set is not None:
             object.__setattr__(self, "action_set", tuple(int(a) for a in self.action_set))
-
-    @property
-    def subgraph_size(self) -> int:
-        if self.family == "circulant":
-            return int(self.n)
-        if self.family == "de_bruijn":
-            return int(self.k) ** int(self.m)
-        return 2 ** int(self.dim)
-
-    def total_nodes(self) -> int:
-        copies = 1 if self.copies is None else self.copies
-        fillers = 0 if self.filler_self_loops is None else self.filler_self_loops
-        return copies * self.subgraph_size + fillers
 
 
 @dataclass
@@ -182,36 +170,40 @@ def build_subgraph(spec: GraphSpec) -> TransitionMatrix:
     return build_hypercube(spec.dim)
 
 
-def assemble(spec: GraphSpec, target_states: int) -> TransitionMatrix:
-    """Tile identical subgraph copies block-diagonally up to target_states.
+def assemble(spec: GraphSpec, target_states: int,
+             relabel: Optional[Sequence[int]] = None) -> TransitionMatrix:
+    """Tile target_states // s copies of the s-node subgraph block-diagonally;
+    leftover nodes become probability-1 self-loops.
 
-    Leftover nodes become probability-1 self-loops. The distinct-eigenvalue
-    set of the union is the subgraph's, plus eigenvalue 1 for the fillers
-    (already present for every family here).
+    The consecutive layout puts copy c on nodes c*s .. (c+1)*s - 1 and the
+    fillers last. Node i of the result is node relabel[i] of that layout, so
+    the result equals the consecutive layout indexed with np.ix_(relabel,
+    relabel), built and validated once. The distinct-eigenvalue set of the
+    union is the subgraph's, plus eigenvalue 1 for the fillers.
     """
     sub = build_subgraph(spec)
     s = sub.n_states
     if target_states < s:
         raise ValueError(f"subgraph has {s} nodes but target_states is only {target_states}")
     _check_cap(target_states)
-    copies = spec.copies if spec.copies is not None else target_states // s
-    fillers = target_states - copies * s
-    if fillers < 0:
-        raise ValueError(f"{copies} copies of {s} nodes exceed target_states={target_states}")
-    if spec.filler_self_loops is not None and spec.filler_self_loops != fillers:
-        raise ValueError(
-            f"spec declares {spec.filler_self_loops} fillers but geometry needs {fillers}"
-        )
+    order = np.arange(target_states) if relabel is None else np.asarray(relabel)
+    if sorted(order.tolist()) != list(range(target_states)):
+        raise ValueError("relabel must be a permutation of range(target_states)")
+    # node k of the consecutive layout lands at position[k]
+    position = np.argsort(order)
+    copies = target_states // s
+    blocks = position[:copies * s].reshape(copies, s)
+    fillers = position[copies * s:]
 
-    P = np.eye(target_states)
-    W = np.eye(target_states) if sub.reversible else None
-    for c in range(copies):
-        blk = slice(c * s, (c + 1) * s)
-        P[blk, blk] = sub.probs
-        if W is not None:
-            W[blk, blk] = sub.weights
-    full = replace(spec, copies=copies, filler_self_loops=fillers)
-    return TransitionMatrix(P, reversible=sub.reversible, weights=W, spec=full)
+    def lay_out(block: np.ndarray) -> np.ndarray:
+        M = np.zeros((target_states, target_states))
+        M[blocks[:, :, None], blocks[:, None, :]] = block
+        M[fillers, fillers] = 1.0
+        return M
+
+    W = lay_out(sub.weights) if sub.reversible else None
+    full = replace(spec, copies=copies, filler_self_loops=fillers.size)
+    return TransitionMatrix(lay_out(sub.probs), reversible=sub.reversible, weights=W, spec=full)
 
 
 def hamiltonian_cycle_matrix(order: Sequence[int]) -> np.ndarray:
@@ -225,21 +217,17 @@ def hamiltonian_cycle_matrix(order: Sequence[int]) -> np.ndarray:
     return C
 
 
-def interpolate_with_hamiltonian(
-    base: TransitionMatrix, cycle_order: Optional[Sequence[int]] = None, w: float = 0.0
-) -> TransitionMatrix:
-    """Convex combination (1-w)*base + w*cycle of a Hamiltonian cycle matrix.
+def interpolate_with_hamiltonian(base: TransitionMatrix, w: float = 0.0) -> TransitionMatrix:
+    """Convex combination (1-w)*base + w*cycle of the Hamiltonian cycle
+    0 -> 1 -> ... -> S-1 -> 0.
 
-    cycle_order defaults to plain node order 0 -> 1 -> ... -> S-1 -> 0.
     The result is non-reversible for every w > 0.
     """
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"interpolation weight must be in [0, 1], got {w}")
     if w == 0.0:
         return base
-    n = base.n_states
-    order = np.arange(n) if cycle_order is None else cycle_order
-    C = hamiltonian_cycle_matrix(order)
+    C = hamiltonian_cycle_matrix(np.arange(base.n_states))
     P = (1.0 - w) * base.probs + w * C
     # the blended matrix no longer has the base graph's spectrum: drop the
     # provenance so no closed-form route is taken downstream

@@ -96,12 +96,6 @@ class NtkTrajectory:
     rate_estimates: dict = field(default_factory=dict)
     halvings: int = 0
 
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,C_t,frobenius_residual,min_O_entry\n")
-            for t, c, r, m in zip(self.times, self.C, self.residuals, self.min_entries):
-                fh.write(f"{t:.9g},{c:.9g},{r:.9g},{m:.9g}\n")
-
 
 def _spectral_radius_estimate(PX: np.ndarray, K_D: np.ndarray, O: np.ndarray,
                               tau_max: float) -> float:

@@ -3,8 +3,7 @@ positional unigram matrix, its a-priori lower bound, and the finite-sample
 recovery threshold.
 
 Eigenvalue conventions. Distinct-value merging uses EPS_EIG relative to the
-spectral radius (row-stochastic inputs have radius 1). Eigenspace projections
-of the initial vector count as nonzero above EPS_PROJ. Numerical column rank
+spectral radius (row-stochastic inputs have radius 1). Numerical column rank
 uses RANK_RTOL relative to the largest singular value. These constants are
 shared by every consumer in the package.
 
@@ -27,7 +26,6 @@ from .graphs import GraphSpec, TransitionMatrix, build_subgraph
 from .hmm import HmmLanguage, exact_positional_unigrams, final_unit_selector
 
 EPS_EIG = 1e-7
-EPS_PROJ = 1e-9
 RANK_RTOL = 1e-8
 SYMMETRY_TOL = 1e-10
 
@@ -176,21 +174,21 @@ def _subgraph_eigenvalues(spec: GraphSpec) -> tuple[np.ndarray, str]:
     return w, "symmetrized_numeric"
 
 
-def spectrum_of_chain(T: TransitionMatrix, graph: Optional[GraphSpec] = None) -> SpectrumReport:
+def spectrum_of_chain(T: TransitionMatrix) -> SpectrumReport:
     """Spectrum of a transition matrix.
 
-    Prefers the closed form its GraphSpec provides (circulant Fourier values,
+    Prefers the closed form T.spec provides (circulant Fourier values,
     hypercube level values); De Bruijn subgraphs go through symmetrization.
-    Tiled unions reuse the subgraph spectrum: copies repeat it, fillers add
-    eigenvalue 1. Reversible chains without a spec are symmetrized from their
+    Tiled unions reuse the subgraph spectrum: T.spec.copies repeat it and
+    T.spec.filler_self_loops add eigenvalue 1, under any relabel (a
+    similarity). Reversible chains without a spec are symmetrized from their
     edge weights. Anything else has no supported route.
     """
-    spec = graph if graph is not None else T.spec
+    spec = T.spec
     if spec is not None:
         vals, method = _subgraph_eigenvalues(spec)
-        copies = spec.copies if spec.copies is not None else 1
-        fillers = spec.filler_self_loops if spec.filler_self_loops is not None else 0
-        full = np.concatenate([np.tile(vals, copies), np.ones(fillers, dtype=vals.dtype)])
+        full = np.concatenate([np.tile(vals, spec.copies),
+                               np.ones(spec.filler_self_loops, dtype=vals.dtype)])
         return _report_from_values(full, method)
     if T.reversible and T.weights is not None:
         w, _ = symmetric_eigen(symmetrized_form(T.weights))

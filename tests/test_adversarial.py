@@ -21,7 +21,6 @@ from decipher.adversarial import (
     softmax,
     softmax_jacobian,
     train,
-    write_loss_trace,
 )
 from decipher.graphs import TransitionMatrix, hamiltonian_cycle_matrix
 from decipher.hmm import (
@@ -300,19 +299,6 @@ class TestTraining:
             TrainConfig(epochs=-1)
         with pytest.raises(ValueError):
             TrainConfig(gen_lr=0.0)
-
-    def test_loss_trace_csv_roundtrip(self, tmp_path):
-        lang = cycle_language()
-        pair = exact_positional_unigrams(lang, L=8)
-        res = train(pair, TrainConfig(epochs=5, seed=1), true_O=lang.O)
-        path = tmp_path / "trace.csv"
-        write_loss_trace(res.trace, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "step,J,frobenius_residual,per"
-        assert len(lines) == 6
-        first = lines[1].split(",")
-        assert int(first[0]) == 0
-        assert abs(float(first[2]) - res.trace[0]["frobenius_residual"]) < 1e-8
 
 
 class TestMlpDiscriminator:

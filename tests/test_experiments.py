@@ -1,5 +1,6 @@
 """Sweep harness: grids, runners, determinism, output formats, CLI."""
 
+import csv
 import json
 from dataclasses import replace
 
@@ -26,6 +27,11 @@ def tiny_asymptotic(**kw):
                 knob_values=(2, 10, 12), seeds=(0, 1))
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 def strip_volatile(rows):
@@ -254,13 +260,35 @@ class TestOutputs:
         [row] = run_experiment(cfg)
         out = write_outputs(cfg, [row], tmp_path)
         names = sorted(p.name for p in out.iterdir())
-        assert any(n.startswith("trace_") for n in names)
         [assign] = [n for n in names if n.startswith("assign_")]
         loaded = np.loadtxt(out / assign, delimiter=",")
         assert np.allclose(loaded, row["_matrix"], rtol=0, atol=1e-10)
-        trace = [n for n in names if n.startswith("trace_")][0]
-        header = (out / trace).read_text().splitlines()[0]
-        assert header == "step,J,frobenius_residual,per"
+        [trace] = [n for n in names if n.startswith("trace_")]
+        header, *lines = read_csv(out / trace)
+        assert header == ["step", "J", "frobenius_residual", "per"]
+        assert len(lines) == cfg.train.epochs
+        first = row["_trace"][0]
+        assert int(lines[0][0]) == 0
+        for value, key in zip(lines[0][1:], header[1:]):
+            assert abs(float(value) - first[key]) < 1e-8
+
+        # the NTK flow writes one row per accepted step through the same writer
+        cfg = ExperimentConfig(kind="ntk_convergence", n_languages=1, L=10, t_end=20.0,
+                               seeds=(0,), write_traces=True)
+        [row] = run_experiment(cfg)
+        assert not row["error"]
+        out = write_outputs(cfg, [row], tmp_path / "ntk")
+        [trace] = list(out.glob("trace_*.csv"))
+        header, *lines = read_csv(trace)
+        assert header == ["t", "C_t", "frobenius_residual", "min_O_entry"]
+        traj = row["_ntk_traj"]
+        assert len(lines) == len(traj.times) > 1
+        assert float(lines[0][0]) == 0.0
+        first = (traj.times[0], traj.C[0], traj.residuals[0], traj.min_entries[0])
+        for value, ref in zip(lines[0], first):
+            assert abs(float(value) - ref) < 1e-8
+        # one writer for every CSV: the csv module's CRLF line endings throughout
+        assert trace.read_bytes().count(b"\r\n") == len(lines) + 1
 
     def test_summary_aggregates(self):
         cfg = tiny_asymptotic()

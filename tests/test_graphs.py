@@ -136,6 +136,36 @@ def test_assemble_single_copy_is_subgraph():
     npt.assert_array_equal(T.probs, build_hypercube(3).probs)
 
 
+@pytest.mark.parametrize("spec", [
+    GraphSpec(family="circulant", n=5, action_set=(-1, 1)),  # reversible, two fillers
+    GraphSpec(family="circulant", n=5, action_set=(1, 2)),  # directed: weights is None
+])
+def test_relabeled_assemble_is_permuted_consecutive_layout(spec):
+    relabel = np.random.default_rng(3).permutation(12)
+    plain = assemble(spec, 12)
+    T = assemble(spec, 12, relabel=relabel)
+    ix = np.ix_(relabel, relabel)
+    assert np.array_equal(T.probs, plain.probs[ix])
+    if plain.weights is None:
+        assert T.weights is None and not T.reversible
+    else:
+        assert np.array_equal(T.weights, plain.weights[ix])
+    assert (T.spec.copies, T.spec.filler_self_loops) == (2, 2)
+    assert T.spec == plain.spec
+
+
+@pytest.mark.parametrize("relabel", [
+    [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 10],  # repeated index
+    list(range(11)),  # too short
+    list(range(13)),  # too long
+    list(range(1, 13)),  # out of range
+])
+def test_assemble_rejects_non_permutation_relabel(relabel):
+    spec = GraphSpec(family="circulant", n=5, action_set=(-1, 1))
+    with pytest.raises(ValueError, match="permutation"):
+        assemble(spec, 12, relabel=relabel)
+
+
 def test_assemble_rejects_too_small_target():
     spec = GraphSpec(family="circulant", n=5, action_set=(-1, 1))
     with pytest.raises(ValueError):
@@ -169,11 +199,6 @@ def test_interpolation_endpoints_and_midpoint():
         interpolate_with_hamiltonian(base, w=1.5)
     with pytest.raises(ValueError):
         interpolate_with_hamiltonian(base, w=-0.1)
-
-
-def test_graph_spec_total_nodes_accounting():
-    spec = GraphSpec(family="circulant", n=9, action_set=(-1, 1), copies=11, filler_self_loops=1)
-    assert spec.total_nodes() == 100
 
 
 def test_graph_spec_rejects_unknown_family():

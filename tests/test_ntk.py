@@ -207,18 +207,6 @@ class TestDynamics:
         with pytest.raises(ValueError):
             integrate_dynamics(pair, O_0=bad, t_end=1.0)
 
-    def test_trajectory_csv_export(self, tmp_path):
-        _, pair = soft_cycle_language(peak=0.6)
-        traj = integrate_dynamics(pair, t_end=1.0)
-        path = tmp_path / "traj.csv"
-        traj.write_csv(path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "t,C_t,frobenius_residual,min_O_entry"
-        assert len(lines) == len(traj.times) + 1
-        first = [float(v) for v in lines[1].split(",")]
-        assert first[0] == 0.0
-        assert abs(first[1] - traj.C[0]) < 1e-8
-
 
 class TestOrthogonalityCheck:
     def test_valid_state_is_orthogonal(self):

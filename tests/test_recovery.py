@@ -46,7 +46,7 @@ def test_stationary_rank_deficient_minimum_norm():
     stat = T.weights.sum(axis=1) / T.weights.sum()
     stationary = HmmLanguage(pi=stat, T=T, O=np.eye(4), N=1, nx=4, ny=4)
     # tiled C_3 copies: 2 distinct eigenvalues for 10 units
-    tiled, _ = asymptotic_language("circulant", nx=10, knob=2, ngram=2, seed=1)
+    tiled = asymptotic_language("circulant", nx=10, knob=2, ngram=2, seed=1)
     for lang, L in ((stationary, 8), (tiled, 20)):
         pair = exact_positional_unigrams(lang, L)
         rec = recover_pseudoinverse(pair)
