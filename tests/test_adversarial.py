@@ -1,5 +1,6 @@
 """Adversarial training: gradients vs finite differences, trainer behavior, ERM."""
 
+import csv
 import itertools
 
 import numpy as np
@@ -22,6 +23,7 @@ from decipher.adversarial import (
     softmax_jacobian,
     train,
 )
+from decipher.experiments import ExperimentConfig, write_outputs
 from decipher.graphs import TransitionMatrix, hamiltonian_cycle_matrix
 from decipher.hmm import (
     HmmLanguage,
@@ -299,6 +301,22 @@ class TestTraining:
             TrainConfig(epochs=-1)
         with pytest.raises(ValueError):
             TrainConfig(gen_lr=0.0)
+
+    def test_loss_trace_csv_roundtrip(self, tmp_path):
+        lang = cycle_language()
+        pair = exact_positional_unigrams(lang, L=8)
+        res = train(pair, TrainConfig(epochs=5, seed=1), true_O=lang.O)
+        cfg = ExperimentConfig(kind="finite_sample_phase", nx_values=(4,), knob_values=(1,),
+                               L=8, seeds=(1,), write_traces=True)
+        row = {"kind": cfg.kind, "seed": 1, "error": "", "_trace": res.trace}
+        [path] = write_outputs(cfg, [row], tmp_path).glob("trace_*.csv")
+        with open(path, newline="") as fh:
+            lines = list(csv.reader(fh))
+        assert lines[0] == ["step", "J", "frobenius_residual", "per"]
+        assert len(lines) == 6
+        first = lines[1]
+        assert int(first[0]) == 0
+        assert abs(float(first[2]) - res.trace[0]["frobenius_residual"]) < 1e-8
 
 
 class TestMlpDiscriminator:

@@ -1,9 +1,12 @@
 """Tangent kernels: closed forms, Monte-Carlo validation, and the Euler flow."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from decipher.adversarial import softmax, softmax_jacobian
+from decipher.experiments import ExperimentConfig, write_outputs
 from decipher.graphs import TransitionMatrix, hamiltonian_cycle_matrix
 from decipher.hmm import HmmLanguage, exact_positional_unigrams
 from decipher.ntk import (
@@ -206,6 +209,21 @@ class TestDynamics:
         bad = np.full((4, 4), 0.3)
         with pytest.raises(ValueError):
             integrate_dynamics(pair, O_0=bad, t_end=1.0)
+
+    def test_trajectory_csv_export(self, tmp_path):
+        _, pair = soft_cycle_language(peak=0.6)
+        traj = integrate_dynamics(pair, t_end=1.0)
+        cfg = ExperimentConfig(kind="ntk_convergence", write_traces=True)
+        row = {"kind": cfg.kind, "language_index": 0, "seed": 0, "error": "",
+               "_ntk_traj": traj}
+        [path] = write_outputs(cfg, [row], tmp_path).glob("trace_*.csv")
+        with open(path, newline="") as fh:
+            lines = list(csv.reader(fh))
+        assert lines[0] == ["t", "C_t", "frobenius_residual", "min_O_entry"]
+        assert len(lines) == len(traj.times) + 1
+        first = [float(v) for v in lines[1]]
+        assert first[0] == 0.0
+        assert abs(first[1] - traj.C[0]) < 1e-8
 
 
 class TestOrthogonalityCheck:
