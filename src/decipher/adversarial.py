@@ -238,7 +238,8 @@ def discriminator_gradient(disc, objective: str, PX: np.ndarray, PY: np.ndarray,
     m = np.einsum("lh,lxh->lx", disc.v, relu_soft)
     c = PX * bp(m)  # L x nx
     gv -= np.einsum("lx,lxh->lh", c, relu_soft)
-    gW -= np.einsum("lx,lh,lxh,xy->lhy", c, disc.v, mask_soft, O)
+    # a contraction path: the naive loop over l, x, h, y is ~4x slower
+    gW -= np.einsum("lx,lh,lxh,xy->lhy", c, disc.v, mask_soft, O, optimize=True)
     return [gW, gv]
 
 
@@ -264,7 +265,8 @@ def generator_gradient(gen: Generator, disc, PX: np.ndarray, objective: str,
             pre = np.einsum("lhy,xy->lxh", disc.W, O)
             m = np.einsum("lh,lxh->lx", disc.v, np.maximum(pre, 0.0))
             c = PX * bp(m)  # L x nx
-            back = np.einsum("lh,lxh,lhy->lxy", disc.v, (pre > 0.0).astype(float), disc.W)
+            back = np.einsum("lh,lxh,lhy->lxy", disc.v, (pre > 0.0).astype(float), disc.W,
+                             optimize=True)
             dF_dO = np.einsum("lx,lxy->xy", c, back)
     else:
         raise ValueError(f"unknown averaging {averaging!r}; expected one of {AVERAGING_MODES}")

@@ -42,7 +42,7 @@ from .hmm import (
     random_permutation_emission,
     sample_corpus,
 )
-from .ntk import _spectral_radius_estimate, discriminator_ntk, integrate_dynamics, log_linear_tail_fit
+from .ntk import integrate_dynamics, log_linear_tail_fit
 from .random_chains import gap_statistics, random_reversible_chain
 from .recovery import phoneme_error_rate, recover_pseudoinverse
 from .spectral import sample_size_threshold, sigma_min, spectrum_of_chain
@@ -74,10 +74,6 @@ NTK_EMISSION_PEAK = 0.6
 NTK_SIGMA_FLOOR = 0.05
 NTK_MAX_ATTEMPTS = 50
 NTK_NX_CYCLE = (3, 4, 5, 6)
-# 10x the integrator's default step: kernels stay bounded along the flow and
-# the overshoot guard still protects stability, so trade per-step accuracy
-# for reach into the slow-decay regime
-NTK_STEP_FACTOR = 0.1
 
 FLOAT_FMT = "%.9g"
 
@@ -89,7 +85,8 @@ KIND_COLUMNS = {
     "smrm_gaps": ["kind", "size", "trial", "seed", "min_gap", "distinct_count",
                   "simple_at_1e12", "error"],
     "ntk_convergence": ["kind", "language_index", "nx", "seed", "attempts", "sigma_min",
-                        "residual", "slope", "r_squared", "monotone", "t_stop", "error"],
+                        "residual", "slope", "predicted_rate", "r_squared", "monotone",
+                        "t_stop", "steps", "rejected_steps", "error"],
     "reset_ablation": ["kind", "family", "nx", "knob", "variant", "seed", "sigma_min",
                        "threshold", "per", "residual", "error"],
     "averaging_ablation": ["kind", "family", "nx", "knob", "variant", "seed", "sigma_min",
@@ -364,20 +361,21 @@ def _ntk_cell(args) -> dict:
     t0 = perf_counter()
     row = {"kind": cfg.kind, "language_index": index, "nx": -1, "seed": index, "attempts": -1,
            "sigma_min": float("nan"), "residual": float("nan"), "slope": float("nan"),
-           "r_squared": float("nan"), "monotone": 0, "t_stop": float("nan"), "error": ""}
+           "predicted_rate": float("nan"), "r_squared": float("nan"), "monotone": 0,
+           "t_stop": float("nan"), "steps": -1, "rejected_steps": -1, "error": ""}
     try:
         lang, attempts = ntk_language(index, cfg.L)
         pair = exact_positional_unigrams(lang, L=cfg.L)
-        rho = max(_spectral_radius_estimate(
-            np.asarray(pair.PX), discriminator_ntk(lang.ny),
-            np.full((lang.nx, lang.ny), 1.0 / lang.ny), 1.0), 1e-12)
-        traj = integrate_dynamics(pair, step=min(NTK_STEP_FACTOR / rho, 1.0),
-                                  t_end=cfg.t_end, stop_residual=cfg.stop_residual)
+        traj = integrate_dynamics(pair, t_end=cfg.t_end, stop_residual=cfg.stop_residual)
         slope, r2 = log_linear_tail_fit(traj)
+        rates = traj.rate_estimates
         row.update(nx=lang.nx, attempts=attempts, sigma_min=sigma_min(pair.PX),
-                   residual=float(traj.residuals[-1]), slope=slope, r_squared=r2,
-                   monotone=int(bool(np.all(np.diff(traj.C) <= 1e-10))),
-                   t_stop=float(traj.times[-1]))
+                   residual=float(traj.residuals[-1]), slope=slope,
+                   # the decay rate of C_t that the smallest kernel eigenvalues bound
+                   predicted_rate=2.0 * rates["lambda_D"] * rates["lambda_G"] * rates["lambda_X"],
+                   r_squared=r2, monotone=int(bool(np.all(np.diff(traj.C) <= 1e-10))),
+                   t_stop=float(traj.times[-1]), steps=len(traj.times) - 1,
+                   rejected_steps=traj.halvings)
         if cfg.write_traces:
             row["_ntk_traj"] = traj
     except (ValueError, RuntimeError) as exc:

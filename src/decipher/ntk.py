@@ -7,15 +7,15 @@ is the squared softmax Jacobian H(p)^2 (instantaneous mode) or its average
 over softmax-of-Gaussian initial rows (monte_carlo_init mode); both kill
 the all-ones direction, which is what conserves row sums along the flow.
 
-integrate_dynamics runs the coupled per-unit ODEs with explicit Euler and
-records the kernel-weighted squared mismatch C_t each step. Step size
-defaults to 1e-2 over a spectral-radius estimate; the step is halved (with
-a warning) whenever an Euler overshoot pushes O outside [-eps, 1+eps].
+integrate_dynamics runs the coupled per-unit ODEs with the Dormand-Prince
+5(4) pair and records the kernel-weighted squared mismatch C_t at each
+accepted step. A PI controller sets each step from the embedded error
+estimate (rtol 1e-8, atol 1e-12); a step is also rejected and retried at
+half the size whenever it would push O outside [-eps, 1+eps].
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -27,7 +27,28 @@ from .spectral import singular_values
 
 GENERATOR_KERNEL_MODES = ("instantaneous", "monte_carlo_init")
 OVERSHOOT_EPS = 1e-9
-MAX_STEP_HALVINGS = 60
+
+# Dormand-Prince 5(4) pair (Dormand & Prince 1980). Row i gives stage i + 2
+# from stages 1..i + 1; the last row is the fifth-order solution. The flow is
+# autonomous, so the stage nodes are not needed.
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+# fifth- minus fourth-order weights of stages 1..7: the local error estimate
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# error per entry of O is measured against ATOL + RTOL |O|, RMS over entries
+RTOL = 1e-8
+ATOL = 1e-12
+# PI step-size control, with the constants of Hairer, Norsett & Wanner's DOPRI5
+_SAFETY = 0.9
+_BETA = 0.04
+_ALPHA = 0.2 - 0.75 * _BETA
+_MIN_FACTOR, _MAX_FACTOR = 0.2, 10.0
 
 
 def discriminator_ntk(ny: int) -> np.ndarray:
@@ -77,15 +98,6 @@ def apply_generator_ntk(O: np.ndarray, G: np.ndarray) -> np.ndarray:
     return apply_softmax_jacobian(O, apply_softmax_jacobian(O, G))
 
 
-def residual_orthogonality_check(PX: np.ndarray, PY: np.ndarray, O: np.ndarray) -> float:
-    """max_l |1^T K_D (PY_l - (PX O)_l)|: zero whenever both rows sum to 1."""
-    PX = np.asarray(PX, dtype=float)
-    PY = np.asarray(PY, dtype=float)
-    K = discriminator_ntk(PY.shape[1])
-    R = PY - PX @ np.asarray(O, dtype=float)
-    return float(np.max(np.abs(R @ K @ np.ones(PY.shape[1]))))
-
-
 @dataclass
 class NtkTrajectory:
     times: np.ndarray
@@ -94,26 +106,27 @@ class NtkTrajectory:
     min_entries: np.ndarray
     O_final: np.ndarray
     rate_estimates: dict = field(default_factory=dict)
-    halvings: int = 0
+    halvings: int = 0  # rejected steps
 
 
-def _spectral_radius_estimate(PX: np.ndarray, K_D: np.ndarray, O: np.ndarray,
-                              tau_max: float) -> float:
-    lam_D = float(np.max(np.linalg.eigvalsh(K_D)))
-    lam_G = max(float(np.max(np.linalg.eigvalsh(generator_ntk(row)))) for row in O)
-    lam_X = float(singular_values(PX)[0] ** 2)
-    return tau_max * lam_D * lam_G * lam_X
+def _rms(x: np.ndarray, scale: np.ndarray) -> float:
+    return float(np.sqrt(np.mean((x / scale) ** 2)))
 
 
 def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = None,
                        tau_max: float = 1.0, step: Optional[float] = None,
                        t_end: float = 100.0, stop_residual: float = 0.0) -> NtkTrajectory:
-    """Explicit Euler on dO_x/dt = tau K_Ox K_D (PY - PX O)^T PX[:, x].
+    """Dormand-Prince 5(4) on dO_x/dt = tau K_Ox K_D (PY - PX O)^T PX[:, x].
 
     Records C_t = tau * Tr(R K_D R^T) with R the per-position mismatch, the
     Frobenius residual and the smallest O entry at every accepted step. Row
     sums are conserved analytically (both kernels kill the all-ones
     direction); integration drift beyond 1e-9 raises.
+
+    step is the first step to try; by default it is estimated from |O| and
+    |f(O)|. Later steps follow the error controller. halvings counts the
+    rejected steps, whether the error estimate or the overshoot guard
+    rejected them.
 
     stop_residual > 0 ends the run early once the recorded Frobenius residual
     falls to that level, so decay rates vary per language without retuning
@@ -132,18 +145,16 @@ def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = 
             raise ValueError("O_0 rows must be probability vectors")
     if tau_max <= 0:
         raise ValueError("tau_max must be positive")
-    K_D = discriminator_ntk(ny)
-    if step is None:
-        # one-hot rows zero out every generator kernel: the flow is frozen
-        # and any stable step works
-        rho = max(_spectral_radius_estimate(PX, K_D, O, tau_max), 1e-12)
-        step = min(1e-2 / rho, 1.0)
-    if step <= 0:
+    if step is not None and step <= 0:
         raise ValueError("step must be positive")
+    K_D = discriminator_ntk(ny)
+
+    def rhs(O):
+        R = PY - PX @ O
+        return tau_max * apply_generator_ntk(O, PX.T @ (R @ K_D))
 
     times, Cs, resids, mins = [], [], [], []
     t = 0.0
-    h = float(step)
     halvings = 0
 
     def record():
@@ -152,29 +163,49 @@ def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = 
         Cs.append(tau_max * float(np.einsum("ly,yz,lz->", R, K_D, R)))
         resids.append(float(np.linalg.norm(R)))
         mins.append(float(np.min(O)))
-        return R
 
-    R = record()
+    record()
+    f = rhs(O)
+    if step is None:
+        scale = ATOL + RTOL * np.abs(O)
+        d0, d1 = _rms(O, scale), _rms(f, scale)
+        step = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
+    h = float(step)
+    err_old = 1e-4
+    rejected = False
     while t < t_end and not (stop_residual > 0 and resids[-1] <= stop_residual):
-        h_try = min(h, t_end - t)
-        G = PX.T @ (R @ K_D)  # nx x ny, row x = K_D R^T PX[:,x]
-        dO = tau_max * apply_generator_ntk(O, G)
-        candidate = O + h_try * dO
+        last = h >= t_end - t
+        h_try = t_end - t if last else h
+        k = [f]
+        for a in _DP_A:
+            # the last stage is the fifth-order solution, and its slope is
+            # the next step's first stage
+            candidate = O + h_try * sum(aj * kj for aj, kj in zip(a, k) if aj)
+            k.append(rhs(candidate))
         if not np.all(np.isfinite(candidate)):
             raise RuntimeError(f"non-finite state at t = {t:.6g}")
-        if candidate.min() < -OVERSHOOT_EPS or candidate.max() > 1.0 + OVERSHOOT_EPS:
+        scale = ATOL + RTOL * np.maximum(np.abs(O), np.abs(candidate))
+        err = _rms(h_try * sum(ej * kj for ej, kj in zip(_DP_E, k) if ej), scale)
+        overshoot = candidate.min() < -OVERSHOOT_EPS or candidate.max() > 1.0 + OVERSHOOT_EPS
+        if err > 1.0 or overshoot:
             halvings += 1
-            if halvings > MAX_STEP_HALVINGS:
-                raise RuntimeError("step halving limit exceeded")
-            warnings.warn(f"Euler overshoot at t = {t:.6g}; halving step to {h / 2:.3g}")
-            h /= 2.0
+            rejected = True
+            h = h_try / 2.0 if err <= 1.0 else h_try * max(_MIN_FACTOR, _SAFETY / err**_ALPHA)
+            if h < 1e-14 * max(t, 1.0):
+                raise RuntimeError(f"step size {h:.3g} underflows at t = {t:.6g}")
             continue
-        O = candidate
-        t += h_try
+        O, f = candidate, k[-1]
+        t = t_end if last else t + h_try
         drift = np.max(np.abs(O.sum(axis=1) - 1.0))
         if drift > 1e-9:
             raise RuntimeError(f"row-sum drift {drift:.3g} exceeds 1e-9 at t = {t:.6g}")
-        R = record()
+        record()
+        # PI control; no growth right after a rejection
+        grow = _MAX_FACTOR if err == 0.0 else min(
+            _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_old**_BETA / err**_ALPHA))
+        h = h_try * (min(grow, 1.0) if rejected else grow)
+        err_old = max(err, 1e-4)
+        rejected = False
 
     rates = {
         "lambda_D": float(np.min(np.linalg.eigvalsh(K_D))),
@@ -188,13 +219,12 @@ def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = 
 
 
 def log_linear_tail_fit(traj: NtkTrajectory, tail_fraction: float = 0.5):
-    """Least-squares slope and R^2 of log C_t over the trajectory tail."""
-    n = len(traj.times)
-    start = int(n * (1.0 - tail_fraction))
-    t = traj.times[start:]
-    c = traj.C[start:]
-    keep = c > 0
-    t, logc = t[keep], np.log(c[keep])
+    """Least-squares slope and R^2 of log C_t over the trajectory tail.
+
+    The tail is chosen by time, t >= (1 - tail_fraction) t_stop, since
+    adaptive steps bunch the recorded points at early times."""
+    keep = (traj.times >= (1.0 - tail_fraction) * traj.times[-1]) & (traj.C > 0)
+    t, logc = traj.times[keep], np.log(traj.C[keep])
     if len(t) < 3:
         raise ValueError("not enough positive tail points for a fit")
     A = np.stack([t, np.ones_like(t)], axis=1)

@@ -220,18 +220,39 @@ class TestSmrmRunner:
             assert r["simple_at_1e12"] == 1
 
 
+NTK_TWO = ExperimentConfig(kind="ntk_convergence", n_languages=2, L=10, seeds=(0,))
+
+
+@pytest.fixture(scope="module")
+def ntk_rows():
+    return run_experiment(NTK_TWO)
+
+
 class TestNtkRunner:
-    def test_convergence_rows(self):
-        cfg = ExperimentConfig(kind="ntk_convergence", n_languages=2, L=10, seeds=(0,))
-        rows = run_experiment(cfg)
-        assert len(rows) == 2
-        for r in rows:
+    def test_convergence_rows(self, ntk_rows):
+        assert len(ntk_rows) == 2
+        for r in ntk_rows:
             assert r["error"] == ""
             assert r["residual"] < 1e-4
             assert r["r_squared"] >= 0.99
             assert r["monotone"] == 1
             assert r["slope"] < 0
             assert r["sigma_min"] > 0.05
+            assert r["steps"] > 0 and r["rejected_steps"] >= 0
+
+    def test_slope_meets_predicted_rate(self, ntk_rows):
+        # the tail of C_t decays at least at 2 lambda_D lambda_G lambda_X,
+        # from the smallest eigenvalues of the two kernels and of PX^T PX
+        for r in ntk_rows:
+            assert r["predicted_rate"] > 0
+            assert abs(r["slope"]) >= r["predicted_rate"]
+
+    def test_results_bytes_match_across_jobs(self, ntk_rows, tmp_path):
+        serial = write_outputs(NTK_TWO, ntk_rows, tmp_path / "serial")
+        pooled = write_outputs(NTK_TWO, run_experiment(NTK_TWO, jobs=2), tmp_path / "pooled")
+        assert (serial / "results.csv").read_bytes() == (pooled / "results.csv").read_bytes()
+        header = read_csv(serial / "results.csv")[0]
+        assert header == KIND_COLUMNS["ntk_convergence"]
 
 
 class TestOutputs:

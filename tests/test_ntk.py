@@ -1,4 +1,4 @@
-"""Tangent kernels: closed forms, Monte-Carlo validation, and the Euler flow."""
+"""Tangent kernels: closed forms, Monte-Carlo validation, and the kernel flow."""
 
 import csv
 
@@ -16,7 +16,6 @@ from decipher.ntk import (
     generator_ntk,
     integrate_dynamics,
     log_linear_tail_fit,
-    residual_orthogonality_check,
 )
 
 
@@ -173,23 +172,40 @@ class TestDynamics:
         assert traj.rate_estimates["lambda_G"] > 0
         assert traj.rate_estimates["lambda_X"] > 0
 
-    def test_short_run_matches_per_row_euler_reference(self):
+    def test_short_run_matches_per_row_rk4_reference(self):
         _, pair = soft_cycle_language(peak=0.6)
         traj = integrate_dynamics(pair, t_end=20.0)
-        # time grid and end state of the per-row integrator this one replaced
-        assert len(traj.times) == 371 and traj.times[-1] == 20.0
-        assert abs(traj.residuals[-1] - 0.13784289733855024) < 1e-12
-        assert abs(traj.C[-1] - 0.015976614693881088) < 1e-12
+        assert traj.times[-1] == 20.0
+        # classical RK4, one kernel per row, at a step far below the
+        # adaptive ones
         PX, PY = np.asarray(pair.PX), np.asarray(pair.PY)
         K_D = discriminator_ntk(4)
-        O = np.full((4, 4), 0.25)
-        resids = [np.linalg.norm(PY - PX @ O)]
-        for h in np.diff(traj.times):
+
+        def f(O):
             G = PX.T @ ((PY - PX @ O) @ K_D)
-            O = O + h * np.stack([generator_ntk(O[x]) @ G[x] for x in range(4)])
-            resids.append(np.linalg.norm(PY - PX @ O))
-        assert np.allclose(traj.residuals, resids, rtol=1e-12, atol=0)
-        assert np.allclose(traj.O_final, O, rtol=0, atol=1e-14)
+            return np.stack([generator_ntk(O[x]) @ G[x] for x in range(4)])
+
+        O, h = np.full((4, 4), 0.25), 2e-3
+        for _ in range(10_000):
+            k1 = f(O)
+            k2 = f(O + h / 2 * k1)
+            k3 = f(O + h / 2 * k2)
+            k4 = f(O + h * k3)
+            O = O + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        assert np.max(np.abs(traj.O_final - O)) <= 1e-9
+
+    def test_oversized_first_step_is_rejected(self):
+        _, pair = soft_cycle_language(peak=0.6)
+        # the first steps the controller accepts here are about 1
+        traj = integrate_dynamics(pair, step=5.0, t_end=50.0)
+        assert traj.halvings >= 1
+        assert traj.times[1] < 5.0
+        assert np.all(traj.min_entries >= -1e-9)
+        assert np.max(traj.O_final) <= 1.0 + 1e-9
+        assert np.max(np.abs(traj.O_final.sum(axis=1) - 1.0)) <= 1e-9
+        # the rejection costs steps, not accuracy
+        reference = integrate_dynamics(pair, t_end=50.0)
+        assert np.max(np.abs(traj.O_final - reference.O_final)) <= 1e-9
 
     def test_deterministic_trajectories(self):
         _, pair = soft_cycle_language(peak=0.6)
@@ -226,26 +242,6 @@ class TestDynamics:
         assert abs(first[1] - traj.C[0]) < 1e-8
 
 
-class TestOrthogonalityCheck:
-    def test_valid_state_is_orthogonal(self):
-        _, pair = soft_cycle_language(peak=0.6)
-        rng = np.random.default_rng(7)
-        O = rng.dirichlet(np.ones(4), size=4)
-        assert residual_orthogonality_check(pair.PX, pair.PY, O) <= 1e-12
-
-    def test_broken_row_detected(self):
-        _, pair = soft_cycle_language(peak=0.6)
-        rng = np.random.default_rng(7)
-        O = rng.dirichlet(np.ones(4), size=4)
-        PY_bad = pair.PY.copy()
-        PY_bad[0, 0] += 0.1
-        assert residual_orthogonality_check(pair.PX, PY_bad, O) > 1e-3
-
-    def test_single_symbol_trivial(self):
-        assert residual_orthogonality_check(np.ones((3, 1)), np.ones((3, 1)),
-                                            np.ones((1, 1))) == 0.0
-
-
 class TestTailFit:
     def test_too_few_points_rejected(self):
         traj = NtkTrajectory(times=np.array([0.0, 1.0]), C=np.array([1.0, 0.5]),
@@ -253,3 +249,15 @@ class TestTailFit:
                              O_final=np.eye(2))
         with pytest.raises(ValueError):
             log_linear_tail_fit(traj)
+
+    def test_tail_is_chosen_by_time(self):
+        # dense early points decay at rate 1, sparse late points at rate 3:
+        # the last half of the points would straddle both regimes
+        times = np.concatenate([np.linspace(0.0, 5.0, 40, endpoint=False),
+                                np.linspace(5.0, 10.0, 6)])
+        C = np.exp(np.where(times < 5.0, -times, -5.0 - 3.0 * (times - 5.0)))
+        traj = NtkTrajectory(times=times, C=C, residuals=np.zeros(46),
+                             min_entries=np.zeros(46), O_final=np.eye(2))
+        slope, r2 = log_linear_tail_fit(traj)
+        assert abs(slope + 3.0) < 1e-12
+        assert r2 > 1.0 - 1e-12
