@@ -13,12 +13,18 @@ fake-term payoff through the softmax Jacobian with an adaptive-moment step
 feeds per-unit posterior rows straight into the discriminator; outside_cost
 weights the per-symbol transform values by the generated distribution. All
 gradients are hand-derived and checked against finite differences in tests.
+
+The generator, the linear discriminator and their gradients also accept a
+leading member axis, so one call trains several independent runs in the same
+array operations. Stacked matmul multiplies member by member, so each member
+gets the bytes of its own 2-D products.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -45,7 +51,12 @@ def softmax_jacobian(prob_row: np.ndarray) -> np.ndarray:
 def apply_softmax_jacobian(P: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Row x is H(P_x) G_x for every row at once: H(p) g = p * (g - <p, g>)
     needs no |Y| x |Y| Jacobian per row."""
-    return P * (G - np.sum(P * G, axis=1, keepdims=True))
+    return P * (G - np.sum(P * G, axis=-1, keepdims=True))
+
+
+def _mT(a: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes: a.T for one member, per member for a stack."""
+    return np.swapaxes(a, -1, -2)
 
 
 def _sigmoid(s: np.ndarray) -> np.ndarray:
@@ -77,15 +88,9 @@ def _transforms(objective: str):
     raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
 
 
-def objective_terms(objective: str, scores_real: np.ndarray, scores_fake: np.ndarray):
-    """Transform raw scores into the real-term and fake-term integrands."""
-    a, _, b, _ = _transforms(objective)
-    return a(np.asarray(scores_real, dtype=float)), b(np.asarray(scores_fake, dtype=float))
-
-
 @dataclass
 class Generator:
-    U: np.ndarray  # |X| x |Y| logits
+    U: np.ndarray  # |X| x |Y| logits, or members x |X| x |Y|
 
     @classmethod
     def initialize(cls, nx: int, ny: int, rng: np.random.Generator, scale: float = 0.01):
@@ -93,29 +98,36 @@ class Generator:
 
     @property
     def O(self) -> np.ndarray:
-        return softmax(self.U, axis=1)
-
-
-def generator_distribution(gen: Generator, PX: np.ndarray) -> np.ndarray:
-    """Per-position generated text distribution PX @ O."""
-    return np.asarray(PX, dtype=float) @ gen.O
+        return softmax(self.U, axis=-1)
 
 
 class LinearPositionalDiscriminator:
-    """Per-position linear functional; score(P) = sum_l <w_l, P_l>."""
+    """Per-position linear functional; score(P) = sum_l <w_l, P_l>.
+
+    With ``members`` the weights gain a leading member axis, one independent
+    discriminator per member.
+    """
 
     kind = "linear"
     decomposable = True
 
-    def __init__(self, L: int, ny: int):
-        self.w = np.zeros((L, ny))
+    def __init__(self, L: int, ny: int, members: Optional[int] = None):
+        self.w = np.zeros((L, ny) if members is None else (members, L, ny))
+
+    def member(self, i: int) -> "LinearPositionalDiscriminator":
+        """Member i of a stacked discriminator; it shares the stack's weights."""
+        if self.w.ndim == 2:
+            return self
+        view = copy.copy(self)
+        view.w = self.w[i]
+        return view
 
     def symbol_scores(self) -> np.ndarray:
         # score of the one-hot symbol y at position l
         return self.w
 
     def soft_scores(self, P: np.ndarray) -> np.ndarray:
-        return (self.w * P).sum(axis=1)
+        return (self.w * P).sum(axis=-1)
 
     def reset(self, rng: Optional[np.random.Generator] = None) -> None:
         self.w[:] = 0.0
@@ -151,6 +163,10 @@ class PerStepMlpDiscriminator:
                                size=self.W.shape)
         self.v[:] = rng.normal(0.0, np.sqrt(2.0 / (self.hidden + 1)), size=self.v.shape)
 
+    def member(self, i: int) -> "PerStepMlpDiscriminator":
+        # an MLP discriminator is never stacked: it trains one member
+        return self
+
     def symbol_scores(self) -> np.ndarray:
         # one-hot input selects a column of W: t[l, y] = v_l . relu(W_l[:, y])
         return np.einsum("lh,lhy->ly", self.v, np.maximum(self.W, 0.0))
@@ -169,14 +185,6 @@ class PerStepMlpDiscriminator:
     def clip_params(self, c: float) -> None:
         np.clip(self.W, -c, c, out=self.W)
         np.clip(self.v, -c, c, out=self.v)
-
-
-def _make_discriminator(kind: str, L: int, ny: int, rng: np.random.Generator, hidden: int):
-    if kind == "linear":
-        return LinearPositionalDiscriminator(L, ny)
-    if kind == "mlp":
-        return PerStepMlpDiscriminator(L, ny, rng, hidden=hidden)
-    raise ValueError(f"unknown discriminator {kind!r}; expected one of {DISCRIMINATORS}")
 
 
 def objective_value(disc, objective: str, PX: np.ndarray, PY: np.ndarray, O: np.ndarray,
@@ -217,7 +225,7 @@ def discriminator_gradient(disc, objective: str, PX: np.ndarray, PY: np.ndarray,
     if disc.kind == "linear":
         if averaging == "outside_cost":
             return [real_coeff - fake_coeff]
-        m = disc.w @ O.T  # L x nx
+        m = disc.w @ _mT(O)  # L x nx
         fake_grad = (PX * bp(m)) @ O
         return [real_coeff - fake_grad]
 
@@ -256,11 +264,11 @@ def generator_gradient(gen: Generator, disc, PX: np.ndarray, objective: str,
     if averaging == "outside_cost":
         if not getattr(disc, "decomposable", False):
             raise ValueError("outside_cost averaging needs a decomposable discriminator")
-        dF_dO = PX.T @ b(disc.symbol_scores())
+        dF_dO = _mT(PX) @ b(disc.symbol_scores())
     elif averaging == "soft_input":
         if disc.kind == "linear":
-            m = disc.w @ O.T
-            dF_dO = (PX * bp(m)).T @ disc.w
+            m = disc.w @ _mT(O)
+            dF_dO = _mT(PX * bp(m)) @ disc.w
         else:
             pre = np.einsum("lhy,xy->lxh", disc.W, O)
             m = np.einsum("lh,lxh->lx", disc.v, np.maximum(pre, 0.0))
@@ -334,31 +342,69 @@ class TrainResult:
         return np.argmax(self.generator.O, axis=1)
 
 
-def train(pair: PositionalUnigramPair, cfg: TrainConfig,
-          true_O: Optional[np.ndarray] = None) -> TrainResult:
-    """Alternating full-batch training on a positional unigram pair.
+def train(pair: PositionalUnigramPair | Sequence[PositionalUnigramPair], cfg: TrainConfig,
+          true_O=None, rngs: Optional[Sequence[np.random.Generator]] = None,
+          keep_trace: bool = True):
+    """Alternating full-batch training on positional unigram pairs.
 
     One epoch = disc_steps discriminator ascent steps (after an optional
     reset) followed by gen_steps generator ascent steps. The trace records,
     per epoch, the averaging-consistent objective J and the Frobenius
     residual ||PX O - PY||_F, plus the decoded error rate when the true
-    assignment is supplied.
-    """
-    PX = np.asarray(pair.PX, dtype=float)
-    PY = np.asarray(pair.PY, dtype=float)
-    L, nx = PX.shape
-    ny = PY.shape[1]
-    rng = np.random.default_rng(cfg.seed)
-    gen = Generator.initialize(nx, ny, rng, scale=cfg.init_scale)
-    disc = _make_discriminator(cfg.discriminator, L, ny, rng, cfg.hidden)
-    adam = _AdamState(m=np.zeros_like(gen.U), v=np.zeros_like(gen.U))
-    trace: list[dict] = []
+    assignment is supplied; with keep_trace False it holds the final
+    epoch's row only.
 
-    truth = np.argmax(true_O, axis=1) if true_O is not None else None
+    One pair trains one run, seeded by cfg.seed unless one generator is
+    given in rngs, and returns its TrainResult; a diverged run raises
+    RuntimeError. A sequence of B pairs of one shape trains B independent
+    members, with true_O a sequence of B assignments (or None) and one
+    generator per member in rngs, and returns one entry per member: its
+    TrainResult, or the RuntimeError that stopped it. Linear members train
+    together over a leading member axis; MLP members train one after
+    another. Either way each member ends with the bytes of its own run.
+    """
+    if isinstance(pair, PositionalUnigramPair):
+        if rngs is None:
+            rngs = [np.random.default_rng(cfg.seed)]
+        [outcome] = train([pair], cfg, [true_O], rngs, keep_trace)
+        if isinstance(outcome, RuntimeError):
+            raise outcome
+        return outcome
+    if rngs is None or len(rngs) != len(pair):
+        raise ValueError("batched training needs one generator per pair")
+    PX = np.stack([np.asarray(p.PX, dtype=float) for p in pair])
+    PY = np.stack([np.asarray(p.PY, dtype=float) for p in pair])
+    B, L, nx = PX.shape
+    ny = PY.shape[2]
+    truths = [None if O is None else np.argmax(O, axis=1)
+              for O in (true_O if true_O is not None else [None] * B)]
+    if cfg.discriminator == "linear":
+        gen = Generator(U=np.stack([Generator.initialize(nx, ny, rng, scale=cfg.init_scale).U
+                                    for rng in rngs]))
+        disc = LinearPositionalDiscriminator(L, ny, members=B)
+        return _train_members(PX, PY, gen, disc, rngs, truths, cfg, keep_trace)
+    outcomes = []
+    for b, rng in enumerate(rngs):
+        gen = Generator.initialize(nx, ny, rng, scale=cfg.init_scale)
+        disc = PerStepMlpDiscriminator(L, ny, rng, hidden=cfg.hidden)
+        outcomes += _train_members(PX[b], PY[b], gen, disc, [rng], [truths[b]], cfg, keep_trace)
+    return outcomes
+
+
+def _train_members(PX, PY, gen: Generator, disc, rngs, truths, cfg: TrainConfig,
+                   keep_trace: bool) -> list:
+    """The epoch loop of train, for members stacked along the leading axis of
+    gen.U, or for one member when gen.U is 2-D. A member that diverges gets
+    its error and leaves the stack; the others go on unchanged."""
+    members = list(range(len(rngs)))  # outcome index of each row of the stack
+    outcomes: list = [None] * len(rngs)
+    traces: list[list[dict]] = [[] for _ in rngs]
+    adam = _AdamState(m=np.zeros_like(gen.U), v=np.zeros_like(gen.U))
+    stacked = lambda a: a.reshape((len(members),) + a.shape[-2:])
 
     for epoch in range(cfg.epochs):
         if cfg.reset_discriminator:
-            disc.reset(rng)
+            disc.reset(rngs[0])  # a linear reset draws nothing; an MLP trains one member
         O = gen.O
         for _ in range(cfg.disc_steps):
             grads = discriminator_gradient(disc, cfg.objective, PX, PY, O, cfg.averaging)
@@ -368,22 +414,38 @@ def train(pair: PositionalUnigramPair, cfg: TrainConfig,
         for _ in range(cfg.gen_steps):
             dU = generator_gradient(gen, disc, PX, cfg.objective, cfg.averaging)
             gen.U += adam.step(dU, cfg.gen_lr, cfg.beta1, cfg.beta2, cfg.eps)
-        if not np.all(np.isfinite(gen.U)):
-            raise RuntimeError(f"generator weights diverged at epoch {epoch}")
-        for p in disc.params():
-            if not np.all(np.isfinite(p)):
-                raise RuntimeError(f"discriminator weights diverged at epoch {epoch}")
-        O = gen.O
-        row = {
-            "step": epoch,
-            "J": objective_value(disc, cfg.objective, PX, PY, O, cfg.averaging),
-            "frobenius_residual": float(np.linalg.norm(PX @ O - PY)),
-        }
-        if truth is not None:
-            decoded = np.argmax(O, axis=1)
-            row["per"] = float(np.mean(decoded != truth))
-        trace.append(row)
-    return TrainResult(generator=gen, discriminator=disc, trace=trace)
+        gen_ok = np.isfinite(gen.U).reshape(len(members), -1).all(axis=1)
+        disc_ok = np.logical_and.reduce(
+            [np.isfinite(p).reshape(len(members), -1).all(axis=1) for p in disc.params()])
+        if not (gen_ok.all() and disc_ok.all()):
+            for i in np.flatnonzero(~(gen_ok & disc_ok)):
+                part = "generator" if not gen_ok[i] else "discriminator"
+                outcomes[members[i]] = RuntimeError(f"{part} weights diverged at epoch {epoch}")
+            keep = gen_ok & disc_ok
+            if not keep.any():
+                return outcomes
+            # only a linear stack has several members, so only it gets here
+            PX, PY, gen.U, disc.w = PX[keep], PY[keep], gen.U[keep], disc.w[keep]
+            adam.m, adam.v = adam.m[keep], adam.v[keep]
+            members = [b for b, k in zip(members, keep) if k]
+        if keep_trace or epoch == cfg.epochs - 1:
+            O = gen.O
+            for i, (PX_i, PY_i, O_i) in enumerate(zip(stacked(PX), stacked(PY), stacked(O))):
+                b = members[i]
+                row = {
+                    "step": epoch,
+                    "J": objective_value(disc.member(i), cfg.objective, PX_i, PY_i, O_i,
+                                         cfg.averaging),
+                    "frobenius_residual": float(np.linalg.norm(PX_i @ O_i - PY_i)),
+                }
+                if truths[b] is not None:
+                    decoded = np.argmax(O_i, axis=1)
+                    row["per"] = float(np.mean(decoded != truths[b]))
+                traces[b].append(row)
+    for i, U_i in enumerate(stacked(gen.U)):
+        outcomes[members[i]] = TrainResult(generator=Generator(U=U_i),
+                                           discriminator=disc.member(i), trace=traces[members[i]])
+    return outcomes
 
 
 def project_row_to_simplex(v: np.ndarray) -> np.ndarray:

@@ -9,8 +9,14 @@ a process pool, then sorted by grid coordinates before writing, so the
 results.csv bytes do not depend on worker scheduling. Wall-clock times stay
 in the in-memory rows but are excluded from the CSV.
 
+The sampled kinds (finite_sample_phase and the two ablations) run one cell
+per (nx, knob): it samples each seed's corpus once, keeps only its unigram
+pair, and trains every seed of a variant as one batch. Its rows equal those
+of single-seed runs, and each row's wall time is the cell's time per row.
+
 Cells that fail to construct (for example a subgraph larger than the state
-space) produce an error-tagged row instead of aborting the sweep.
+space) produce an error-tagged row instead of aborting the sweep; in a
+sampled cell only the failing seed's rows carry the error.
 """
 
 from __future__ import annotations
@@ -312,48 +318,86 @@ def _asymptotic_cell(args) -> dict:
     return row
 
 
-def _finite_cell(args) -> dict:
-    cfg, nx, knob, seed, variant = args
+def _sampled_pair(cfg: ExperimentConfig, nx: int, knob, seed: int):
+    """One seed's language and empirical pair; its corpus is freed on return."""
+    lang = finite_language(cfg.family, nx, knob, cfg.ngram, seed)
+    corpus = sample_corpus(lang, n_sequences=cfg.n_sequences, L=cfg.L,
+                           matched=cfg.matched, seed=seed)
+    return lang, empirical_positional_unigrams(corpus)
+
+
+def _variant_train(train_cfg: TrainConfig, variant: Optional[str]) -> TrainConfig:
+    if variant in ("reset", "no_reset"):
+        return replace(train_cfg, reset_discriminator=variant == "reset")
+    if variant in ("soft_input", "outside_cost"):
+        return replace(train_cfg, averaging=variant)
+    return train_cfg
+
+
+def _sampled_block(args) -> list[dict]:
+    """Every seed and variant of one (nx, knob) cell of the sampled kinds.
+
+    Each seed's pair is built once and shared by the variants, and GAN
+    training runs all seeds of a variant as one batch, so a row's wall_time
+    is the block time divided by the number of rows, as in _smrm_block.
+    """
+    cfg, nx, knob, variants = args
     t0 = perf_counter()
-    row = {"kind": cfg.kind, "family": cfg.family, "nx": nx, "knob": knob, "seed": seed,
-           "sigma_min": float("nan"), "threshold": float("nan"), "per": float("nan"),
-           "residual": float("nan"), "error": ""}
-    if variant is not None:
-        row["variant"] = variant
-    try:
-        lang = finite_language(cfg.family, nx, knob, cfg.ngram, seed)
-        corpus = sample_corpus(lang, n_sequences=cfg.n_sequences, L=cfg.L,
-                               matched=cfg.matched, seed=seed)
-        pair = empirical_positional_unigrams(corpus)
-        row["sigma_min"] = sigma_min(pair.PX)
-        row["threshold"] = sample_size_threshold(cfg.n_sequences, cfg.n_sequences, pair.L,
-                                                 lang.nx, lang.ny, delta=CONFIDENCE_DELTA)
-        weights = _uniform_weights(nx)
-        train_cfg = replace(cfg.train, seed=seed)
-        if variant == "no_reset":
-            train_cfg = replace(train_cfg, reset_discriminator=False)
-        elif variant == "reset":
-            train_cfg = replace(train_cfg, reset_discriminator=True)
-        elif variant in ("soft_input", "outside_cost"):
-            train_cfg = replace(train_cfg, averaging=variant)
-        if cfg.solver == "gan":
-            res = train(pair, train_cfg, true_O=lang.O)
+    rows: dict[tuple, dict] = {}
+    built = []  # (seed, true assignment, pair) of every seed whose data built
+    for seed in cfg.seeds:
+        base = {"kind": cfg.kind, "family": cfg.family, "nx": nx, "knob": knob, "seed": seed,
+                "sigma_min": float("nan"), "threshold": float("nan"), "per": float("nan"),
+                "residual": float("nan"), "error": ""}
+        try:
+            lang, pair = _sampled_pair(cfg, nx, knob, seed)
+            base["sigma_min"] = sigma_min(pair.PX)
+            base["threshold"] = sample_size_threshold(cfg.n_sequences, cfg.n_sequences, pair.L,
+                                                      lang.nx, lang.ny, delta=CONFIDENCE_DELTA)
+            built.append((seed, lang.O, pair))
+        except (ValueError, RuntimeError) as exc:
+            base["error"] = str(exc)
+        for variant in variants:
+            rows[seed, variant] = dict(base) if variant is None else {**base, "variant": variant}
+
+    weights = _uniform_weights(nx)
+    for variant in variants:
+        if cfg.solver == "erm":
+            for seed, O, pair in built:
+                try:
+                    sol = erm_least_squares(pair)
+                except (ValueError, RuntimeError) as exc:
+                    rows[seed, variant]["error"] = str(exc)
+                    continue
+                rows[seed, variant].update(per=phoneme_error_rate(sol.decoded(), O, weights),
+                                           residual=sol.residual_projected,
+                                           _matrix=sol.O_projected)
+            continue
+        if not built:
+            continue
+        try:
+            outcomes = train([pair for _, _, pair in built], _variant_train(cfg.train, variant),
+                             true_O=[O for _, O, _ in built],
+                             rngs=[np.random.default_rng(seed) for seed, _, _ in built],
+                             keep_trace=cfg.write_traces)
+        except (ValueError, RuntimeError) as exc:
+            outcomes = [exc] * len(built)
+        for (seed, O, pair), res in zip(built, outcomes):
+            row = rows[seed, variant]
+            if isinstance(res, Exception):
+                row["error"] = str(res)
+                continue
             O_hat = res.final_assignment()
-            row["per"] = phoneme_error_rate(res.decoded(), lang.O, weights)
+            row["per"] = phoneme_error_rate(res.decoded(), O, weights)
             row["residual"] = res.trace[-1]["frobenius_residual"] if res.trace else float(
                 np.linalg.norm(pair.PX @ O_hat - pair.PY))
+            row["_matrix"] = O_hat
             if cfg.write_traces:
                 row["_trace"] = res.trace
-        else:
-            sol = erm_least_squares(pair)
-            O_hat = sol.O_projected
-            row["per"] = phoneme_error_rate(sol.decoded(), lang.O, weights)
-            row["residual"] = sol.residual_projected
-        row["_matrix"] = O_hat
-    except (ValueError, RuntimeError) as exc:
-        row["error"] = str(exc)
-    row["wall_time"] = perf_counter() - t0
-    return row
+    elapsed = (perf_counter() - t0) / len(rows)
+    for row in rows.values():
+        row["wall_time"] = elapsed
+    return list(rows.values())
 
 
 def _ntk_cell(args) -> dict:
@@ -432,18 +476,23 @@ def run_asymptotic_phase(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
     return sorted(_map_cells(_asymptotic_cell, tasks, jobs), key=_sort_key)
 
 
+def _map_blocks(worker, tasks, jobs: int) -> list[dict]:
+    blocks = _map_cells(worker, tasks, jobs)
+    return sorted([row for block in blocks for row in block], key=_sort_key)
+
+
+def _run_sampled(cfg: ExperimentConfig, variants: tuple, jobs: int) -> list[dict]:
+    tasks = [(cfg, nx, knob, variants) for nx in cfg.nx_values for knob in cfg.knob_values]
+    return _map_blocks(_sampled_block, tasks, jobs)
+
+
 def run_finite_sample_phase(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
-    tasks = [(cfg, nx, knob, seed, None)
-             for nx in cfg.nx_values for knob in cfg.knob_values for seed in cfg.seeds]
-    return sorted(_map_cells(_finite_cell, tasks, jobs), key=_sort_key)
+    return _run_sampled(cfg, (None,), jobs)
 
 
 def run_reset_ablation(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
     """Paired rows per (cell, seed): identical data, reset flag flipped."""
-    tasks = [(cfg, nx, knob, seed, variant)
-             for nx in cfg.nx_values for knob in cfg.knob_values
-             for seed in cfg.seeds for variant in ("reset", "no_reset")]
-    return sorted(_map_cells(_finite_cell, tasks, jobs), key=_sort_key)
+    return _run_sampled(cfg, ("reset", "no_reset"), jobs)
 
 
 def run_averaging_ablation(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
@@ -454,15 +503,11 @@ def run_averaging_ablation(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
     """
     if cfg.train.discriminator != "mlp":
         raise ValueError("averaging ablation requires train.discriminator == 'mlp'")
-    tasks = [(cfg, nx, knob, seed, variant)
-             for nx in cfg.nx_values for knob in cfg.knob_values
-             for seed in cfg.seeds for variant in ("soft_input", "outside_cost")]
-    return sorted(_map_cells(_finite_cell, tasks, jobs), key=_sort_key)
+    return _run_sampled(cfg, ("soft_input", "outside_cost"), jobs)
 
 
 def run_smrm_gaps(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
-    blocks = _map_cells(_smrm_block, [(cfg, size) for size in cfg.sizes], jobs)
-    return sorted([row for block in blocks for row in block], key=_sort_key)
+    return _map_blocks(_smrm_block, [(cfg, size) for size in cfg.sizes], jobs)
 
 
 def run_ntk_convergence(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:

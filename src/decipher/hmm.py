@@ -198,22 +198,23 @@ def sample_corpus(
 
     Matched mode runs emission on the sampled speech. Unmatched mode draws two
     independent corpora from child seeds (seed, seed + 2^31) and keeps the
-    speech side of the first and the text side of the second.
+    speech side of the first and the text side of the second. The first
+    corpus's text is never emitted: emission is the last draw from its
+    stream, so skipping it leaves the speech side unchanged.
     """
     if n_sequences < 1:
         raise ValueError("need at least one sequence")
 
-    def one_corpus(child_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    def one_corpus(child_seed: int, emit: bool = True):
         rng = np.random.default_rng(child_seed)
         paths = _sample_state_paths(lang, n_sequences, L, rng)
         speech = _expand_states(paths, lang.nx, lang.N)
-        text = _emit_text(speech, lang.O, rng)
-        return speech, text
+        return speech, _emit_text(speech, lang.O, rng) if emit else None
 
     if matched:
         speech, text = one_corpus(seed)
     else:
-        speech, _ = one_corpus(seed)
+        speech, _ = one_corpus(seed, emit=False)
         _, text = one_corpus(seed + UNMATCHED_SEED_SPLIT)
     return Corpus(
         speech=speech, text=text, matched=matched, seed=seed,

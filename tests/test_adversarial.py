@@ -2,21 +2,23 @@
 
 import csv
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from decipher import adversarial
 from decipher.adversarial import (
     Generator,
     LinearPositionalDiscriminator,
     PerStepMlpDiscriminator,
     TrainConfig,
+    _AdamState,
+    _transforms,
     apply_softmax_jacobian,
     discriminator_gradient,
     erm_least_squares,
-    generator_distribution,
     generator_gradient,
-    objective_terms,
     objective_value,
     project_row_to_simplex,
     softmax,
@@ -49,8 +51,6 @@ def cycle_language(nx=4, L=8, seed=3):
 
 def _fake_term(disc, objective, PX, O, averaging):
     # independent recomputation of the generator's payoff for FD checks
-    from decipher.adversarial import _transforms
-
     b = _transforms(objective)[2]
     if averaging == "outside_cost":
         return float(np.sum((PX @ O) * b(disc.symbol_scores())))
@@ -86,47 +86,48 @@ class TestSoftmaxPieces:
 
 
 class TestObjectiveTerms:
+    # _transforms gives the real-term integrand a and the fake-term integrand b
+
     def test_wasserstein_terms_are_identity(self):
         s = np.array([-2.0, 0.0, 3.5])
-        a, b = objective_terms("wasserstein", s, s)
-        assert np.array_equal(a, s) and np.array_equal(b, s)
+        a, _, b, _ = _transforms("wasserstein")
+        assert np.array_equal(a(s), s) and np.array_equal(b(s), s)
 
     def test_jsd_terms_at_zero(self):
-        a, b = objective_terms("jsd", np.zeros(1), np.zeros(1))
-        assert np.allclose(a, np.log(0.5), atol=1e-12)
-        assert np.allclose(b, -np.log(0.5), atol=1e-12)
+        a, _, b, _ = _transforms("jsd")
+        assert np.allclose(a(np.zeros(1)), np.log(0.5), atol=1e-12)
+        assert np.allclose(b(np.zeros(1)), -np.log(0.5), atol=1e-12)
 
     def test_jsd_real_term_slope_half_at_zero(self):
         h = 1e-6
-        ap, _ = objective_terms("jsd", np.array([h]), np.array([0.0]))
-        am, _ = objective_terms("jsd", np.array([-h]), np.array([0.0]))
-        assert abs((ap[0] - am[0]) / (2 * h) - 0.5) < 1e-9
+        a = _transforms("jsd")[0]
+        assert abs((a(np.array([h]))[0] - a(np.array([-h]))[0]) / (2 * h) - 0.5) < 1e-9
 
     def test_unknown_objective_rejected(self):
         with pytest.raises(ValueError):
-            objective_terms("hellinger", np.zeros(1), np.zeros(1))
+            _transforms("hellinger")
 
 
 class TestGeneratorDistribution:
+    # the generated text distribution at each position is PX @ O
+
     def test_saturated_diagonal_passes_through(self):
         rng = np.random.default_rng(1)
         PX = rng.dirichlet(np.ones(4), size=6)
         gen = Generator(U=200.0 * np.eye(4))
-        assert np.allclose(generator_distribution(gen, PX), PX, atol=1e-12)
+        assert np.allclose(PX @ gen.O, PX, atol=1e-12)
 
     def test_zero_logits_give_uniform_rows(self):
         rng = np.random.default_rng(2)
         PX = rng.dirichlet(np.ones(3), size=5)
         gen = Generator(U=np.zeros((3, 4)))
-        out = generator_distribution(gen, PX)
-        assert np.allclose(out, 0.25, atol=1e-12)
+        assert np.allclose(PX @ gen.O, 0.25, atol=1e-12)
 
     def test_output_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
         PX = rng.dirichlet(np.ones(5), size=7)
         gen = Generator.initialize(5, 6, rng)
-        out = generator_distribution(gen, PX)
-        assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
+        assert np.allclose((PX @ gen.O).sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestGradients:
@@ -317,6 +318,132 @@ class TestTraining:
         first = lines[1]
         assert int(first[0]) == 0
         assert abs(float(first[2]) - res.trace[0]["frobenius_residual"]) < 1e-8
+
+
+SEEDS = (3, 8, 13)
+
+BATCH_SETTINGS = [
+    dict(discriminator=kind, objective=objective, averaging=averaging,
+         reset_discriminator=reset, weight_clip=0.05 if objective == "wasserstein" else None)
+    for kind, objective, averaging, reset in itertools.product(
+        ("linear", "mlp"), ("mmd", "jsd", "wasserstein"), ("soft_input", "outside_cost"),
+        (True, False))
+]
+
+
+def member_pairs():
+    """One unmatched sampled pair and true assignment per seed in SEEDS."""
+    langs = [cycle_language(seed=s) for s in SEEDS]
+    pairs = [empirical_positional_unigrams(sample_corpus(lang, 300, 8, matched=False, seed=s))
+             for lang, s in zip(langs, SEEDS)]
+    return pairs, [lang.O for lang in langs]
+
+
+def rngs():
+    return [np.random.default_rng(s) for s in SEEDS]
+
+
+def reference_train(pair, cfg, true_O):
+    """The single-run loop, on 2-D arrays throughout: final U and full trace."""
+    PX, PY = pair.PX, pair.PY
+    (L, nx), ny = PX.shape, PY.shape[1]
+    rng = np.random.default_rng(cfg.seed)
+    gen = Generator.initialize(nx, ny, rng, scale=cfg.init_scale)
+    disc = (LinearPositionalDiscriminator(L, ny) if cfg.discriminator == "linear"
+            else PerStepMlpDiscriminator(L, ny, rng, hidden=cfg.hidden))
+    adam = _AdamState(m=np.zeros_like(gen.U), v=np.zeros_like(gen.U))
+    trace = []
+    for epoch in range(cfg.epochs):
+        if cfg.reset_discriminator:
+            disc.reset(rng)
+        O = gen.O
+        for _ in range(cfg.disc_steps):
+            disc.add_scaled(discriminator_gradient(disc, cfg.objective, PX, PY, O, cfg.averaging),
+                            cfg.disc_lr)
+            if cfg.weight_clip is not None:
+                disc.clip_params(cfg.weight_clip)
+        for _ in range(cfg.gen_steps):
+            dU = generator_gradient(gen, disc, PX, cfg.objective, cfg.averaging)
+            gen.U += adam.step(dU, cfg.gen_lr, cfg.beta1, cfg.beta2, cfg.eps)
+        O = gen.O
+        trace.append({"step": epoch,
+                      "J": objective_value(disc, cfg.objective, PX, PY, O, cfg.averaging),
+                      "frobenius_residual": float(np.linalg.norm(PX @ O - PY)),
+                      "per": float(np.mean(np.argmax(O, axis=1) != np.argmax(true_O, axis=1)))})
+    return gen.U, trace
+
+
+def poison_generator_gradient(monkeypatch, pairs, at_epoch: dict):
+    """Make member k's generator step infinite at epoch at_epoch[k].
+
+    Members are found by their PX, so the poison follows them through the
+    stack; train calls the gradient once per epoch (gen_steps 1).
+    """
+    calls = itertools.count()
+
+    def patched(gen, disc, PX, objective, averaging):
+        dU = generator_gradient(gen, disc, PX, objective, averaging)
+        epoch = next(calls)
+        stack = PX.reshape((-1,) + PX.shape[-2:])
+        for k, when in at_epoch.items():
+            for i in range(len(stack)):
+                if when == epoch and np.array_equal(stack[i], pairs[k].PX):
+                    dU.reshape((-1,) + dU.shape[-2:])[i] = np.inf
+        return dU
+
+    monkeypatch.setattr(adversarial, "generator_gradient", patched)
+
+
+class TestBatchedTraining:
+    @pytest.mark.parametrize("settings", BATCH_SETTINGS,
+                             ids=lambda d: "-".join(str(v) for v in d.values()))
+    def test_batch_equals_serial_runs(self, settings):
+        pairs, Os = member_pairs()
+        cfg = TrainConfig(epochs=12, hidden=8, **settings)
+        kept = train(pairs, cfg, true_O=Os, rngs=rngs())
+        final = train(pairs, cfg, true_O=Os, rngs=rngs(), keep_trace=False)
+        for seed, pair, O, res, last in zip(SEEDS, pairs, Os, kept, final):
+            alone = train(pair, replace(cfg, seed=seed), true_O=O)
+            U, trace = reference_train(pair, replace(cfg, seed=seed), O)
+            assert alone.generator.U.tobytes() == U.tobytes() and alone.trace == trace
+            for r in (res, last):
+                assert r.generator.U.tobytes() == alone.generator.U.tobytes()
+                assert np.array_equal(r.decoded(), alone.decoded())
+                assert r.trace[-1] == alone.trace[-1]
+                for p, q in zip(r.discriminator.params(), alone.discriminator.params()):
+                    assert p.tobytes() == q.tobytes()
+            assert res.trace == alone.trace and len(res.trace) == cfg.epochs
+            assert last.trace == alone.trace[-1:]
+
+    def test_one_pair_takes_one_generator(self):
+        lang = cycle_language()
+        pair = exact_positional_unigrams(lang, L=8)
+        cfg = TrainConfig(epochs=5, seed=4)
+        given = train(pair, cfg, rngs=[np.random.default_rng(4)])
+        assert given.trace == train(pair, cfg).trace
+        with pytest.raises(ValueError):
+            train([pair, pair], cfg)
+
+    def test_diverged_members_leave_the_others_unchanged(self, monkeypatch):
+        pairs, Os = member_pairs()
+        cfg = TrainConfig(epochs=12)
+        serial = [train(p, replace(cfg, seed=s), true_O=O) for s, p, O in zip(SEEDS, pairs, Os)]
+        poisoned = {0: 3, 2: 7}
+        errors = {}
+        with np.errstate(invalid="ignore"):
+            for k, epoch in poisoned.items():
+                poison_generator_gradient(monkeypatch, pairs, {k: epoch})
+                with pytest.raises(RuntimeError) as exc:
+                    train(pairs[k], replace(cfg, seed=SEEDS[k]), true_O=Os[k])
+                errors[k] = str(exc.value)
+            poison_generator_gradient(monkeypatch, pairs, poisoned)
+            batch = train(pairs, cfg, true_O=Os, rngs=rngs())
+        assert errors == {0: "generator weights diverged at epoch 3",
+                          2: "generator weights diverged at epoch 7"}
+        for k, error in errors.items():
+            assert isinstance(batch[k], RuntimeError) and str(batch[k]) == error
+        assert batch[1].generator.U.tobytes() == serial[1].generator.U.tobytes()
+        assert batch[1].trace == serial[1].trace
 
 
 class TestMlpDiscriminator:

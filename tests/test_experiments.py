@@ -1,13 +1,15 @@
 """Sweep harness: grids, runners, determinism, output formats, CLI."""
 
 import csv
+import itertools
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from decipher.adversarial import TrainConfig, train
+from decipher import adversarial, experiments
+from decipher.adversarial import TrainConfig, generator_gradient, train
 from decipher.experiments import (
     KIND_COLUMNS,
     ExperimentConfig,
@@ -207,6 +209,98 @@ class TestAblationRunners:
         for a, b in zip(trace_soft, trace_out):
             assert abs(a["J"] - b["J"]) <= 1e-9
             assert abs(a["frobenius_residual"] - b["frobenius_residual"]) <= 1e-9
+
+
+def small_sampled(kind, **train):
+    """A three-seed knob cell of a sampled kind on short corpora."""
+    train_cfg = TrainConfig(**{"objective": "mmd", "epochs": 15, "hidden": 8, **train})
+    return ExperimentConfig(kind=kind, family="circulant", nx_values=(10,), knob_values=(58,),
+                            ngram=2, L=40, n_sequences=200, seeds=(0, 1, 2), train=train_cfg)
+
+
+def per_seed_rows(cfg):
+    """The rows of cfg, run one seed at a time."""
+    return [row for seed in cfg.seeds for row in run_experiment(replace(cfg, seeds=(seed,)))]
+
+
+def assert_same_rows(got, want):
+    assert strip_volatile(got) == strip_volatile(sorted(want, key=experiments._sort_key))
+    for a, b in zip(got, sorted(want, key=experiments._sort_key)):
+        assert ("_matrix" in a) == ("_matrix" in b)
+        if "_matrix" in a:
+            assert a["_matrix"].tobytes() == b["_matrix"].tobytes()
+        assert a.get("_trace") == b.get("_trace")
+
+
+SAMPLED_CELLS = {
+    "finite_linear": small_sampled("finite_sample_phase"),
+    "finite_traces": replace(small_sampled("finite_sample_phase"), write_traces=True),
+    "finite_erm": replace(small_sampled("finite_sample_phase"), solver="erm"),
+    "reset_jsd": small_sampled("reset_ablation", objective="jsd"),
+    "averaging_mlp": small_sampled("averaging_ablation", discriminator="mlp"),
+}
+
+
+class TestSampledBlocks:
+    @pytest.mark.parametrize("name", SAMPLED_CELLS)
+    def test_knob_cell_rows_equal_single_seed_runs(self, name):
+        cfg = SAMPLED_CELLS[name]
+        rows = run_experiment(cfg)
+        variants = 1 if cfg.kind == "finite_sample_phase" else 2
+        assert len(rows) == variants * len(cfg.seeds)
+        assert all(r["error"] == "" for r in rows)
+        assert_same_rows(rows, per_seed_rows(cfg))
+        # the block's time is shared out evenly over its rows
+        assert len({r["wall_time"] for r in rows}) == 1
+
+    def test_diverged_seed_gets_the_serial_error_only(self, monkeypatch):
+        cfg = small_sampled("finite_sample_phase")
+        clean = per_seed_rows(cfg)
+        _, bad = experiments._sampled_pair(cfg, 10, 58, 1)
+
+        def poison():
+            # seed 1's generator step turns infinite at epoch 4
+            calls = itertools.count()
+
+            def patched(gen, disc, PX, objective, averaging):
+                dU = generator_gradient(gen, disc, PX, objective, averaging)
+                epoch = next(calls)
+                for i, member in enumerate(PX.reshape((-1,) + PX.shape[-2:])):
+                    if epoch == 4 and np.array_equal(member, bad.PX):
+                        dU.reshape((-1,) + dU.shape[-2:])[i] = np.inf
+                return dU
+            monkeypatch.setattr(adversarial, "generator_gradient", patched)
+
+        with np.errstate(invalid="ignore"):
+            poison()
+            rows = run_experiment(cfg)
+            poison()
+            [alone] = run_experiment(replace(cfg, seeds=(1,)))
+        assert alone["error"] == "generator weights diverged at epoch 4"
+        by_seed = {r["seed"]: r for r in rows}
+        assert by_seed[1]["error"] == alone["error"]
+        assert "_matrix" not in by_seed[1] and np.isnan(by_seed[1]["per"])
+        assert by_seed[1]["sigma_min"] == alone["sigma_min"] > 0
+        assert_same_rows([by_seed[0], by_seed[2]], [r for r in clean if r["seed"] != 1])
+
+    def test_failed_language_gives_error_rows_for_its_seed_only(self, monkeypatch):
+        cfg = small_sampled("reset_ablation", objective="jsd")
+        clean = per_seed_rows(cfg)
+        build = experiments.finite_language
+
+        def failing(family, nx, knob, ngram, seed):
+            if seed == 2:
+                raise ValueError("no language at seed 2")
+            return build(family, nx, knob, ngram, seed)
+
+        monkeypatch.setattr(experiments, "finite_language", failing)
+        rows = run_experiment(cfg)
+        failed = [r for r in rows if r["seed"] == 2]
+        assert len(failed) == 2 and {r["variant"] for r in failed} == {"reset", "no_reset"}
+        assert all(r["error"] == "no language at seed 2" and np.isnan(r["sigma_min"])
+                   for r in failed)
+        assert_same_rows([r for r in rows if r["seed"] != 2],
+                         [r for r in clean if r["seed"] != 2])
 
 
 class TestSmrmRunner:

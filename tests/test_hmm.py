@@ -6,6 +6,7 @@ import pytest
 
 from decipher.graphs import GraphSpec, assemble, build_circulant, interpolate_with_hamiltonian
 from decipher.hmm import (
+    UNMATCHED_SEED_SPLIT,
     Corpus,
     HmmLanguage,
     empirical_positional_unigrams,
@@ -16,6 +17,9 @@ from decipher.hmm import (
     random_permutation_emission,
     sample_corpus,
     save_corpus,
+    _emit_text,
+    _expand_states,
+    _sample_state_paths,
 )
 
 
@@ -121,6 +125,26 @@ def test_sample_corpus_determinism_and_unmatched_split():
     assert not np.array_equal(u.text, perm[u.speech])
     u2 = sample_corpus(lang, 20, 6, matched=False, seed=77)
     npt.assert_array_equal(u.text, u2.text)
+
+
+def test_unmatched_corpus_equals_the_two_full_corpora_recipe():
+    # the unmatched corpus skips the text of its first child corpus; that
+    # emission was the last draw from its stream, so both sides keep the
+    # bytes of the recipe that sampled two full corpora
+    lang = make_language(n_units=4, N=2, seed=3, graph=build_circulant(16, (-1, 1, 3)))
+    lang.O = 0.7 * lang.O + 0.3 / 4  # a noisy emission, so text draws vary
+
+    def full_corpus(child_seed):
+        rng = np.random.default_rng(child_seed)
+        speech = _expand_states(_sample_state_paths(lang, 30, 7, rng), lang.nx, lang.N)
+        return speech, _emit_text(speech, lang.O, rng)
+
+    for seed in (0, 77):
+        speech, _ = full_corpus(seed)
+        _, text = full_corpus(seed + UNMATCHED_SEED_SPLIT)
+        corpus = sample_corpus(lang, 30, 7, matched=False, seed=seed)
+        npt.assert_array_equal(corpus.speech, speech)
+        npt.assert_array_equal(corpus.text, text)
 
 
 def test_deterministic_cycle_paths_identical():
