@@ -11,13 +11,19 @@ marginal distribution of the unit the block-sum selector extracts. Under the
 big-endian encoding that selector reads the FINAL unit of each block, i.e.
 sequence index k*N + N - 1. This offset is fixed here, once; empirical and
 exact unigrams must agree on it or nothing downstream lines up.
+
+Sampling is an exact inverse CDF. A uniform draw u in [0, 1) against a
+probability row with running sums cum picks #{j : cum[j] < u}, the number of
+CDF entries below u, so a corpus is a fixed function of its seed. The running
+sums of a valid row may end just below 1 (rows are checked to 1e-12, and
+u reaches 1 - 2^-53); a draw above the last one would count the whole row, an
+index outside the alphabet, and takes the row's last column with positive
+probability instead.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -77,9 +83,11 @@ class Corpus:
     def __post_init__(self):
         self.speech = np.asarray(self.speech, dtype=np.int64)
         self.text = np.asarray(self.text, dtype=np.int64)
-        for name, arr in (("speech", self.speech), ("text", self.text)):
+        for name, arr, size in (("speech", self.speech, self.nx), ("text", self.text, self.ny)):
             if arr.ndim != 2 or arr.shape[1] != self.L * self.N:
                 raise ValueError(f"{name} sequences must all have length L*N = {self.L * self.N}")
+            if arr.size and (arr.min() < 0 or arr.max() >= size):
+                raise ValueError(f"{name} units must lie in [0, {size})")
         if self.matched and self.speech.shape[0] != self.text.shape[0]:
             raise ValueError("matched corpora need equally many speech and text sequences")
 
@@ -154,22 +162,59 @@ def exact_positional_unigrams(lang: HmmLanguage, L: int) -> PositionalUnigramPai
     return PositionalUnigramPair(PX=PX, PY=PY, exact=True)
 
 
-def _sample_unit_matrix(rows: np.ndarray, cum: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Categorical draws, one per row index, against precomputed row CDFs."""
-    u = rng.random(rows.shape[0])
-    return (cum[rows] < u[:, None]).sum(axis=1)
+class _RowSampler:
+    """Exact inverse-CDF draws from the rows of a row-stochastic matrix.
+
+    A draw u from row r returns #{j : cum[r, j] < u}, the count the module
+    docstring promises, through a guide table (Chen & Asau 1974): the unit
+    interval is cut into M = 2^m buckets, so b = floor(u * M) and b / M are
+    exact. pick[r, b] = #{j : cum[r, j] < b / M} is the answer for every u in
+    bucket b unless a CDF value of row r lies inside the bucket; only draws
+    that land in such a bucket compare u with the whole row. A count of S
+    (u above the row's last CDF value) is replaced by the row's last column
+    with positive probability. Only those draws can reach it: a row that sums
+    to within 1/M of 1 has its last CDF value in the top bucket or above it.
+    """
+
+    def __init__(self, probs: np.ndarray):
+        probs = np.atleast_2d(probs)
+        self.cum = np.cumsum(probs, axis=1)
+        rows, S = self.cum.shape
+        # about 8 buckets per column: a row of S values touches at most S of
+        # them, so at least 7 draws in 8 read the table alone
+        self.M = M = 1 << (8 * S - 1).bit_length()
+        self.last = S - 1 - np.argmax(probs[:, ::-1] > 0, axis=1)
+        # bucket of every CDF value (values >= 1 go to the overflow slot M);
+        # u < b / M  <=>  floor(u * M) < b, exactly, since M is a power of two
+        bucket = np.minimum(np.floor(self.cum * M), M).astype(np.int64)
+        hits = np.bincount(
+            (bucket + (M + 1) * np.arange(rows)[:, None]).ravel(), minlength=rows * (M + 1)
+        ).reshape(rows, M + 1)[:, :M]
+        self.mixed = hits > 0
+        self.pick = (np.cumsum(hits, axis=1) - hits).astype(np.int32)
+
+    def draw(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """One draw per entry: u[i] against the CDF row rows[i]."""
+        b = (u * self.M).astype(np.int64)
+        out = self.pick[rows, b].astype(np.int64)
+        slow = np.flatnonzero(self.mixed[rows, b])
+        if slow.size:
+            r = rows[slow]
+            count = (self.cum[r] < u[slow, None]).sum(axis=1)
+            out[slow] = np.where(count == self.cum.shape[1], self.last[r], count)
+        return out
 
 
 def _sample_state_paths(
     lang: HmmLanguage, n_sequences: int, L: int, rng: np.random.Generator
 ) -> np.ndarray:
-    cum_pi = np.cumsum(lang.pi)
-    cum_T = np.cumsum(lang.T.probs, axis=1)
+    # one call yields the stream of the first draw plus the L - 1 step draws
+    u = rng.random((L, n_sequences))
     paths = np.empty((n_sequences, L), dtype=np.int64)
-    u0 = rng.random(n_sequences)
-    paths[:, 0] = (cum_pi[None, :] < u0[:, None]).sum(axis=1)
+    paths[:, 0] = _RowSampler(lang.pi).draw(np.zeros(n_sequences, dtype=np.int64), u[0])
+    step = _RowSampler(lang.T.probs)
     for k in range(1, L):
-        paths[:, k] = _sample_unit_matrix(paths[:, k - 1], cum_T, rng)
+        paths[:, k] = step.draw(paths[:, k - 1], u[k])
     return paths
 
 
@@ -185,10 +230,8 @@ def _expand_states(paths: np.ndarray, nx: int, N: int) -> np.ndarray:
 
 
 def _emit_text(speech: np.ndarray, O: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    cum_O = np.cumsum(O, axis=1)
     flat = speech.reshape(-1)
-    u = rng.random(flat.shape[0])
-    return ((cum_O[flat] < u[:, None]).sum(axis=1)).reshape(speech.shape)
+    return _RowSampler(O).draw(flat, rng.random(flat.shape[0])).reshape(speech.shape)
 
 
 def sample_corpus(
@@ -223,11 +266,10 @@ def sample_corpus(
 
 
 def _positional_counts(seqs: np.ndarray, alphabet: int, N: int, L: int) -> np.ndarray:
-    n = seqs.shape[0]
-    out = np.empty((L, alphabet))
-    for k in range(L):
-        out[k] = np.bincount(seqs[:, k * N + N - 1], minlength=alphabet) / n
-    return out
+    # one bincount over all positions: position k's units land in bins
+    # k*alphabet .. k*alphabet + alphabet - 1
+    keys = seqs[:, N - 1 :: N] + alphabet * np.arange(L)
+    return np.bincount(keys.ravel(), minlength=L * alphabet).reshape(L, alphabet) / seqs.shape[0]
 
 
 def empirical_positional_unigrams(corpus: Corpus) -> PositionalUnigramPair:
@@ -240,36 +282,4 @@ def empirical_positional_unigrams(corpus: Corpus) -> PositionalUnigramPair:
     return PositionalUnigramPair(
         PX=PX, PY=PY, exact=False,
         n_speech=corpus.speech.shape[0], n_text=corpus.text.shape[0],
-    )
-
-
-def save_corpus(corpus: Corpus, directory: str | Path, prefix: str = "corpus") -> None:
-    """One sequence per line, space-separated unit ids; JSON sidecar metadata."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for side, arr in (("speech", corpus.speech), ("text", corpus.text)):
-        with open(directory / f"{prefix}.{side}.txt", "w") as fh:
-            for row in arr:
-                fh.write(" ".join(str(int(v)) for v in row) + "\n")
-    meta = {
-        "N": corpus.N, "L": corpus.L, "nx": corpus.nx, "ny": corpus.ny,
-        "seed": corpus.seed, "matched": corpus.matched,
-    }
-    with open(directory / f"{prefix}.meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-
-
-def load_corpus(directory: str | Path, prefix: str = "corpus") -> Corpus:
-    directory = Path(directory)
-    with open(directory / f"{prefix}.meta.json") as fh:
-        meta = json.load(fh)
-    sides = {}
-    for side in ("speech", "text"):
-        with open(directory / f"{prefix}.{side}.txt") as fh:
-            sides[side] = np.array(
-                [[int(v) for v in line.split()] for line in fh if line.strip()], dtype=np.int64
-            )
-    return Corpus(
-        speech=sides["speech"], text=sides["text"], matched=meta["matched"],
-        seed=meta["seed"], N=meta["N"], L=meta["L"], nx=meta["nx"], ny=meta["ny"],
     )

@@ -4,7 +4,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from decipher.graphs import GraphSpec, assemble, build_circulant, interpolate_with_hamiltonian
+from decipher.graphs import (
+    GraphSpec,
+    TransitionMatrix,
+    assemble,
+    build_circulant,
+    build_debruijn,
+    interpolate_with_hamiltonian,
+)
 from decipher.hmm import (
     UNMATCHED_SEED_SPLIT,
     Corpus,
@@ -12,13 +19,13 @@ from decipher.hmm import (
     empirical_positional_unigrams,
     exact_positional_unigrams,
     final_unit_selector,
-    load_corpus,
     random_initial_vector,
     random_permutation_emission,
     sample_corpus,
-    save_corpus,
     _emit_text,
     _expand_states,
+    _positional_counts,
+    _RowSampler,
     _sample_state_paths,
 )
 
@@ -170,6 +177,18 @@ def test_empirical_single_sequence_one_hot():
     assert pair.n_speech == 1
 
 
+def test_corpus_rejects_units_outside_the_alphabet():
+    # the positional counts bin every position in one bincount, so a unit id
+    # past the alphabet would land in the next position's bins
+    good = np.array([[0, 3], [2, 1]])
+    for bad_side in ("speech", "text"):
+        for bad in (4, -1):
+            sides = {"speech": good, "text": good}
+            sides[bad_side] = np.array([[0, bad], [2, 1]])
+            with pytest.raises(ValueError, match=bad_side):
+                Corpus(**sides, matched=True, seed=0, N=1, L=2, nx=4, ny=4)
+
+
 def test_empirical_identity_emission_matches():
     lang = make_language(n_units=4, seed=13)
     ident = HmmLanguage(pi=lang.pi, T=lang.T, O=np.eye(4), N=1, nx=4, ny=4)
@@ -211,13 +230,174 @@ def test_empirical_block_position_matches_selector_convention():
     assert np.linalg.norm(leading - exact.PX) > 3.0 * np.sqrt(L * 3 / n)
 
 
-def test_corpus_roundtrip(tmp_path):
-    lang = make_language(n_units=5, seed=30)
-    corpus = sample_corpus(lang, 12, 7, matched=False, seed=9)
-    save_corpus(corpus, tmp_path)
-    back = load_corpus(tmp_path)
-    npt.assert_array_equal(back.speech, corpus.speech)
-    npt.assert_array_equal(back.text, corpus.text)
-    assert back.matched == corpus.matched
-    assert back.seed == corpus.seed
-    assert (back.N, back.L, back.nx, back.ny) == (corpus.N, corpus.L, corpus.nx, corpus.ny)
+def brute_force_count(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Reference inverse CDF: compare each u with its whole CDF row."""
+    return (cum_rows < u[:, None]).sum(axis=1)
+
+
+def oracle_draws(probs: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """brute_force_count, with a draw above a row's last CDF value sent to the
+    row's last column with positive probability."""
+    cum = np.cumsum(probs, axis=1)
+    count = brute_force_count(cum[rows], u)
+    last = np.array([np.flatnonzero(row > 0)[-1] for row in probs])
+    return np.where(count == probs.shape[1], last[rows], count)
+
+
+def probe_draws(probs: np.ndarray, M: int, rng: np.random.Generator):
+    """Every row against every CDF value, its float neighbours, each bucket
+    edge b/M and its neighbours, 0, the largest double below 1, and random u."""
+    cum = np.cumsum(probs, axis=1)
+    edges = np.arange(M) / M
+    probes = []
+    for r in range(probs.shape[0]):
+        u = np.concatenate([cum[r], edges, [0.0, 1.0 - 2.0**-53], rng.random(200)])
+        u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        probes.append((np.full(u.shape, r), u))
+    rows, u = (np.concatenate(part) for part in zip(*probes))
+    return rows, u
+
+
+def assert_sampler_matches_oracle(probs, seed=0):
+    probs = np.atleast_2d(np.asarray(probs, dtype=float))
+    sampler = _RowSampler(probs)
+    rows, u = probe_draws(probs, sampler.M, np.random.default_rng(seed))
+    npt.assert_array_equal(sampler.draw(rows, u), oracle_draws(probs, rows, u))
+
+
+def test_row_sampler_leading_and_trailing_zeros():
+    assert_sampler_matches_oracle([
+        [0.0, 0.0, 0.2, 0.3, 0.5, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+        [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.5, 0.0, 0.0, 0.0, 0.5, 0.0],
+    ])
+
+
+def test_row_sampler_cdf_values_on_bucket_edges():
+    # every running sum is some b/M, so draws equal to a CDF value and to a
+    # bucket edge coincide
+    assert_sampler_matches_oracle([[0.25, 0.25, 0.5], [0.5, 0.0, 0.5], [0.125, 0.375, 0.5]])
+
+
+def test_row_sampler_one_crowded_bucket():
+    p = np.zeros(64)
+    p[3] = 0.3
+    p[4:44] = 1e-7
+    p[50] = 1.0 - p.sum()
+    sampler = _RowSampler(p)
+    cum = np.cumsum(p)
+    assert len(set(np.floor(cum[3:44] * sampler.M))) == 1  # 41 CDF values in one bucket
+    assert_sampler_matches_oracle(p)
+
+
+def test_row_sampler_rows_off_one_by_1e_13():
+    rng = np.random.default_rng(4)
+    rows = rng.random((6, 30)) * (rng.random((6, 30)) < 0.5)
+    rows[:, 7] += 0.1
+    rows /= rows.sum(axis=1, keepdims=True)
+    for off in (1e-13, -1e-13):
+        off_rows = rows.copy()
+        off_rows[:, 7] += off
+        assert_sampler_matches_oracle(off_rows, seed=1)
+
+
+def test_row_sampler_random_rows_of_many_lengths():
+    rng = np.random.default_rng(9)
+    for S in (1, 2, 3, 10, 17, 100, 129):
+        probs = rng.random((5, S)) ** 4 * (rng.random((5, S)) < 0.6)
+        probs[:, 0] += 1e-3
+        probs /= probs.sum(axis=1, keepdims=True)
+        assert_sampler_matches_oracle(probs, seed=S)
+
+
+def test_row_sampler_table_is_small():
+    for S in (1, 5, 10, 64, 100, 300):
+        sampler = _RowSampler(np.full((3, S), 1.0 / S))
+        assert sampler.M & (sampler.M - 1) == 0  # a power of two
+        assert sampler.pick.dtype == np.int32 and sampler.mixed.dtype == bool
+        assert sampler.pick.nbytes + sampler.mixed.nbytes <= 10 * sampler.cum.nbytes
+
+
+class TopDraws:
+    """A generator stub whose every uniform is the largest double below 1."""
+
+    def random(self, size):
+        return np.full(size, 1.0 - 2.0**-53)
+
+
+def test_draws_above_a_short_cdf_take_the_last_positive_column():
+    # every row sums to 1 - 5e-13, within validation, so the top draw lies
+    # above its last CDF value
+    short = 5e-13
+    pi = np.array([0.1, 0.2, 0.7 - short, 0.0])
+    T = np.zeros((4, 4))
+    for r in range(4):
+        T[r, r] = 0.5
+        T[r, (r + 1) % 4] = 0.5 - short
+    O = np.array([
+        [0.5 - short, 0.5, 0.0, 0.0],
+        [0.0, 0.0, 1.0 - short, 0.0],
+        [0.3, 0.0, 0.0, 0.7 - short],
+        [1.0 - short, 0.0, 0.0, 0.0],
+    ])
+    lang = HmmLanguage(pi=pi, T=TransitionMatrix(T, reversible=False), O=O, N=1, nx=4, ny=4)
+    # pi's last positive column is 2; rows 2 and 3 of T both end at column 3
+    paths = _sample_state_paths(lang, 3, 5, TopDraws())
+    npt.assert_array_equal(paths, np.tile([2, 3, 3, 3, 3], (3, 1)))
+    text = _emit_text(np.array([[0, 1, 2, 3]]), O, TopDraws())
+    npt.assert_array_equal(text, [[1, 2, 3, 0]])
+
+
+def oracle_corpus(lang: HmmLanguage, n: int, L: int, matched: bool, seed: int):
+    """Reference corpus recipe: a fresh generator call per chain step and
+    brute-force CDF comparisons throughout."""
+    cum_pi = np.cumsum(lang.pi)[None, :]
+    cum_T = np.cumsum(lang.T.probs, axis=1)
+    cum_O = np.cumsum(lang.O, axis=1)
+
+    def one_corpus(child_seed):
+        rng = np.random.default_rng(child_seed)
+        paths = np.empty((n, L), dtype=np.int64)
+        paths[:, 0] = brute_force_count(np.repeat(cum_pi, n, axis=0), rng.random(n))
+        for k in range(1, L):
+            paths[:, k] = brute_force_count(cum_T[paths[:, k - 1]], rng.random(n))
+        speech = _expand_states(paths, lang.nx, lang.N)
+        text = brute_force_count(cum_O[speech.ravel()], rng.random(speech.size))
+        return speech, text.reshape(speech.shape)
+
+    speech, text = one_corpus(seed)
+    if not matched:
+        _, text = one_corpus(seed + UNMATCHED_SEED_SPLIT)
+    return speech, text
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("family", ["circulant", "de_bruijn"])
+def test_sample_corpus_equals_the_brute_force_recipe(family, N):
+    nx = 4
+    states = nx**N
+    if family == "circulant":
+        T = build_circulant(states, (1, 2, states - 1))
+    else:
+        T = interpolate_with_hamiltonian(build_debruijn(2, 2 * N), w=0.3)
+    emission = random_permutation_emission(nx, N)
+    emission = 0.6 * emission + 0.4 * np.roll(emission, 1, axis=1)  # a noisy emission
+    lang = HmmLanguage(pi=random_initial_vector(states, N), T=T, O=emission, N=N, nx=nx, ny=nx)
+    for matched in (True, False):
+        for seed in (0, 5):
+            corpus = sample_corpus(lang, 40, 9, matched=matched, seed=seed)
+            speech, text = oracle_corpus(lang, 40, 9, matched, seed)
+            npt.assert_array_equal(corpus.speech, speech)
+            npt.assert_array_equal(corpus.text, text)
+
+
+def test_positional_counts_equal_the_per_position_loop():
+    rng = np.random.default_rng(2)
+    for alphabet, N, L in ((3, 1, 5), (4, 2, 6), (7, 3, 4)):
+        seqs = rng.integers(0, alphabet, size=(25, L * N))
+        loop = np.empty((L, alphabet))
+        for k in range(L):
+            loop[k] = np.bincount(seqs[:, k * N + N - 1], minlength=alphabet) / seqs.shape[0]
+        npt.assert_array_equal(_positional_counts(seqs, alphabet, N, L), loop)
