@@ -14,9 +14,11 @@ per (nx, knob): it samples each seed's corpus once, keeps only its unigram
 pair, and trains every seed of a variant as one batch. Its rows equal those
 of single-seed runs, and each row's wall time is the cell's time per row.
 
-Cells that fail to construct (for example a subgraph larger than the state
-space) produce an error-tagged row instead of aborting the sweep; in a
-sampled cell only the failing seed's rows carry the error.
+Cells that fail (for example a subgraph larger than the state space) produce
+an error-tagged row instead of aborting the sweep; in a sampled cell only the
+failing seed's rows carry the error. Any Exception is caught this way: a
+ValueError or RuntimeError gives its message as the error text, any other
+type its name and then its message.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ import csv
 import json
 import math
 import multiprocessing
+import sys
+import traceback
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from time import perf_counter
@@ -217,8 +221,9 @@ def asymptotic_language(family: str, nx: int, knob: int, ngram: int, seed: int) 
     circulant: copies of the undirected cycle C_{2*knob-1} (knob distinct
     nonzero cosine values). de_bruijn: copies of DB(2, m) with m chosen so the
     candidate spectrum has about knob values. hypercube: copies of Q_knob.
-    The chain is assembled once under a seeded relabel, and its spec carries
-    the tiling that spectrum_of_chain reads.
+    The chain is assembled once under a seeded relabel, and its tiling
+    gives spectrum_of_chain the copy and filler counts and
+    exact_positional_unigrams the copies' positions.
     """
     states = nx**ngram
     if family == "circulant":
@@ -292,6 +297,16 @@ def ntk_language(index: int, L: int) -> tuple[HmmLanguage, int]:
 # cell workers (module level so a process pool can pickle them)
 
 
+def _error_text(exc: Exception) -> str:
+    """A failed cell's error text. ValueError and RuntimeError, the failures
+    cells expect, give their message; any other type is a fault in the
+    program, so it leads with its name and its traceback goes to stderr."""
+    if isinstance(exc, (ValueError, RuntimeError)):
+        return str(exc)
+    traceback.print_exception(exc, file=sys.stderr)
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _uniform_weights(nx: int) -> np.ndarray:
     return np.full(nx, 1.0 / nx)
 
@@ -312,8 +327,8 @@ def _asymptotic_cell(args) -> dict:
         row["residual"] = rec.residual
         row["rank_deficient"] = int(rec.rank_deficient)
         row["_matrix"] = rec.O_hat
-    except (ValueError, RuntimeError) as exc:
-        row["error"] = str(exc)
+    except Exception as exc:
+        row["error"] = _error_text(exc)
     row["wall_time"] = perf_counter() - t0
     return row
 
@@ -355,8 +370,8 @@ def _sampled_block(args) -> list[dict]:
             base["threshold"] = sample_size_threshold(cfg.n_sequences, cfg.n_sequences, pair.L,
                                                       lang.nx, lang.ny, delta=CONFIDENCE_DELTA)
             built.append((seed, lang.O, pair))
-        except (ValueError, RuntimeError) as exc:
-            base["error"] = str(exc)
+        except Exception as exc:
+            base["error"] = _error_text(exc)
         for variant in variants:
             rows[seed, variant] = dict(base) if variant is None else {**base, "variant": variant}
 
@@ -366,12 +381,11 @@ def _sampled_block(args) -> list[dict]:
             for seed, O, pair in built:
                 try:
                     sol = erm_least_squares(pair)
-                except (ValueError, RuntimeError) as exc:
-                    rows[seed, variant]["error"] = str(exc)
-                    continue
-                rows[seed, variant].update(per=phoneme_error_rate(sol.decoded(), O, weights),
-                                           residual=sol.residual_projected,
-                                           _matrix=sol.O_projected)
+                    rows[seed, variant].update(per=phoneme_error_rate(sol.decoded(), O, weights),
+                                               residual=sol.residual_projected,
+                                               _matrix=sol.O_projected)
+                except Exception as exc:
+                    rows[seed, variant]["error"] = _error_text(exc)
             continue
         if not built:
             continue
@@ -380,18 +394,22 @@ def _sampled_block(args) -> list[dict]:
                              true_O=[O for _, O, _ in built],
                              rngs=[np.random.default_rng(seed) for seed, _, _ in built],
                              keep_trace=cfg.write_traces)
-        except (ValueError, RuntimeError) as exc:
+        except Exception as exc:
             outcomes = [exc] * len(built)
         for (seed, O, pair), res in zip(built, outcomes):
             row = rows[seed, variant]
             if isinstance(res, Exception):
-                row["error"] = str(res)
+                row["error"] = _error_text(res)
                 continue
-            O_hat = res.final_assignment()
-            row["per"] = phoneme_error_rate(res.decoded(), O, weights)
-            row["residual"] = res.trace[-1]["frobenius_residual"] if res.trace else float(
-                np.linalg.norm(pair.PX @ O_hat - pair.PY))
-            row["_matrix"] = O_hat
+            try:
+                O_hat = res.final_assignment()
+                row.update(per=phoneme_error_rate(res.decoded(), O, weights),
+                           residual=res.trace[-1]["frobenius_residual"] if res.trace else float(
+                               np.linalg.norm(pair.PX @ O_hat - pair.PY)),
+                           _matrix=O_hat)
+            except Exception as exc:
+                row["error"] = _error_text(exc)
+                continue
             if cfg.write_traces:
                 row["_trace"] = res.trace
     elapsed = (perf_counter() - t0) / len(rows)
@@ -422,8 +440,8 @@ def _ntk_cell(args) -> dict:
                    rejected_steps=traj.halvings)
         if cfg.write_traces:
             row["_ntk_traj"] = traj
-    except (ValueError, RuntimeError) as exc:
-        row["error"] = str(exc)
+    except Exception as exc:
+        row["error"] = _error_text(exc)
     row["wall_time"] = perf_counter() - t0
     return row
 
@@ -433,10 +451,10 @@ def _smrm_block(args) -> list[dict]:
     t0 = perf_counter()
     try:
         stats = gap_statistics(size, cfg.trials, B_list=cfg.B_list, seed=cfg.seeds[0])
-    except (ValueError, RuntimeError) as exc:
+    except Exception as exc:
         return [{"kind": cfg.kind, "size": size, "trial": -1, "seed": cfg.seeds[0],
                  "min_gap": float("nan"), "distinct_count": -1, "simple_at_1e12": 0,
-                 "error": str(exc), "wall_time": perf_counter() - t0}]
+                 "error": _error_text(exc), "wall_time": perf_counter() - t0}]
     elapsed = (perf_counter() - t0) / cfg.trials
     return [
         {"kind": cfg.kind, "size": size, "trial": t, "seed": cfg.seeds[0],

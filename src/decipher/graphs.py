@@ -8,18 +8,22 @@ matrix can be interpolated toward a deterministic Hamiltonian cycle.
 
 All constructors return a TransitionMatrix carrying the row-stochastic
 probabilities plus enough provenance (undirected edge weights, originating
-GraphSpec) for downstream spectral analysis.
+GraphSpec, and for a tiled union its Tiling) for downstream spectral analysis
+and exact unigrams.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-# Hard cap on dense state counts; the largest grid in the experiment sweeps
-# is 8^4 = 4096 states.
+# Hard cap on state counts. Every chain, tiled ones included, still holds a
+# dense S x S probs (and weights when reversible), 16 * S^2 bytes for the
+# pair; a tiled chain is validated and propagated through its subgraph, so no
+# S x S temporary is made beyond those. The largest grid in the experiment
+# sweeps is 8^4 = 4096 states.
 STATE_COUNT_CAP = 8192
 
 ROW_SUM_TOL = 1e-12
@@ -33,8 +37,6 @@ class GraphSpec:
     circulant: node count ``n`` and offset ``action_set`` (nonzero mod n)
     de_bruijn: arity ``k`` and word length ``m`` (k^m nodes)
     hypercube: dimension ``dim`` (2^dim nodes)
-    copies / filler_self_loops: outputs only, one copy and no fillers unless
-    assemble() recorded its tiling here; assemble() never reads them.
     """
 
     family: str
@@ -43,8 +45,6 @@ class GraphSpec:
     k: Optional[int] = None
     m: Optional[int] = None
     dim: Optional[int] = None
-    copies: int = 1
-    filler_self_loops: int = 0
 
     def __post_init__(self):
         if self.family not in ("circulant", "de_bruijn", "hypercube"):
@@ -61,33 +61,76 @@ class TransitionMatrix:
     reversible: True when derived from an undirected weighted graph.
     weights: the symmetric edge-weight matrix when reversible, else None.
     spec: originating GraphSpec when built by this module, else None.
+    tiling: for a tiled union (see assemble), the subgraph and where each
+    copy sits, else None.
+
+    An untiled matrix is validated densely: entries in [0, 1], rows summing
+    to 1 within ROW_SUM_TOL, symmetric weights. A tiled one is validated
+    through its tiling, in O(S): probs and weights then lay out only the
+    already validated subgraph's entries and the fillers' 1.0, so their
+    ranges, symmetry and row sums follow from the subgraph's (each row has
+    the nonzeros of a subgraph row, so it sums to 1 within about 1e-15).
     """
 
     probs: np.ndarray
     reversible: bool
     weights: Optional[np.ndarray] = None
     spec: Optional[GraphSpec] = field(default=None)
+    tiling: Optional[Tiling] = None
 
     def __post_init__(self):
         P = np.asarray(self.probs, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError(f"transition matrix must be square, got {P.shape}")
-        if np.any(P < -ROW_SUM_TOL) or np.any(P > 1 + ROW_SUM_TOL):
-            raise ValueError("transition probabilities must lie in [0, 1]")
-        row_err = np.max(np.abs(P.sum(axis=1) - 1.0))
-        if row_err > ROW_SUM_TOL:
-            raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}, max error {row_err:.3e}")
+        W = None
         if self.reversible and self.weights is not None:
             W = np.asarray(self.weights, dtype=float)
             if W.shape != P.shape:
                 raise ValueError("weights shape must match probs")
-            if np.max(np.abs(W - W.T)) > 1e-10:
+        if self.tiling is not None:
+            self.tiling.check(P.shape[0])
+        else:
+            if np.any(P < -ROW_SUM_TOL) or np.any(P > 1 + ROW_SUM_TOL):
+                raise ValueError("transition probabilities must lie in [0, 1]")
+            row_err = np.max(np.abs(P.sum(axis=1) - 1.0))
+            if row_err > ROW_SUM_TOL:
+                raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}, max error {row_err:.3e}")
+            if W is not None and np.max(np.abs(W - W.T)) > 1e-10:
                 raise ValueError("edge weights must be symmetric")
         self.probs = P
 
     @property
     def n_states(self) -> int:
         return self.probs.shape[0]
+
+
+@dataclass(frozen=True)
+class Tiling:
+    """Where the copies of one subgraph sit in a tiled union.
+
+    sub: the validated subgraph every copy repeats.
+    blocks: (copies, s) positions; node i of copy c sits at blocks[c, i].
+    fillers: the positions left over, each a probability-1 self-loop.
+    """
+
+    sub: TransitionMatrix
+    blocks: np.ndarray
+    fillers: np.ndarray
+
+    @property
+    def copies(self) -> int:
+        return self.blocks.shape[0]
+
+    def check(self, n_states: int) -> None:
+        """Blocks s wide, and blocks plus fillers each position exactly once."""
+        if self.blocks.ndim != 2 or self.blocks.shape[1] != self.sub.n_states:
+            raise ValueError(f"tiling blocks must be (copies, {self.sub.n_states}), "
+                             f"got {self.blocks.shape}")
+        positions = np.concatenate([self.blocks.ravel(), self.fillers.ravel()])
+        if positions.size != n_states or positions.min() < 0 or positions.max() >= n_states:
+            raise ValueError(f"tiling positions must cover range({n_states})")
+        if np.any(np.bincount(positions, minlength=n_states) != 1):
+            raise ValueError("tiling positions must be distinct")
 
 
 def _check_cap(n_nodes: int) -> None:
@@ -178,8 +221,11 @@ def assemble(spec: GraphSpec, target_states: int,
     The consecutive layout puts copy c on nodes c*s .. (c+1)*s - 1 and the
     fillers last. Node i of the result is node relabel[i] of that layout, so
     the result equals the consecutive layout indexed with np.ix_(relabel,
-    relabel), built and validated once. The distinct-eigenvalue set of the
-    union is the subgraph's, plus eigenvalue 1 for the fillers.
+    relabel). The dense probs and weights are laid out once, for the rows
+    that sampling reads; the result's tiling records the subgraph and each
+    copy's positions, and validation and exact unigrams go through it. The
+    distinct-eigenvalue set of the union is the subgraph's, plus eigenvalue 1
+    for the fillers.
     """
     sub = build_subgraph(spec)
     s = sub.n_states
@@ -192,18 +238,18 @@ def assemble(spec: GraphSpec, target_states: int,
     # node k of the consecutive layout lands at position[k]
     position = np.argsort(order)
     copies = target_states // s
-    blocks = position[:copies * s].reshape(copies, s)
-    fillers = position[copies * s:]
+    tiling = Tiling(sub, blocks=position[:copies * s].reshape(copies, s),
+                    fillers=position[copies * s:])
 
     def lay_out(block: np.ndarray) -> np.ndarray:
         M = np.zeros((target_states, target_states))
-        M[blocks[:, :, None], blocks[:, None, :]] = block
-        M[fillers, fillers] = 1.0
+        M[tiling.blocks[:, :, None], tiling.blocks[:, None, :]] = block
+        M[tiling.fillers, tiling.fillers] = 1.0
         return M
 
     W = lay_out(sub.weights) if sub.reversible else None
-    full = replace(spec, copies=copies, filler_self_loops=fillers.size)
-    return TransitionMatrix(lay_out(sub.probs), reversible=sub.reversible, weights=W, spec=full)
+    return TransitionMatrix(lay_out(sub.probs), reversible=sub.reversible, weights=W,
+                            spec=spec, tiling=tiling)
 
 
 def hamiltonian_cycle_matrix(order: Sequence[int]) -> np.ndarray:

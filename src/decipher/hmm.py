@@ -18,7 +18,9 @@ CDF entries below u, so a corpus is a fixed function of its seed. The running
 sums of a valid row may end just below 1 (rows are checked to 1e-12, and
 u reaches 1 - 2^-53); a draw above the last one would count the whole row, an
 index outside the alphabet, and takes the row's last column with positive
-probability instead.
+probability instead. Likewise a draw of exactly 0 would count no entry and
+pick column 0 even where that column has probability 0; it takes the row's
+first column with positive probability.
 """
 
 from __future__ import annotations
@@ -147,17 +149,32 @@ def final_unit_selector(dist: np.ndarray, base: int) -> np.ndarray:
 def exact_positional_unigrams(lang: HmmLanguage, L: int) -> PositionalUnigramPair:
     """Analytic positional unigrams: row k of PX marginalizes pi T^k.
 
-    Computed by iterated vector-matrix products (never matrix powers);
+    A tiled T (see graphs.assemble) evolves pi copy by copy: D = pi[blocks]
+    steps as D @ sub.probs, and row k bins D by each position's final unit,
+    plus the fillers' mass, which never moves. Any other T takes dense
+    vector-matrix products, pi @ T one step at a time (never matrix powers).
     PY = PX @ O holds identically by construction.
     """
     if L < 1:
         raise ValueError("need at least one block position")
     PX = np.empty((L, lang.nx))
-    state_dist = lang.pi.copy()
-    for k in range(L):
-        PX[k] = final_unit_selector(state_dist, lang.nx)
-        if k + 1 < L:
-            state_dist = state_dist @ lang.T.probs
+    tiling = lang.T.tiling
+    if tiling is None:
+        state_dist = lang.pi.copy()
+        for k in range(L):
+            PX[k] = final_unit_selector(state_dist, lang.nx)
+            if k + 1 < L:
+                state_dist = state_dist @ lang.T.probs
+    else:
+        # the selector reads position p's final unit, p mod |X|
+        units = (tiling.blocks % lang.nx).ravel()
+        resting = np.bincount(tiling.fillers % lang.nx, weights=lang.pi[tiling.fillers],
+                              minlength=lang.nx)
+        dist = lang.pi[tiling.blocks]
+        for k in range(L):
+            PX[k] = np.bincount(units, weights=dist.ravel(), minlength=lang.nx) + resting
+            if k + 1 < L:
+                dist = dist @ tiling.sub.probs
     PY = PX @ lang.O
     return PositionalUnigramPair(PX=PX, PY=PY, exact=True)
 
@@ -170,10 +187,13 @@ class _RowSampler:
     interval is cut into M = 2^m buckets, so b = floor(u * M) and b / M are
     exact. pick[r, b] = #{j : cum[r, j] < b / M} is the answer for every u in
     bucket b unless a CDF value of row r lies inside the bucket; only draws
-    that land in such a bucket compare u with the whole row. A count of S
-    (u above the row's last CDF value) is replaced by the row's last column
-    with positive probability. Only those draws can reach it: a row that sums
-    to within 1/M of 1 has its last CDF value in the top bucket or above it.
+    that land in such a bucket compare u with the whole row. The count is
+    then clipped to the row's first and last columns with positive
+    probability: a count above the last one is S (u above the row's last CDF
+    value), and a count below the first one needs u = 0 against a leading
+    zero. Only slow draws can reach either: a row that sums to within 1/M of
+    1 has its last CDF value in the top bucket or above it, and a leading
+    zero puts a CDF value 0 in bucket 0.
     """
 
     def __init__(self, probs: np.ndarray):
@@ -183,6 +203,7 @@ class _RowSampler:
         # about 8 buckets per column: a row of S values touches at most S of
         # them, so at least 7 draws in 8 read the table alone
         self.M = M = 1 << (8 * S - 1).bit_length()
+        self.first = np.argmax(probs > 0, axis=1)
         self.last = S - 1 - np.argmax(probs[:, ::-1] > 0, axis=1)
         # bucket of every CDF value (values >= 1 go to the overflow slot M);
         # u < b / M  <=>  floor(u * M) < b, exactly, since M is a power of two
@@ -201,7 +222,7 @@ class _RowSampler:
         if slow.size:
             r = rows[slow]
             count = (self.cum[r] < u[slow, None]).sum(axis=1)
-            out[slow] = np.where(count == self.cum.shape[1], self.last[r], count)
+            out[slow] = np.clip(count, self.first[r], self.last[r])
         return out
 
 

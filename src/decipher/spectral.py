@@ -179,16 +179,18 @@ def spectrum_of_chain(T: TransitionMatrix) -> SpectrumReport:
 
     Prefers the closed form T.spec provides (circulant Fourier values,
     hypercube level values); De Bruijn subgraphs go through symmetrization.
-    Tiled unions reuse the subgraph spectrum: T.spec.copies repeat it and
-    T.spec.filler_self_loops add eigenvalue 1, under any relabel (a
-    similarity). Reversible chains without a spec are symmetrized from their
-    edge weights. Anything else has no supported route.
+    Tiled unions reuse the subgraph spectrum: each copy in T.tiling repeats
+    it and each filler adds eigenvalue 1, under any relabel (a similarity);
+    an untiled chain is one copy with no fillers. Reversible chains without a
+    spec are symmetrized from their edge weights. Anything else has no
+    supported route.
     """
     spec = T.spec
     if spec is not None:
         vals, method = _subgraph_eigenvalues(spec)
-        full = np.concatenate([np.tile(vals, spec.copies),
-                               np.ones(spec.filler_self_loops, dtype=vals.dtype)])
+        tiling = T.tiling
+        copies, fillers = (1, 0) if tiling is None else (tiling.copies, tiling.fillers.size)
+        full = np.concatenate([np.tile(vals, copies), np.ones(fillers, dtype=vals.dtype)])
         return _report_from_values(full, method)
     if T.reversible and T.weights is not None:
         w, _ = symmetric_eigen(symmetrized_form(T.weights))

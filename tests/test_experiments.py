@@ -303,6 +303,34 @@ class TestSampledBlocks:
                          [r for r in clean if r["seed"] != 2])
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_unexpected_exception_costs_only_its_cell(monkeypatch, tmp_path, jobs):
+    cfg = tiny_asymptotic()
+    clean = read_csv(write_outputs(cfg, run_experiment(cfg), tmp_path / "clean") / "results.csv")
+    build = experiments.asymptotic_language
+
+    def failing(family, nx, knob, ngram, seed):
+        if (knob, seed) == (10, 1):
+            raise KeyError("no such cell")
+        return build(family, nx, knob, ngram, seed)
+
+    monkeypatch.setattr(experiments, "asymptotic_language", failing)
+    rows = run_experiment(cfg, jobs=jobs)
+    got = read_csv(write_outputs(cfg, rows, tmp_path / "failed") / "results.csv")
+    assert len(got) == len(clean)
+    differ = [i for i, (a, b) in enumerate(zip(got, clean)) if a != b]
+    assert len(differ) == 1
+    failed = dict(zip(got[0], got[differ[0]]))
+    assert (failed["knob"], failed["seed"]) == ("10", "1")
+    assert failed["error"] == "KeyError: 'no such cell'"
+
+
+def test_value_and_runtime_errors_keep_their_text():
+    assert experiments._error_text(ValueError("bad grid")) == "bad grid"
+    assert experiments._error_text(RuntimeError("diverged")) == "diverged"
+    assert experiments._error_text(IndexError("out")) == "IndexError: out"
+
+
 class TestSmrmRunner:
     def test_rows_and_gaps(self):
         cfg = ExperimentConfig(kind="smrm_gaps", sizes=(8,), trials=10, seeds=(0,))

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from decipher.graphs import (
     GraphSpec,
+    Tiling,
     TransitionMatrix,
     assemble,
     build_circulant,
@@ -119,8 +122,8 @@ def test_assemble_two_c5_into_12():
     spec = GraphSpec(family="circulant", n=5, action_set=(-1, 1))
     T = assemble(spec, 12)
     assert T.n_states == 12
-    assert T.spec.copies == 2
-    assert T.spec.filler_self_loops == 2
+    assert T.tiling.copies == 2
+    assert T.tiling.fillers.size == 2
     sub = build_subgraph(spec)
     npt.assert_array_equal(T.probs[:5, :5], sub.probs)
     npt.assert_array_equal(T.probs[5:10, 5:10], sub.probs)
@@ -150,7 +153,7 @@ def test_relabeled_assemble_is_permuted_consecutive_layout(spec):
         assert T.weights is None and not T.reversible
     else:
         assert np.array_equal(T.weights, plain.weights[ix])
-    assert (T.spec.copies, T.spec.filler_self_loops) == (2, 2)
+    assert (T.tiling.copies, T.tiling.fillers.size) == (2, 2)
     assert T.spec == plain.spec
 
 
@@ -170,6 +173,60 @@ def test_assemble_rejects_too_small_target():
     spec = GraphSpec(family="circulant", n=5, action_set=(-1, 1))
     with pytest.raises(ValueError):
         assemble(spec, 4)
+
+
+TILED_SPECS = [
+    GraphSpec(family="circulant", n=5, action_set=(-1, 1)),
+    GraphSpec(family="circulant", n=5, action_set=(1, 2)),  # directed
+    GraphSpec(family="de_bruijn", k=2, m=3),
+    GraphSpec(family="hypercube", dim=3),
+]
+
+
+@pytest.mark.parametrize("spec", TILED_SPECS)
+@pytest.mark.parametrize("relabel", [None, np.random.default_rng(5).permutation(27)])
+def test_assembled_layouts_pass_the_dense_validator(spec, relabel):
+    T = assemble(spec, 27, relabel=relabel)
+    assert T.tiling.fillers.size > 0
+    # rebuilt without its tiling, the layout goes through every dense check
+    dense = TransitionMatrix(T.probs, reversible=T.reversible, weights=T.weights, spec=T.spec)
+    assert dense.tiling is None
+    assert np.max(np.abs(T.probs.sum(axis=1) - 1.0)) <= 1e-15
+    if T.reversible:
+        assert np.array_equal(T.weights, T.weights.T)
+
+
+def test_malformed_tiling_is_rejected():
+    T = assemble(GraphSpec(family="circulant", n=5, action_set=(-1, 1)), 12)
+    sub, blocks, fillers = T.tiling.sub, T.tiling.blocks, T.tiling.fillers
+    repeated, outside, negative = blocks.copy(), blocks.copy(), blocks.copy()
+    repeated[1, 0] = blocks[0, 0]
+    outside[0, 0] = 12
+    negative[0, 0] = -1
+    for tiling, match in [
+        (Tiling(sub, blocks[:, :4], np.concatenate([fillers, blocks[:, 4]])), "blocks must be"),
+        (Tiling(sub, repeated, fillers), "distinct"),
+        (Tiling(sub, outside, fillers), "cover"),
+        (Tiling(sub, negative, fillers), "cover"),
+        (Tiling(sub, blocks, fillers[:1]), "cover"),  # a position missing
+    ]:
+        with pytest.raises(ValueError, match=match):
+            TransitionMatrix(T.probs, reversible=True, weights=T.weights, spec=T.spec,
+                             tiling=tiling)
+
+
+def test_assemble_makes_no_dense_temporaries():
+    relabel = np.random.default_rng(0).permutation(1024)
+    tracemalloc.start()
+    try:
+        T = assemble(GraphSpec(family="hypercube", dim=7), 1024, relabel=relabel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    sub = T.tiling.sub
+    kept = T.probs.nbytes + T.weights.nbytes + sub.probs.nbytes + sub.weights.nbytes
+    # one more 1024 x 1024 float array would be 8 MB
+    assert peak <= kept + 2**20
 
 
 def test_hamiltonian_cycle_matrix():

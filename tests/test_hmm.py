@@ -98,6 +98,40 @@ def test_exact_unigrams_match_matrix_power_oracle():
         npt.assert_allclose(pair.PX[k], final_unit_selector(dist, 4), atol=1e-12)
 
 
+@pytest.mark.parametrize("spec", [
+    GraphSpec(family="circulant", n=5, action_set=(-1, 1)),
+    GraphSpec(family="circulant", n=5, action_set=(1, 2)),
+    GraphSpec(family="de_bruijn", k=2, m=3),
+    GraphSpec(family="hypercube", dim=3),
+])
+def test_tiled_unigrams_match_dense_powers(spec):
+    nx, N, L = 3, 3, 12
+    states = nx**N
+    T = assemble(spec, states, relabel=np.random.default_rng(1).permutation(states))
+    assert T.tiling.fillers.size > 0
+    lang = HmmLanguage(pi=random_initial_vector(states, 2), T=T,
+                       O=random_permutation_emission(nx, 3), N=N, nx=nx, ny=nx)
+    pair = exact_positional_unigrams(lang, L)
+    # reference: pi T^k through the dense layout, final unit of each state
+    ref = np.array([(lang.pi @ np.linalg.matrix_power(T.probs, k)).reshape(-1, nx).sum(axis=0)
+                    for k in range(L)])
+    npt.assert_allclose(pair.PX, ref, rtol=0, atol=1e-14)
+    npt.assert_array_equal(pair.PY, pair.PX @ lang.O)
+
+
+def test_untiled_unigrams_keep_the_dense_loop():
+    L = 9
+    for T in (build_circulant(16, (1, 3)),
+              interpolate_with_hamiltonian(build_debruijn(2, 4), w=0.3)):
+        assert T.tiling is None
+        lang = make_language(n_units=4, N=2, graph=T)
+        dist, rows = lang.pi.copy(), []
+        for k in range(L):
+            rows.append(dist.reshape(-1, 4).sum(axis=0))
+            dist = dist @ T.probs
+        assert exact_positional_unigrams(lang, L).PX.tobytes() == np.array(rows).tobytes()
+
+
 def test_stationary_pi_gives_constant_rows():
     T = build_circulant(6, (-1, 1))
     stat = T.weights.sum(axis=1) / T.weights.sum()
@@ -237,10 +271,12 @@ def brute_force_count(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def oracle_draws(probs: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """brute_force_count, with a draw above a row's last CDF value sent to the
-    row's last column with positive probability."""
+    row's last column with positive probability, and a draw of 0 to its first."""
     cum = np.cumsum(probs, axis=1)
     count = brute_force_count(cum[rows], u)
+    first = np.array([np.flatnonzero(row > 0)[0] for row in probs])
     last = np.array([np.flatnonzero(row > 0)[-1] for row in probs])
+    count = np.where(u == 0.0, first[rows], count)
     return np.where(count == probs.shape[1], last[rows], count)
 
 
@@ -348,6 +384,25 @@ def test_draws_above_a_short_cdf_take_the_last_positive_column():
     npt.assert_array_equal(paths, np.tile([2, 3, 3, 3, 3], (3, 1)))
     text = _emit_text(np.array([[0, 1, 2, 3]]), O, TopDraws())
     npt.assert_array_equal(text, [[1, 2, 3, 0]])
+
+
+class ZeroDraws:
+    """A generator stub whose every uniform is exactly 0."""
+
+    def random(self, size):
+        return np.zeros(size)
+
+
+def test_draws_of_zero_take_the_first_positive_column():
+    # C_10 with actions {1, 2}: row r has mass on r + 1 and r + 2 only, and pi
+    # sits on state 3; the bare count #{cum < 0} = 0 would give 0, 0, 0, 0
+    T = build_circulant(10, (1, 2))
+    pi = np.zeros(10)
+    pi[3] = 1.0
+    lang = HmmLanguage(pi=pi, T=T, O=np.eye(10), N=1, nx=10, ny=10)
+    npt.assert_array_equal(_sample_state_paths(lang, 2, 4, ZeroDraws()), [[3, 4, 5, 6]] * 2)
+    O = np.array([[0.0, 0.0, 1.0], [0.0, 0.5, 0.5], [1.0, 0.0, 0.0]])
+    npt.assert_array_equal(_emit_text(np.array([[0, 1, 2]]), O, ZeroDraws()), [[2, 1, 0]])
 
 
 def oracle_corpus(lang: HmmLanguage, n: int, L: int, matched: bool, seed: int):
