@@ -14,6 +14,16 @@ feeds per-unit posterior rows straight into the discriminator; outside_cost
 weights the per-symbol transform values by the generated distribution. All
 gradients are hand-derived and checked against finite differences in tests.
 
+The MLP works through per-position matrix products. The hidden activations of
+every input row at every position come from one (rows x |Y|) @ (|Y| x
+L*hidden) product, laid out rows x L x hidden so that elementwise work runs
+along the hidden axis; the output layer is one small product per position,
+and the generator's dF/dO is one (|X| x L*hidden) @ (L*hidden x |Y|) product.
+The soft_input fake side is differentiated before the real side, and its
+activations are overwritten by their back-propagated values, so a step holds
+few large temporaries at once. Under mmd and wasserstein every score
+derivative is the constant 1, and the scores that would feed it are skipped.
+
 The generator, the linear discriminator and their gradients also accept a
 leading member axis, so one call trains several independent runs in the same
 array operations. Stacked matmul multiplies member by member, so each member
@@ -73,7 +83,11 @@ def _softplus(s: np.ndarray) -> np.ndarray:
 
 
 def _transforms(objective: str):
-    """a, a', b, b' for the chosen objective, vectorized over scores."""
+    """a, a', b, b' for the chosen objective, vectorized over scores.
+
+    A derivative that is the constant 1 (mmd, wasserstein) is None: callers
+    skip the scores it would read, since x * 1.0 == x.
+    """
     if objective == "jsd":
         return (
             lambda s: -_softplus(-np.asarray(s, dtype=float)),  # log sigmoid
@@ -83,8 +97,7 @@ def _transforms(objective: str):
         )
     if objective in ("mmd", "wasserstein"):
         ident = lambda s: np.asarray(s, dtype=float)
-        one = lambda s: np.ones_like(np.asarray(s, dtype=float))
-        return ident, one, ident, one
+        return ident, None, ident, None
     raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
 
 
@@ -143,7 +156,10 @@ class LinearPositionalDiscriminator:
 
 
 class PerStepMlpDiscriminator:
-    """Per-position 2-layer ReLU perceptron |Y| -> hidden -> 1, no biases."""
+    """Per-position 2-layer ReLU perceptron |Y| -> hidden -> 1, no biases.
+
+    W is L x hidden x |Y| and v is L x hidden; a reset draws them in that order.
+    """
 
     kind = "mlp"
     decomposable = True
@@ -159,9 +175,12 @@ class PerStepMlpDiscriminator:
     def reset(self, rng: Optional[np.random.Generator] = None) -> None:
         if rng is None:
             raise ValueError("mlp reset needs a generator for fresh weights")
-        self.W[:] = rng.normal(0.0, np.sqrt(2.0 / (self.ny + self.hidden)),
-                               size=self.W.shape)
-        self.v[:] = rng.normal(0.0, np.sqrt(2.0 / (self.hidden + 1)), size=self.v.shape)
+        # normal(0, s) returns 0 + s * z for the same standard draws z, so
+        # drawing in place and scaling keeps its bytes without a copy
+        rng.standard_normal(out=self.W)
+        self.W *= np.sqrt(2.0 / (self.ny + self.hidden))
+        rng.standard_normal(out=self.v)
+        self.v *= np.sqrt(2.0 / (self.hidden + 1))
 
     def member(self, i: int) -> "PerStepMlpDiscriminator":
         # an MLP discriminator is never stacked: it trains one member
@@ -169,11 +188,11 @@ class PerStepMlpDiscriminator:
 
     def symbol_scores(self) -> np.ndarray:
         # one-hot input selects a column of W: t[l, y] = v_l . relu(W_l[:, y])
-        return np.einsum("lh,lhy->ly", self.v, np.maximum(self.W, 0.0))
+        return (self.v[:, None, :] @ np.maximum(self.W, 0.0))[:, 0, :]
 
     def soft_scores(self, P: np.ndarray) -> np.ndarray:
-        pre = np.einsum("lhy,ly->lh", self.W, P)
-        return np.einsum("lh,lh->l", self.v, np.maximum(pre, 0.0))
+        pre = self.W @ P[:, :, None]  # L x hidden x 1
+        return (self.v[:, None, :] @ np.maximum(pre, 0.0))[:, 0, 0]
 
     def params(self) -> list[np.ndarray]:
         return [self.W, self.v]
@@ -187,19 +206,46 @@ class PerStepMlpDiscriminator:
         np.clip(self.v, -c, c, out=self.v)
 
 
+def _mlp_hidden(disc: PerStepMlpDiscriminator, rows: np.ndarray) -> np.ndarray:
+    """relu[r, l, h]: hidden activations of input row r at every position l,
+    from one (r x |Y|) @ (|Y| x L*hidden) product."""
+    L, hidden, ny = disc.W.shape
+    pre = rows @ disc.W.reshape(L * hidden, ny).T
+    return np.maximum(pre, 0.0, out=pre).reshape(len(rows), L, hidden)
+
+
+def _mlp_scores(disc: PerStepMlpDiscriminator, relu: np.ndarray) -> np.ndarray:
+    """m[l, r] = v_l . relu[r, l]: one (r x hidden) @ (hidden x 1) product per position."""
+    return (relu.transpose(1, 0, 2) @ disc.v[:, :, None])[:, :, 0]
+
+
+def _mlp_backprop(disc: PerStepMlpDiscriminator, relu: np.ndarray,
+                  coeff: np.ndarray) -> np.ndarray:
+    """D[r, l, h] = coeff[l, r] v[l, h] [relu[r, l, h] > 0], the derivative of
+    sum coeff[l, r] m[l, r] in the hidden pre-activations, written over relu."""
+    active = relu > 0.0
+    np.multiply(coeff.T[:, :, None], disc.v, out=relu)
+    relu *= active
+    return relu
+
+
+def _check_averaging(averaging: str) -> None:
+    if averaging not in AVERAGING_MODES:
+        raise ValueError(f"unknown averaging {averaging!r}; expected one of {AVERAGING_MODES}")
+
+
 def objective_value(disc, objective: str, PX: np.ndarray, PY: np.ndarray, O: np.ndarray,
                     averaging: str) -> float:
     """J = real term - fake term under the chosen averaging of the fake side."""
+    _check_averaging(averaging)
     a, _, b, _ = _transforms(objective)
     t = disc.symbol_scores()  # L x ny
     real = float(np.sum(PY * a(t)))
     if averaging == "outside_cost":
         fake = float(np.sum((PX @ O) * b(t)))
-    elif averaging == "soft_input":
+    else:
         m = _soft_unit_scores(disc, O)  # L x nx
         fake = float(np.sum(PX * b(m)))
-    else:
-        raise ValueError(f"unknown averaging {averaging!r}; expected one of {AVERAGING_MODES}")
     return real - fake
 
 
@@ -207,48 +253,47 @@ def _soft_unit_scores(disc, O: np.ndarray) -> np.ndarray:
     """m[l, x]: position-l score of the posterior row of unit x."""
     if disc.kind == "linear":
         return disc.w @ O.T
-    pre = np.einsum("lhy,xy->lxh", disc.W, O)
-    return np.einsum("lh,lxh->lx", disc.v, np.maximum(pre, 0.0))
+    return _mlp_scores(disc, _mlp_hidden(disc, O))
 
 
 def discriminator_gradient(disc, objective: str, PX: np.ndarray, PY: np.ndarray,
                            O: np.ndarray, averaging: str) -> list[np.ndarray]:
     """Ascent direction of J in the discriminator parameters."""
+    _check_averaging(averaging)
     _, ap, _, bp = _transforms(objective)
-    t = disc.symbol_scores()
-    real_coeff = PY * ap(t)  # L x ny, d real / d t[l,y]
+    if disc.kind == "mlp":
+        return _mlp_discriminator_gradient(disc, ap, bp, PX, PY, O, averaging)
+    real_coeff = PY if ap is None else PY * ap(disc.w)  # d real / d w
     if averaging == "outside_cost":
-        fake_coeff = (PX @ O) * bp(t)
-    elif averaging != "soft_input":
-        raise ValueError(f"unknown averaging {averaging!r}; expected one of {AVERAGING_MODES}")
+        fake_coeff = PX @ O if bp is None else (PX @ O) * bp(disc.w)
+        return [real_coeff - fake_coeff]
+    c = PX if bp is None else PX * bp(disc.w @ _mT(O))
+    return [real_coeff - c @ O]
 
-    if disc.kind == "linear":
-        if averaging == "outside_cost":
-            return [real_coeff - fake_coeff]
-        m = disc.w @ _mT(O)  # L x nx
-        fake_grad = (PX * bp(m)) @ O
-        return [real_coeff - fake_grad]
 
-    # mlp: route coefficients through the ReLU features
-    relu_W = np.maximum(disc.W, 0.0)
-    mask_W = (disc.W > 0.0).astype(float)
+def _mlp_discriminator_gradient(disc: PerStepMlpDiscriminator, ap, bp, PX: np.ndarray,
+                                PY: np.ndarray, O: np.ndarray,
+                                averaging: str) -> list[np.ndarray]:
+    if averaging == "soft_input":
+        # the fake side sees the posterior rows of O; it goes first, so that
+        # its activations are freed before the real side is laid out
+        relu = _mlp_hidden(disc, O)
+        c = PX if bp is None else PX * bp(_mlp_scores(disc, relu))  # L x nx
+        fake_v = (c[:, None, :] @ relu.transpose(1, 0, 2))[:, 0, :]
+        fake_W = (_mlp_backprop(disc, relu, c).reshape(len(O), -1).T @ O).reshape(disc.W.shape)
+        del relu
+    # the real side, and the fake side under outside_cost, sees one-hot inputs
+    t = None if ap is None else disc.symbol_scores()
+    coeff = PY if ap is None else PY * ap(t)  # L x ny, d J / d t[l,y]
     if averaging == "outside_cost":
-        coeff = real_coeff - fake_coeff  # L x ny on one-hot inputs
-        gv = np.einsum("ly,lhy->lh", coeff, relu_W)
-        gW = np.einsum("ly,lh,lhy->lhy", coeff, disc.v, mask_W)
+        fake = PX @ O
+        coeff = coeff - (fake if bp is None else fake * bp(t))
+    gv = (np.maximum(disc.W, 0.0) @ coeff[:, :, None])[:, :, 0]
+    gW = disc.v[:, :, None] @ coeff[:, None, :]
+    gW *= disc.W > 0.0
+    if averaging == "outside_cost":
         return [gW, gv]
-    # soft_input: real side sees one-hots, fake side sees posterior rows
-    gv = np.einsum("ly,lhy->lh", real_coeff, relu_W)
-    gW = np.einsum("ly,lh,lhy->lhy", real_coeff, disc.v, mask_W)
-    pre = np.einsum("lhy,xy->lxh", disc.W, O)
-    relu_soft = np.maximum(pre, 0.0)
-    mask_soft = (pre > 0.0).astype(float)
-    m = np.einsum("lh,lxh->lx", disc.v, relu_soft)
-    c = PX * bp(m)  # L x nx
-    gv -= np.einsum("lx,lxh->lh", c, relu_soft)
-    # a contraction path: the naive loop over l, x, h, y is ~4x slower
-    gW -= np.einsum("lx,lh,lxh,xy->lhy", c, disc.v, mask_soft, O, optimize=True)
-    return [gW, gv]
+    return [np.subtract(gW, fake_W, out=fake_W), gv - fake_v]
 
 
 def generator_gradient(gen: Generator, disc, PX: np.ndarray, objective: str,
@@ -259,25 +304,21 @@ def generator_gradient(gen: Generator, disc, PX: np.ndarray, objective: str,
     dF/dO[x] = sum_l PX[l,x] b'(m[l,x]) dm/d(input row). Either way the O
     gradient is pushed through each row's softmax Jacobian.
     """
+    _check_averaging(averaging)
     _, _, b, bp = _transforms(objective)
     O = gen.O
     if averaging == "outside_cost":
         if not getattr(disc, "decomposable", False):
             raise ValueError("outside_cost averaging needs a decomposable discriminator")
         dF_dO = _mT(PX) @ b(disc.symbol_scores())
-    elif averaging == "soft_input":
-        if disc.kind == "linear":
-            m = disc.w @ _mT(O)
-            dF_dO = _mT(PX * bp(m)) @ disc.w
-        else:
-            pre = np.einsum("lhy,xy->lxh", disc.W, O)
-            m = np.einsum("lh,lxh->lx", disc.v, np.maximum(pre, 0.0))
-            c = PX * bp(m)  # L x nx
-            back = np.einsum("lh,lxh,lhy->lxy", disc.v, (pre > 0.0).astype(float), disc.W,
-                             optimize=True)
-            dF_dO = np.einsum("lx,lxy->xy", c, back)
+    elif disc.kind == "linear":
+        c = PX if bp is None else PX * bp(disc.w @ _mT(O))
+        dF_dO = _mT(c) @ disc.w
     else:
-        raise ValueError(f"unknown averaging {averaging!r}; expected one of {AVERAGING_MODES}")
+        relu = _mlp_hidden(disc, O)
+        c = PX if bp is None else PX * bp(_mlp_scores(disc, relu))
+        # every position's back-propagated rows at once: (x x L*h) @ (L*h x y)
+        dF_dO = _mlp_backprop(disc, relu, c).reshape(len(O), -1) @ disc.W.reshape(-1, disc.ny)
     return apply_softmax_jacobian(O, dF_dO)
 
 

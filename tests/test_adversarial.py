@@ -201,6 +201,27 @@ class TestGradients:
         g_out = generator_gradient(gen, disc, PX, "mmd", "outside_cost")
         assert np.max(np.abs(g_soft - g_out)) < 1e-10
 
+    @pytest.mark.parametrize("objective", ("mmd", "wasserstein"))
+    def test_constant_derivatives_skip_scores_byte_for_byte(self, objective):
+        # the linear formulas with b'(scores) = 1 written out, for a stack of members
+        rng = np.random.default_rng(31)
+        B, L, nx, ny = 3, 6, 4, 5
+        PX = rng.dirichlet(np.ones(nx), size=(B, L))
+        PY = rng.dirichlet(np.ones(ny), size=(B, L))
+        gen = Generator(U=rng.normal(0, 0.5, size=(B, nx, ny)))
+        disc = LinearPositionalDiscriminator(L, ny, members=B)
+        disc.w[:] = rng.normal(0, 1, size=disc.w.shape)
+        O, OT = gen.O, np.swapaxes(gen.O, -1, -2)
+        ones_m = np.ones_like(disc.w @ OT)
+        want = {"soft_input": (PY * np.ones_like(disc.w) - (PX * ones_m) @ O,
+                               apply_softmax_jacobian(O, np.swapaxes(PX * ones_m, -1, -2) @ disc.w)),
+                "outside_cost": (PY * np.ones_like(disc.w) - (PX @ O) * np.ones_like(disc.w),
+                                 apply_softmax_jacobian(O, np.swapaxes(PX, -1, -2) @ disc.w))}
+        for averaging, (want_w, want_u) in want.items():
+            [got_w] = discriminator_gradient(disc, objective, PX, PY, O, averaging)
+            assert got_w.tobytes() == want_w.tobytes()
+            assert generator_gradient(gen, disc, PX, objective, averaging).tobytes() == want_u.tobytes()
+
     def test_gradient_rows_orthogonal_to_ones(self):
         # softmax Jacobian null space: no gradient component along all-ones
         rng = np.random.default_rng(29)
@@ -471,6 +492,110 @@ class TestMlpDiscriminator:
         for y in range(5):
             one_hot = np.zeros((4, 5)); one_hot[:, y] = 1.0
             assert np.allclose(disc.soft_scores(one_hot), t[:, y], atol=1e-12)
+
+    def test_reset_in_place_keeps_the_bytes_of_normal_draws(self):
+        L, ny, hidden = 80, 10, 128
+        rng, ref = np.random.default_rng(41), np.random.default_rng(41)
+        disc = PerStepMlpDiscriminator(L, ny, rng, hidden=hidden)
+        for k in range(4):
+            if k:
+                disc.reset(rng)
+            W = ref.normal(0.0, np.sqrt(2.0 / (ny + hidden)), size=(L, hidden, ny))
+            v = ref.normal(0.0, np.sqrt(2.0 / (hidden + 1)), size=(L, hidden))
+            assert disc.W.tobytes() == W.tobytes() and disc.v.tobytes() == v.tobytes()
+            # later draws line up
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _reference_derivatives(objective):
+    # a derivative that _transforms reports as None is the constant 1
+    _, ap, _, bp = _transforms(objective)
+    one = lambda s: np.ones_like(s)
+    return ap or one, bp or one
+
+
+def _reference_unit_scores(disc, O):
+    pre = np.einsum("lhy,xy->lxh", disc.W, O)
+    return np.einsum("lh,lxh->lx", disc.v, np.maximum(pre, 0.0))
+
+
+def _reference_discriminator_gradient(disc, objective, PX, PY, O, averaging):
+    """The MLP discriminator gradient in per-element einsums."""
+    ap, bp = _reference_derivatives(objective)
+    t = np.einsum("lh,lhy->ly", disc.v, np.maximum(disc.W, 0.0))
+    real_coeff = PY * ap(t)
+    relu_W = np.maximum(disc.W, 0.0)
+    mask_W = (disc.W > 0.0).astype(float)
+    if averaging == "outside_cost":
+        coeff = real_coeff - (PX @ O) * bp(t)
+        gv = np.einsum("ly,lhy->lh", coeff, relu_W)
+        gW = np.einsum("ly,lh,lhy->lhy", coeff, disc.v, mask_W)
+        return [gW, gv]
+    gv = np.einsum("ly,lhy->lh", real_coeff, relu_W)
+    gW = np.einsum("ly,lh,lhy->lhy", real_coeff, disc.v, mask_W)
+    pre = np.einsum("lhy,xy->lxh", disc.W, O)
+    relu_soft = np.maximum(pre, 0.0)
+    c = PX * bp(np.einsum("lh,lxh->lx", disc.v, relu_soft))
+    gv -= np.einsum("lx,lxh->lh", c, relu_soft)
+    gW -= np.einsum("lx,lh,lxh,xy->lhy", c, disc.v, (pre > 0.0).astype(float), O, optimize=True)
+    return [gW, gv]
+
+
+def _reference_generator_gradient(gen, disc, PX, objective, averaging):
+    """The MLP generator gradient in per-element einsums."""
+    b = _transforms(objective)[2]
+    _, bp = _reference_derivatives(objective)
+    O = gen.O
+    if averaging == "outside_cost":
+        t = np.einsum("lh,lhy->ly", disc.v, np.maximum(disc.W, 0.0))
+        return apply_softmax_jacobian(O, PX.T @ b(t))
+    pre = np.einsum("lhy,xy->lxh", disc.W, O)
+    c = PX * bp(np.einsum("lh,lxh->lx", disc.v, np.maximum(pre, 0.0)))
+    back = np.einsum("lh,lxh,lhy->lxy", disc.v, (pre > 0.0).astype(float), disc.W, optimize=True)
+    return apply_softmax_jacobian(O, np.einsum("lx,lxy->xy", c, back))
+
+
+def _relative_error(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestMlpKernels:
+    """The per-position matrix products against the per-element einsums, at
+    the sampled sweeps' shape (L 80, hidden 128, |X| = |Y| = 10)."""
+
+    TOL = 1e-13
+
+    @staticmethod
+    def setting():
+        rng = np.random.default_rng(20231018)
+        L, nx, ny = 80, 10, 10
+        PX = rng.dirichlet(np.ones(nx), size=L)
+        PY = rng.dirichlet(np.ones(ny), size=L)
+        gen = Generator(U=rng.normal(0.0, 1.0, size=(nx, ny)))
+        disc = PerStepMlpDiscriminator(L, ny, rng, hidden=128)
+        return PX, PY, gen, disc
+
+    @pytest.mark.parametrize("averaging", adversarial.AVERAGING_MODES)
+    @pytest.mark.parametrize("objective", adversarial.OBJECTIVES)
+    def test_gradients_match_einsum_forms(self, objective, averaging):
+        PX, PY, gen, disc = self.setting()
+        got = discriminator_gradient(disc, objective, PX, PY, gen.O, averaging)
+        want = _reference_discriminator_gradient(disc, objective, PX, PY, gen.O, averaging)
+        for g, w in zip(got, want, strict=True):
+            assert g.shape == w.shape and _relative_error(g, w) <= self.TOL
+        got_u = generator_gradient(gen, disc, PX, objective, averaging)
+        want_u = _reference_generator_gradient(gen, disc, PX, objective, averaging)
+        assert _relative_error(got_u, want_u) <= self.TOL
+
+    def test_scores_match_einsum_forms(self):
+        PX, PY, gen, disc = self.setting()
+        t = np.einsum("lh,lhy->ly", disc.v, np.maximum(disc.W, 0.0))
+        assert _relative_error(disc.symbol_scores(), t) <= self.TOL
+        soft = np.einsum("lh,lh->l", disc.v,
+                         np.maximum(np.einsum("lhy,ly->lh", disc.W, PY), 0.0))
+        assert _relative_error(disc.soft_scores(PY), soft) <= self.TOL
+        m = adversarial._soft_unit_scores(disc, gen.O)
+        assert _relative_error(m, _reference_unit_scores(disc, gen.O)) <= self.TOL
 
 
 class TestErmLeastSquares:
