@@ -3,27 +3,29 @@
 Three families are supported: circulant graphs on n nodes with an arbitrary
 offset action set, undirected De Bruijn graphs DB(k, m), and hypercube graphs
 Q_n. Graphs can be tiled into disjoint unions padded with self-loop filler
-nodes, laid out under a node relabeling in one pass, and any row-stochastic
-matrix can be interpolated toward a deterministic Hamiltonian cycle.
+nodes under a node relabeling, and any row-stochastic matrix can be
+interpolated toward a deterministic Hamiltonian cycle.
 
 All constructors return a TransitionMatrix carrying the row-stochastic
 probabilities plus enough provenance (undirected edge weights, originating
 GraphSpec, and for a tiled union its Tiling) for downstream spectral analysis
-and exact unigrams.
+and exact unigrams. A tiled union's dense probabilities and weights are laid
+out from its Tiling only when first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-# Hard cap on state counts. Every chain, tiled ones included, still holds a
-# dense S x S probs (and weights when reversible), 16 * S^2 bytes for the
-# pair; a tiled chain is validated and propagated through its subgraph, so no
-# S x S temporary is made beyond those. The largest grid in the experiment
-# sweeps is 8^4 = 4096 states.
+# Hard cap on state counts. An untiled chain holds a dense S x S probs (and
+# weights when reversible), 16 * S^2 bytes for the pair. A tiled chain is
+# validated and propagated through its subgraph and builds that pair only
+# when something reads it (row sampling, interpolation), so the asymptotic
+# sweeps make no S x S array. The largest grid in the experiment sweeps is
+# 8^4 = 4096 states.
 STATE_COUNT_CAP = 8192
 
 ROW_SUM_TOL = 1e-12
@@ -53,9 +55,8 @@ class GraphSpec:
             object.__setattr__(self, "action_set", tuple(int(a) for a in self.action_set))
 
 
-@dataclass
 class TransitionMatrix:
-    """Dense row-stochastic transition matrix with graph provenance.
+    """Row-stochastic transition matrix with graph provenance.
 
     probs: (S, S) row-stochastic matrix.
     reversible: True when derived from an undirected weighted graph.
@@ -66,25 +67,37 @@ class TransitionMatrix:
 
     An untiled matrix is validated densely: entries in [0, 1], rows summing
     to 1 within ROW_SUM_TOL, symmetric weights. A tiled one is validated
-    through its tiling, in O(S): probs and weights then lay out only the
-    already validated subgraph's entries and the fillers' 1.0, so their
-    ranges, symmetry and row sums follow from the subgraph's (each row has
-    the nonzeros of a subgraph row, so it sums to 1 within about 1e-15).
+    through its tiling, in O(S), and may be made without its dense arrays
+    (probs None): probs and weights are then laid out from the tiling when
+    first read, and kept. They hold only the already validated subgraph's
+    entries and the fillers' 1.0, so their ranges, symmetry and row sums
+    follow from the subgraph's (each row has the nonzeros of a subgraph row,
+    so it sums to 1 within about 1e-15).
     """
 
-    probs: np.ndarray
-    reversible: bool
-    weights: Optional[np.ndarray] = None
-    spec: Optional[GraphSpec] = field(default=None)
-    tiling: Optional[Tiling] = None
+    def __init__(self, probs: Optional[np.ndarray], reversible: bool,
+                 weights: Optional[np.ndarray] = None, spec: Optional[GraphSpec] = None,
+                 tiling: Optional[Tiling] = None):
+        self._probs = probs
+        self.reversible = reversible
+        self._weights = weights
+        self.spec = spec
+        self.tiling = tiling
+        # a method of its own, looked up on the class, so the benchmark's
+        # tracer (perfbench/spans.py) can time validation under this name
+        self.__post_init__()
 
     def __post_init__(self):
-        P = np.asarray(self.probs, dtype=float)
+        if self._probs is None and self.tiling is not None:
+            # checked through the tiling alone, so the layout stays unbuilt
+            self.tiling.check(self.tiling.n_states)
+            return
+        P = np.asarray(self._probs, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError(f"transition matrix must be square, got {P.shape}")
         W = None
-        if self.reversible and self.weights is not None:
-            W = np.asarray(self.weights, dtype=float)
+        if self.reversible and self._weights is not None:
+            W = np.asarray(self._weights, dtype=float)
             if W.shape != P.shape:
                 raise ValueError("weights shape must match probs")
         if self.tiling is not None:
@@ -97,11 +110,23 @@ class TransitionMatrix:
                 raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}, max error {row_err:.3e}")
             if W is not None and np.max(np.abs(W - W.T)) > 1e-10:
                 raise ValueError("edge weights must be symmetric")
-        self.probs = P
+        self._probs = P
+
+    @property
+    def probs(self) -> np.ndarray:
+        if self._probs is None:
+            self._probs = self.tiling.lay_out(self.tiling.sub.probs)
+        return self._probs
+
+    @property
+    def weights(self) -> Optional[np.ndarray]:
+        if self._weights is None and self.reversible and self.tiling is not None:
+            self._weights = self.tiling.lay_out(self.tiling.sub.weights)
+        return self._weights
 
     @property
     def n_states(self) -> int:
-        return self.probs.shape[0]
+        return self.probs.shape[0] if self.tiling is None else self.tiling.n_states
 
 
 @dataclass(frozen=True)
@@ -121,6 +146,10 @@ class Tiling:
     def copies(self) -> int:
         return self.blocks.shape[0]
 
+    @property
+    def n_states(self) -> int:
+        return self.blocks.size + self.fillers.size
+
     def check(self, n_states: int) -> None:
         """Blocks s wide, and blocks plus fillers each position exactly once."""
         if self.blocks.ndim != 2 or self.blocks.shape[1] != self.sub.n_states:
@@ -131,6 +160,13 @@ class Tiling:
             raise ValueError(f"tiling positions must cover range({n_states})")
         if np.any(np.bincount(positions, minlength=n_states) != 1):
             raise ValueError("tiling positions must be distinct")
+
+    def lay_out(self, block: np.ndarray) -> np.ndarray:
+        """Dense S x S union: block on every copy, 1.0 on every filler."""
+        M = np.zeros((self.n_states, self.n_states))
+        M[self.blocks[:, :, None], self.blocks[:, None, :]] = block
+        M[self.fillers, self.fillers] = 1.0
+        return M
 
 
 def _check_cap(n_nodes: int) -> None:
@@ -221,11 +257,11 @@ def assemble(spec: GraphSpec, target_states: int,
     The consecutive layout puts copy c on nodes c*s .. (c+1)*s - 1 and the
     fillers last. Node i of the result is node relabel[i] of that layout, so
     the result equals the consecutive layout indexed with np.ix_(relabel,
-    relabel). The dense probs and weights are laid out once, for the rows
-    that sampling reads; the result's tiling records the subgraph and each
-    copy's positions, and validation and exact unigrams go through it. The
-    distinct-eigenvalue set of the union is the subgraph's, plus eigenvalue 1
-    for the fillers.
+    relabel). The result carries no dense arrays: its tiling records the
+    subgraph and each copy's positions, validation and exact unigrams go
+    through it, and probs and weights are laid out from it on first read
+    (by row sampling, for one). The distinct-eigenvalue set of the union is
+    the subgraph's, plus eigenvalue 1 for the fillers.
     """
     sub = build_subgraph(spec)
     s = sub.n_states
@@ -233,30 +269,21 @@ def assemble(spec: GraphSpec, target_states: int,
         raise ValueError(f"subgraph has {s} nodes but target_states is only {target_states}")
     _check_cap(target_states)
     order = np.arange(target_states) if relabel is None else np.asarray(relabel)
-    if sorted(order.tolist()) != list(range(target_states)):
+    if not np.array_equal(np.sort(order), np.arange(target_states)):
         raise ValueError("relabel must be a permutation of range(target_states)")
     # node k of the consecutive layout lands at position[k]
     position = np.argsort(order)
     copies = target_states // s
     tiling = Tiling(sub, blocks=position[:copies * s].reshape(copies, s),
                     fillers=position[copies * s:])
-
-    def lay_out(block: np.ndarray) -> np.ndarray:
-        M = np.zeros((target_states, target_states))
-        M[tiling.blocks[:, :, None], tiling.blocks[:, None, :]] = block
-        M[tiling.fillers, tiling.fillers] = 1.0
-        return M
-
-    W = lay_out(sub.weights) if sub.reversible else None
-    return TransitionMatrix(lay_out(sub.probs), reversible=sub.reversible, weights=W,
-                            spec=spec, tiling=tiling)
+    return TransitionMatrix(None, reversible=sub.reversible, spec=spec, tiling=tiling)
 
 
 def hamiltonian_cycle_matrix(order: Sequence[int]) -> np.ndarray:
     """Deterministic cycle transition matrix visiting nodes in the given order."""
     order = np.asarray(order, dtype=int)
     n = order.size
-    if sorted(order.tolist()) != list(range(n)):
+    if not np.array_equal(np.sort(order), np.arange(n)):
         raise ValueError("cycle order must be a permutation of range(n_states)")
     C = np.zeros((n, n))
     C[order, np.roll(order, -1)] = 1.0

@@ -3,6 +3,7 @@
 import csv
 import itertools
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -129,6 +130,20 @@ class TestAsymptoticRunner:
         assert row["rank_deficient"] == 1
         assert row["per"] == 0.0
         assert row["residual"] < 1e-12
+
+    def test_largest_tiled_cell_lays_out_no_dense_chain(self):
+        # 8^4 = 4096 tiled states, where a dense probs and weights pair is 256 MB
+        cfg = replace(default_config("asymptotic_phase", family="hypercube"),
+                      nx_values=(8,), knob_values=(8,), seeds=(0,))
+        assert cfg.ngram == 4
+        tracemalloc.start()
+        try:
+            row = experiments._asymptotic_cell((cfg, 8, 8, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert row["error"] == "" and row["per"] == 0.0
+        assert peak < 16 * 2**20
 
     def test_rerun_identical(self):
         cfg = tiny_asymptotic(seeds=(3,))

@@ -224,9 +224,11 @@ def test_assemble_makes_no_dense_temporaries():
     finally:
         tracemalloc.stop()
     sub = T.tiling.sub
-    kept = T.probs.nbytes + T.weights.nbytes + sub.probs.nbytes + sub.weights.nbytes
-    # one more 1024 x 1024 float array would be 8 MB
-    assert peak <= kept + 2**20
+    # one 1024 x 1024 float array would be 8 MB
+    assert peak <= sub.probs.nbytes + sub.weights.nbytes + 2**20
+    # the dense pair is laid out on first read, then kept
+    assert T.probs.shape == T.weights.shape == (1024, 1024)
+    assert T.probs is T.probs and T.weights is T.weights
 
 
 def test_hamiltonian_cycle_matrix():
