@@ -24,6 +24,14 @@ activations are overwritten by their back-propagated values, so a step holds
 few large temporaries at once. Under mmd and wasserstein every score
 derivative is the constant 1, and the scores that would feed it are skipped.
 
+An MLP reset draws L x hidden x (|Y| + 1) standard normals, which take about
+as long as the rest of the epoch, and the draws depend only on the member's
+generator. So MLP resets are drawn one epoch ahead on a second thread: while
+one epoch trains, the thread draws the next reset into a spare pair of weight
+arrays, which that reset swaps in and scales. Each member keeps the stream
+and the bytes of resets drawn in turn. The thread lives for one member's
+training; under --jobs N each worker process adds one such thread.
+
 The generator, the linear discriminator and their gradients also accept a
 leading member axis, so one call trains several independent runs in the same
 array operations. Stacked matmul multiplies member by member, so each member
@@ -33,6 +41,7 @@ gets the bytes of its own 2-D products.
 from __future__ import annotations
 
 import copy
+import threading
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -172,14 +181,19 @@ class PerStepMlpDiscriminator:
         self.v = np.empty((L, hidden))
         self.reset(rng)
 
-    def reset(self, rng: Optional[np.random.Generator] = None) -> None:
+    def reset(self, rng: Optional[np.random.Generator | _ResetDraws] = None) -> None:
+        """Fresh weights from the standard normals of a generator, or from the
+        ones a _ResetDraws drew ahead for this reset."""
         if rng is None:
             raise ValueError("mlp reset needs a generator for fresh weights")
+        if isinstance(rng, _ResetDraws):
+            self.W, self.v = rng.swap(self.W, self.v)
+        else:
+            rng.standard_normal(out=self.W)
+            rng.standard_normal(out=self.v)
         # normal(0, s) returns 0 + s * z for the same standard draws z, so
-        # drawing in place and scaling keeps its bytes without a copy
-        rng.standard_normal(out=self.W)
+        # scaling the draws in place keeps its bytes without a copy
         self.W *= np.sqrt(2.0 / (self.ny + self.hidden))
-        rng.standard_normal(out=self.v)
         self.v *= np.sqrt(2.0 / (self.hidden + 1))
 
     def member(self, i: int) -> "PerStepMlpDiscriminator":
@@ -204,6 +218,66 @@ class PerStepMlpDiscriminator:
     def clip_params(self, c: float) -> None:
         np.clip(self.W, -c, c, out=self.W)
         np.clip(self.v, -c, c, out=self.v)
+
+
+class _ResetDraws:
+    """The standard normals of an MLP member's per-epoch resets, drawn one
+    epoch ahead on a second thread.
+
+    From start to join the thread alone uses the member's generator. It fills
+    a spare W, v pair with the next reset's draws, W then v as reset draws
+    them; swap hands that pair to the discriminator and takes its old weights
+    back as the spare for the draws after. The thread draws count resets and
+    no more, so the stream ends where resets drawn in turn would leave it. The
+    block joins the thread on exit, also when training raises.
+    """
+
+    def __init__(self, rng: np.random.Generator, disc: PerStepMlpDiscriminator, count: int):
+        self._spare = (np.empty_like(disc.W), np.empty_like(disc.v))
+        self._ready = threading.Semaphore(0)  # the spare holds the next reset's draws
+        self._free = threading.Semaphore(0)  # the spare may be drawn into again
+        self._stop = False
+        self._error: Optional[Exception] = None
+        self._thread = threading.Thread(target=self._draw, args=(rng, count),
+                                        name="decipher-reset-draws", daemon=True)
+        self._count = count
+
+    def _draw(self, rng: np.random.Generator, count: int) -> None:
+        # only the generator's fill runs here: it releases the GIL, and it
+        # opens no span of perfbench's tracer, whose open-span stack is one thread's
+        try:
+            for k in range(count):
+                if k:
+                    self._free.acquire()
+                if self._stop:
+                    return
+                W, v = self._spare
+                rng.standard_normal(out=W)
+                rng.standard_normal(out=v)
+                self._ready.release()
+        except Exception as exc:
+            self._error = exc
+            self._ready.release()
+
+    def swap(self, W: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The next reset's standard draws; W and v become the next spare."""
+        self._ready.acquire()
+        if self._error is not None:
+            raise self._error
+        drawn, self._spare = self._spare, (W, v)
+        self._free.release()
+        return drawn
+
+    def __enter__(self) -> "_ResetDraws":
+        if self._count:
+            self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._stop = True
+        self._free.release()
+        if self._count:
+            self._thread.join()
 
 
 def _mlp_hidden(disc: PerStepMlpDiscriminator, rows: np.ndarray) -> np.ndarray:
@@ -402,7 +476,9 @@ def train(pair: PositionalUnigramPair | Sequence[PositionalUnigramPair], cfg: Tr
     generator per member in rngs, and returns one entry per member: its
     TrainResult, or the RuntimeError that stopped it. Linear members train
     together over a leading member axis; MLP members train one after
-    another. Either way each member ends with the bytes of its own run.
+    another, each with its resets drawn one epoch ahead on a second thread
+    that is joined before the member's outcome is kept. Either way each
+    member ends with the bytes of its own run.
     """
     if isinstance(pair, PositionalUnigramPair):
         if rngs is None:
@@ -425,10 +501,13 @@ def train(pair: PositionalUnigramPair | Sequence[PositionalUnigramPair], cfg: Tr
         disc = LinearPositionalDiscriminator(L, ny, members=B)
         return _train_members(PX, PY, gen, disc, rngs, truths, cfg, keep_trace)
     outcomes = []
+    resets = cfg.epochs if cfg.reset_discriminator else 0
     for b, rng in enumerate(rngs):
         gen = Generator.initialize(nx, ny, rng, scale=cfg.init_scale)
         disc = PerStepMlpDiscriminator(L, ny, rng, hidden=cfg.hidden)
-        outcomes += _train_members(PX[b], PY[b], gen, disc, [rng], [truths[b]], cfg, keep_trace)
+        with _ResetDraws(rng, disc, resets) as draws:
+            outcomes += _train_members(PX[b], PY[b], gen, disc, [draws], [truths[b]], cfg,
+                                       keep_trace)
     return outcomes
 
 
@@ -445,7 +524,8 @@ def _train_members(PX, PY, gen: Generator, disc, rngs, truths, cfg: TrainConfig,
 
     for epoch in range(cfg.epochs):
         if cfg.reset_discriminator:
-            disc.reset(rngs[0])  # a linear reset draws nothing; an MLP trains one member
+            # a linear reset draws nothing; an MLP member takes the draws made ahead for it
+            disc.reset(rngs[0])
         O = gen.O
         for _ in range(cfg.disc_steps):
             grads = discriminator_gradient(disc, cfg.objective, PX, PY, O, cfg.averaging)

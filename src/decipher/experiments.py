@@ -298,12 +298,11 @@ def ntk_language(index: int, L: int) -> tuple[HmmLanguage, int]:
 
 
 def _error_text(exc: Exception) -> str:
-    """A failed cell's error text. ValueError and RuntimeError, the failures
-    cells expect, give their message; any other type is a fault in the
-    program, so it leads with its name and its traceback goes to stderr."""
-    if isinstance(exc, (ValueError, RuntimeError)):
-        return str(exc)
-    traceback.print_exception(exc, file=sys.stderr)
+    """A failed cell's error text: the exception's type name and message.
+    ValueError and RuntimeError are the failures cells expect; any other type
+    is a fault in the program, so its traceback also goes to stderr."""
+    if not isinstance(exc, (ValueError, RuntimeError)):
+        traceback.print_exception(exc, file=sys.stderr)
     return f"{type(exc).__name__}: {exc}"
 
 

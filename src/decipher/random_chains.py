@@ -19,9 +19,6 @@ from .spectral import EPS_EIG, cluster_eigenvalues, symmetric_eigen, symmetrized
 
 WEIGHT_HIGH = 2.0 * np.sqrt(3.0)
 
-# fixed log-spaced histogram edges so aggregates compare across runs
-HISTOGRAM_EDGES = np.logspace(-12.0, np.log10(2.0), 49)
-
 
 def random_reversible_chain(n: int, seed) -> TransitionMatrix:
     """A = D^{-1} W with W_ij = W_ji ~ Uniform(0, 2*sqrt(3)) i.i.d. (i <= j)."""
@@ -44,8 +41,6 @@ class GapStatistics:
     min_gaps: np.ndarray  # per trial
     distinct_counts: np.ndarray  # per trial, at the shared eigenvalue tolerance
     exceedance_fractions: dict[float, float] = field(default_factory=dict)
-    histogram_counts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    histogram_edges: np.ndarray = field(default_factory=lambda: HISTOGRAM_EDGES.copy())
 
 
 def gap_statistics(n: int, trials: int, B_list=(1.0, 2.0, 3.0), seed: int = 0) -> GapStatistics:
@@ -58,17 +53,13 @@ def gap_statistics(n: int, trials: int, B_list=(1.0, 2.0, 3.0), seed: int = 0) -
         raise ValueError(f"need trials >= 1, got {trials}")
     min_gaps = np.zeros(trials)
     distinct = np.zeros(trials, dtype=np.int64)
-    hist = np.zeros(len(HISTOGRAM_EDGES) - 1, dtype=np.int64)
     for trial in range(trials):
         chain = random_reversible_chain(n, [seed, trial])
         w, _ = symmetric_eigen(symmetrized_form(chain.weights))
-        gaps = np.diff(w)
-        min_gaps[trial] = gaps.min()
+        min_gaps[trial] = np.diff(w).min()
         tol = EPS_EIG * max(float(np.max(np.abs(w))), 1.0)
         groups, _ = cluster_eigenvalues(w, tol)
         distinct[trial] = len(groups)
-        hist += np.histogram(np.clip(gaps, HISTOGRAM_EDGES[0], HISTOGRAM_EDGES[-1]),
-                             bins=HISTOGRAM_EDGES)[0]
     fractions = {float(B): float(np.mean(min_gaps <= n ** (-float(B)))) for B in B_list}
     return GapStatistics(
         n=n,
@@ -77,20 +68,4 @@ def gap_statistics(n: int, trials: int, B_list=(1.0, 2.0, 3.0), seed: int = 0) -
         min_gaps=min_gaps,
         distinct_counts=distinct,
         exceedance_fractions=fractions,
-        histogram_counts=hist,
     )
-
-
-def gap_distribution_report(stats: GapStatistics) -> list[dict]:
-    """Flat rows for CSV export: histogram bins plus per-B exceedance."""
-    if stats.trials < 1:
-        raise ValueError("statistics must cover at least one trial")
-    rows = []
-    for lo, hi, count in zip(stats.histogram_edges[:-1], stats.histogram_edges[1:],
-                             stats.histogram_counts):
-        rows.append({"kind": "histogram", "bin_low": float(lo), "bin_high": float(hi),
-                     "count": int(count), "B": "", "fraction": ""})
-    for B in stats.B_list:
-        rows.append({"kind": "exceedance", "bin_low": "", "bin_high": "", "count": "",
-                     "B": B, "fraction": stats.exceedance_fractions[B]})
-    return rows

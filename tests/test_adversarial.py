@@ -2,6 +2,9 @@
 
 import csv
 import itertools
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -364,11 +367,12 @@ def rngs():
     return [np.random.default_rng(s) for s in SEEDS]
 
 
-def reference_train(pair, cfg, true_O):
-    """The single-run loop, on 2-D arrays throughout: final U and full trace."""
+def reference_train(pair, cfg, true_O, rng=None):
+    """The single-run loop, on 2-D arrays throughout, with each reset drawn
+    from the plain generator in turn: final U, discriminator and full trace."""
     PX, PY = pair.PX, pair.PY
     (L, nx), ny = PX.shape, PY.shape[1]
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed) if rng is None else rng
     gen = Generator.initialize(nx, ny, rng, scale=cfg.init_scale)
     disc = (LinearPositionalDiscriminator(L, ny) if cfg.discriminator == "linear"
             else PerStepMlpDiscriminator(L, ny, rng, hidden=cfg.hidden))
@@ -391,7 +395,7 @@ def reference_train(pair, cfg, true_O):
                       "J": objective_value(disc, cfg.objective, PX, PY, O, cfg.averaging),
                       "frobenius_residual": float(np.linalg.norm(PX @ O - PY)),
                       "per": float(np.mean(np.argmax(O, axis=1) != np.argmax(true_O, axis=1)))})
-    return gen.U, trace
+    return gen.U, disc, trace
 
 
 def poison_generator_gradient(monkeypatch, pairs, at_epoch: dict):
@@ -425,8 +429,10 @@ class TestBatchedTraining:
         final = train(pairs, cfg, true_O=Os, rngs=rngs(), keep_trace=False)
         for seed, pair, O, res, last in zip(SEEDS, pairs, Os, kept, final):
             alone = train(pair, replace(cfg, seed=seed), true_O=O)
-            U, trace = reference_train(pair, replace(cfg, seed=seed), O)
+            U, disc, trace = reference_train(pair, replace(cfg, seed=seed), O)
             assert alone.generator.U.tobytes() == U.tobytes() and alone.trace == trace
+            for p, q in zip(alone.discriminator.params(), disc.params()):
+                assert p.tobytes() == q.tobytes()
             for r in (res, last):
                 assert r.generator.U.tobytes() == alone.generator.U.tobytes()
                 assert np.array_equal(r.decoded(), alone.decoded())
@@ -465,6 +471,114 @@ class TestBatchedTraining:
             assert isinstance(batch[k], RuntimeError) and str(batch[k]) == error
         assert batch[1].generator.U.tobytes() == serial[1].generator.U.tobytes()
         assert batch[1].trace == serial[1].trace
+
+
+class RecordingGenerator(np.random.Generator):
+    """default_rng(seed) that records the thread and out array of every
+    standard_normal call, and counts the calls still running."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.calls = []
+        self.running = 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.running += 1
+        try:
+            return super().standard_normal(*args, **kwargs)
+        finally:
+            self.running -= 1
+            self.calls.append((threading.current_thread().name, kwargs.get("out")))
+
+
+def drawer_threads():
+    return [t for t in threading.enumerate() if t.name == "decipher-reset-draws"]
+
+
+class TestMlpResetsDrawnAhead:
+    @pytest.mark.parametrize("reset", [True, False])
+    def test_draws_end_with_training_and_leave_the_stream_in_place(self, reset):
+        pairs, Os = member_pairs()
+        cfg = TrainConfig(discriminator="mlp", reset_discriminator=reset, epochs=20, hidden=64,
+                          seed=SEEDS[0])
+        rng, ref = RecordingGenerator(SEEDS[0]), np.random.default_rng(SEEDS[0])
+        [res] = train(pairs[:1], cfg, true_O=Os[:1], rngs=[rng])
+        U, disc, trace = reference_train(pairs[0], cfg, Os[0], rng=ref)
+        assert not drawer_threads() and rng.running == 0
+        drawn = [out for name, out in rng.calls if name == "decipher-reset-draws"]
+        # W then v for each reset, into arrays given, and no draw beyond the last
+        assert len(drawn) == (2 * cfg.epochs if reset else 0)
+        assert all(out is not None for out in drawn)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        W, v = res.discriminator.W.copy(), res.discriminator.v.copy()
+        assert W.tobytes() == disc.W.tobytes() and v.tobytes() == disc.v.tobytes()
+        assert res.generator.U.tobytes() == U.tobytes() and res.trace == trace
+        # nothing is left writing into the returned weights
+        time.sleep(0.05)
+        assert res.discriminator.W.tobytes() == W.tobytes()
+        assert res.discriminator.v.tobytes() == v.tobytes()
+
+    def test_concurrent_trainings_under_fast_switching_keep_their_bytes(self):
+        # more training threads than cores, each with its own drawer thread,
+        # switching every microsecond: a swap out of turn would change bytes
+        pairs, Os = member_pairs()
+        cfg = TrainConfig(discriminator="mlp", objective="jsd", epochs=15, hidden=32)
+        want = [reference_train(p, replace(cfg, seed=s), O) for s, p, O in zip(SEEDS, pairs, Os)]
+        got = {}
+
+        def run(k):
+            got[k] = train(pairs, cfg, true_O=Os, rngs=rngs())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers) and sorted(got) == [0, 1, 2, 3]
+        for batch in got.values():
+            for res, (U, disc, trace) in zip(batch, want):
+                assert res.generator.U.tobytes() == U.tobytes() and res.trace == trace
+                assert res.discriminator.W.tobytes() == disc.W.tobytes()
+                assert res.discriminator.v.tobytes() == disc.v.tobytes()
+        assert not drawer_threads()
+
+    def test_diverged_member_keeps_its_error_and_its_thread_ends(self, monkeypatch):
+        pairs, Os = member_pairs()
+        cfg = TrainConfig(discriminator="mlp", epochs=12, hidden=64)
+        serial = train(pairs[1], replace(cfg, seed=SEEDS[1]), true_O=Os[1])
+        threads = threading.active_count()
+        with np.errstate(invalid="ignore"):
+            poison_generator_gradient(monkeypatch, pairs, {0: 3})
+            with pytest.raises(RuntimeError) as exc:
+                train(pairs[0], replace(cfg, seed=SEEDS[0]), true_O=Os[0])
+            assert threading.active_count() == threads
+            poison_generator_gradient(monkeypatch, pairs, {0: 3})
+            batch = train(pairs, cfg, true_O=Os, rngs=rngs())
+        assert threading.active_count() == threads
+        assert str(exc.value) == "generator weights diverged at epoch 3"
+        assert isinstance(batch[0], RuntimeError) and str(batch[0]) == str(exc.value)
+        assert batch[1].generator.U.tobytes() == serial.generator.U.tobytes()
+        assert batch[1].trace == serial.trace
+
+    def test_an_exception_in_training_joins_the_thread(self, monkeypatch):
+        pairs, Os = member_pairs()
+        calls = itertools.count()
+
+        def failing(*args):
+            if next(calls) == 5:
+                raise KeyError("epoch 5")
+            return discriminator_gradient(*args)
+
+        monkeypatch.setattr(adversarial, "discriminator_gradient", failing)
+        threads = threading.active_count()
+        with pytest.raises(KeyError):
+            train(pairs, TrainConfig(discriminator="mlp", epochs=12, hidden=64), rngs=rngs())
+        assert threading.active_count() == threads and not drawer_threads()
 
 
 class TestMlpDiscriminator:

@@ -291,7 +291,7 @@ class TestSampledBlocks:
             rows = run_experiment(cfg)
             poison()
             [alone] = run_experiment(replace(cfg, seeds=(1,)))
-        assert alone["error"] == "generator weights diverged at epoch 4"
+        assert alone["error"] == "RuntimeError: generator weights diverged at epoch 4"
         by_seed = {r["seed"]: r for r in rows}
         assert by_seed[1]["error"] == alone["error"]
         assert "_matrix" not in by_seed[1] and np.isnan(by_seed[1]["per"])
@@ -312,7 +312,7 @@ class TestSampledBlocks:
         rows = run_experiment(cfg)
         failed = [r for r in rows if r["seed"] == 2]
         assert len(failed) == 2 and {r["variant"] for r in failed} == {"reset", "no_reset"}
-        assert all(r["error"] == "no language at seed 2" and np.isnan(r["sigma_min"])
+        assert all(r["error"] == "ValueError: no language at seed 2" and np.isnan(r["sigma_min"])
                    for r in failed)
         assert_same_rows([r for r in rows if r["seed"] != 2],
                          [r for r in clean if r["seed"] != 2])
@@ -340,10 +340,12 @@ def test_unexpected_exception_costs_only_its_cell(monkeypatch, tmp_path, jobs):
     assert failed["error"] == "KeyError: 'no such cell'"
 
 
-def test_value_and_runtime_errors_keep_their_text():
-    assert experiments._error_text(ValueError("bad grid")) == "bad grid"
-    assert experiments._error_text(RuntimeError("diverged")) == "diverged"
+def test_value_and_runtime_errors_keep_their_text(capsys):
+    assert experiments._error_text(ValueError("bad grid")) == "ValueError: bad grid"
+    assert experiments._error_text(RuntimeError("diverged")) == "RuntimeError: diverged"
+    assert capsys.readouterr().err == ""
     assert experiments._error_text(IndexError("out")) == "IndexError: out"
+    assert "IndexError: out" in capsys.readouterr().err
 
 
 class TestSmrmRunner:

@@ -6,7 +6,6 @@ import pytest
 
 from decipher.random_chains import (
     WEIGHT_HIGH,
-    gap_distribution_report,
     gap_statistics,
     random_reversible_chain,
 )
@@ -86,19 +85,3 @@ def test_trial_seeding_is_order_insensitive():
     solo = rc(12, [42, 13])
     w, _ = symmetric_eigen(symmetrized_form(solo.weights))
     assert np.diff(w).min() == pytest.approx(full.min_gaps[13])
-
-
-def test_report_rows_account_for_every_gap():
-    n, trials = 10, 30
-    stats = gap_statistics(n, trials=trials, seed=2)
-    rows = gap_distribution_report(stats)
-    hist_rows = [r for r in rows if r["kind"] == "histogram"]
-    assert sum(r["count"] for r in hist_rows) == trials * (n - 1)
-    exc_rows = [r for r in rows if r["kind"] == "exceedance"]
-    assert [r["B"] for r in exc_rows] == [1.0, 2.0, 3.0]
-
-
-def test_report_reproducible():
-    a = gap_distribution_report(gap_statistics(16, trials=40, seed=7))
-    b = gap_distribution_report(gap_statistics(16, trials=40, seed=7))
-    assert a == b
