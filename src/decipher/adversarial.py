@@ -6,13 +6,14 @@ sequence distribution is a sum of per-position scores, either a linear
 functional per position (one 1xL convolution with no bias, flattened here to
 an L x |Y| weight array) or a per-position 2-layer ReLU perceptron.
 
-Training alternates full-batch phases: the discriminator ascends the chosen
-objective by plain gradient steps (rate 1.0), the generator then ascends its
-fake-term payoff through the softmax Jacobian with an adaptive-moment step
-(rate 0.005). Two generator averaging strategies are implemented: soft_input
-feeds per-unit posterior rows straight into the discriminator; outside_cost
-weights the per-symbol transform values by the generated distribution. All
-gradients are hand-derived and checked against finite differences in tests.
+Each epoch is one fixed step rule on the full batch: one plain gradient step
+of the discriminator up the chosen objective (rate 1.0), then one
+adaptive-moment step of the generator up its fake-term payoff through the
+softmax Jacobian (rate GEN_LR). Two generator averaging strategies are
+implemented: soft_input feeds per-unit posterior rows straight into the
+discriminator; outside_cost weights the per-symbol transform values by the
+generated distribution. All gradients are hand-derived and checked against
+finite differences in tests.
 
 The MLP works through per-position matrix products. The hidden activations of
 every input row at every position come from one (rows x |Y|) @ (|Y| x
@@ -29,8 +30,9 @@ as long as the rest of the epoch, and the draws depend only on the member's
 generator. So MLP resets are drawn one epoch ahead on a second thread: while
 one epoch trains, the thread draws the next reset into a spare pair of weight
 arrays, which that reset swaps in and scales. Each member keeps the stream
-and the bytes of resets drawn in turn. The thread lives for one member's
-training; under --jobs N each worker process adds one such thread.
+and the bytes of resets drawn in turn. The thread belongs to a one-worker
+executor that lives for one member's training; under --jobs N each worker
+process adds one such thread.
 
 The generator, the linear discriminator and their gradients also accept a
 leading member axis, so one call trains several independent runs in the same
@@ -41,7 +43,6 @@ gets the bytes of its own 2-D products.
 from __future__ import annotations
 
 import copy
-import threading
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -53,6 +54,12 @@ from .recovery import RecoveredAssignment, recover_pseudoinverse
 OBJECTIVES = ("mmd", "jsd", "wasserstein")
 AVERAGING_MODES = ("soft_input", "outside_cost")
 DISCRIMINATORS = ("linear", "mlp")
+
+# the generator's initial logit scale and Adam step; the discriminator's
+# plain step has rate 1.0
+INIT_SCALE = 0.01
+GEN_LR = 0.005
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -115,8 +122,8 @@ class Generator:
     U: np.ndarray  # |X| x |Y| logits, or members x |X| x |Y|
 
     @classmethod
-    def initialize(cls, nx: int, ny: int, rng: np.random.Generator, scale: float = 0.01):
-        return cls(U=rng.normal(0.0, scale, size=(nx, ny)))
+    def initialize(cls, nx: int, ny: int, rng: np.random.Generator):
+        return cls(U=rng.normal(0.0, INIT_SCALE, size=(nx, ny)))
 
     @property
     def O(self) -> np.ndarray:
@@ -131,7 +138,6 @@ class LinearPositionalDiscriminator:
     """
 
     kind = "linear"
-    decomposable = True
 
     def __init__(self, L: int, ny: int, members: Optional[int] = None):
         self.w = np.zeros((L, ny) if members is None else (members, L, ny))
@@ -157,8 +163,8 @@ class LinearPositionalDiscriminator:
     def params(self) -> list[np.ndarray]:
         return [self.w]
 
-    def add_scaled(self, grads: list[np.ndarray], lr: float) -> None:
-        self.w += lr * grads[0]
+    def add_scaled(self, grads: list[np.ndarray]) -> None:
+        self.w += grads[0]
 
     def clip_params(self, c: float) -> None:
         np.clip(self.w, -c, c, out=self.w)
@@ -171,7 +177,6 @@ class PerStepMlpDiscriminator:
     """
 
     kind = "mlp"
-    decomposable = True
 
     def __init__(self, L: int, ny: int, rng: np.random.Generator, hidden: int = 128):
         self.hidden = hidden
@@ -211,9 +216,9 @@ class PerStepMlpDiscriminator:
     def params(self) -> list[np.ndarray]:
         return [self.W, self.v]
 
-    def add_scaled(self, grads: list[np.ndarray], lr: float) -> None:
-        self.W += lr * grads[0]
-        self.v += lr * grads[1]
+    def add_scaled(self, grads: list[np.ndarray]) -> None:
+        self.W += grads[0]
+        self.v += grads[1]
 
     def clip_params(self, c: float) -> None:
         np.clip(self.W, -c, c, out=self.W)
@@ -222,62 +227,49 @@ class PerStepMlpDiscriminator:
 
 class _ResetDraws:
     """The standard normals of an MLP member's per-epoch resets, drawn one
-    epoch ahead on a second thread.
+    epoch ahead by a one-worker executor.
 
-    From start to join the thread alone uses the member's generator. It fills
-    a spare W, v pair with the next reset's draws, W then v as reset draws
-    them; swap hands that pair to the discriminator and takes its old weights
-    back as the spare for the draws after. The thread draws count resets and
-    no more, so the stream ends where resets drawn in turn would leave it. The
-    block joins the thread on exit, also when training raises.
+    At most one draw is pending, and only it uses the member's generator. It
+    fills a spare W, v pair with the next reset's draws, W then v as reset
+    draws them; swap hands that pair to the discriminator and submits the old
+    weights as the spare for the draw after. Exactly count draws are
+    submitted, so the stream ends where resets drawn in turn would leave it.
+    The block shuts the executor down on exit, also when training raises.
     """
 
     def __init__(self, rng: np.random.Generator, disc: PerStepMlpDiscriminator, count: int):
-        self._spare = (np.empty_like(disc.W), np.empty_like(disc.v))
-        self._ready = threading.Semaphore(0)  # the spare holds the next reset's draws
-        self._free = threading.Semaphore(0)  # the spare may be drawn into again
-        self._stop = False
-        self._error: Optional[Exception] = None
-        self._thread = threading.Thread(target=self._draw, args=(rng, count),
-                                        name="decipher-reset-draws", daemon=True)
-        self._count = count
+        # imported here: concurrent.futures brings in logging, about 10 ms and
+        # 0.5 MB that only MLP training needs
+        from concurrent.futures import ThreadPoolExecutor
 
-    def _draw(self, rng: np.random.Generator, count: int) -> None:
+        # the worker starts on the first submit, so count 0 starts none
+        self._pool = ThreadPoolExecutor(1, thread_name_prefix="decipher-reset-draws")
+        self._rng = rng
+        self._left = count  # swaps still to come
+        if count:
+            self._pending = self._pool.submit(self._draw, np.empty_like(disc.W),
+                                              np.empty_like(disc.v))
+
+    def _draw(self, W: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # only the generator's fill runs here: it releases the GIL, and it
         # opens no span of perfbench's tracer, whose open-span stack is one thread's
-        try:
-            for k in range(count):
-                if k:
-                    self._free.acquire()
-                if self._stop:
-                    return
-                W, v = self._spare
-                rng.standard_normal(out=W)
-                rng.standard_normal(out=v)
-                self._ready.release()
-        except Exception as exc:
-            self._error = exc
-            self._ready.release()
+        self._rng.standard_normal(out=W)
+        self._rng.standard_normal(out=v)
+        return W, v
 
     def swap(self, W: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The next reset's standard draws; W and v become the next spare."""
-        self._ready.acquire()
-        if self._error is not None:
-            raise self._error
-        drawn, self._spare = self._spare, (W, v)
-        self._free.release()
+        drawn = self._pending.result()
+        self._left -= 1
+        if self._left:
+            self._pending = self._pool.submit(self._draw, W, v)
         return drawn
 
     def __enter__(self) -> "_ResetDraws":
-        if self._count:
-            self._thread.start()
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self._stop = True
-        self._free.release()
-        if self._count:
-            self._thread.join()
+        self._pool.shutdown(wait=True)
 
 
 def _mlp_hidden(disc: PerStepMlpDiscriminator, rows: np.ndarray) -> np.ndarray:
@@ -382,8 +374,6 @@ def generator_gradient(gen: Generator, disc, PX: np.ndarray, objective: str,
     _, _, b, bp = _transforms(objective)
     O = gen.O
     if averaging == "outside_cost":
-        if not getattr(disc, "decomposable", False):
-            raise ValueError("outside_cost averaging needs a decomposable discriminator")
         dF_dO = _mT(PX) @ b(disc.symbol_scores())
     elif disc.kind == "linear":
         c = PX if bp is None else PX * bp(disc.w @ _mT(O))
@@ -402,34 +392,24 @@ class _AdamState:
     v: np.ndarray
     t: int = 0
 
-    def step(self, grad: np.ndarray, lr: float, beta1: float, beta2: float,
-             eps: float) -> np.ndarray:
+    def step(self, grad: np.ndarray) -> np.ndarray:
         self.t += 1
-        self.m = beta1 * self.m + (1.0 - beta1) * grad
-        self.v = beta2 * self.v + (1.0 - beta2) * grad * grad
-        mhat = self.m / (1.0 - beta1**self.t)
-        vhat = self.v / (1.0 - beta2**self.t)
-        return lr * mhat / (np.sqrt(vhat) + eps)
+        self.m = BETA1 * self.m + (1.0 - BETA1) * grad
+        self.v = BETA2 * self.v + (1.0 - BETA2) * grad * grad
+        mhat = self.m / (1.0 - BETA1**self.t)
+        vhat = self.v / (1.0 - BETA2**self.t)
+        return GEN_LR * mhat / (np.sqrt(vhat) + EPS)
 
 
 @dataclass
 class TrainConfig:
     objective: str = "mmd"
     epochs: int = 100
-    disc_steps: int = 1
-    gen_steps: int = 1
     reset_discriminator: bool = True
     averaging: str = "soft_input"
     discriminator: str = "linear"
     hidden: int = 128
-    disc_lr: float = 1.0
-    gen_lr: float = 0.005
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    init_scale: float = 0.01
     weight_clip: Optional[float] = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
@@ -440,8 +420,6 @@ class TrainConfig:
             raise ValueError(f"unknown discriminator {self.discriminator!r}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.disc_lr <= 0 or self.gen_lr <= 0:
-            raise ValueError("learning rates must be positive")
 
 
 @dataclass
@@ -462,33 +440,30 @@ def train(pair: PositionalUnigramPair | Sequence[PositionalUnigramPair], cfg: Tr
           keep_trace: bool = True):
     """Alternating full-batch training on positional unigram pairs.
 
-    One epoch = disc_steps discriminator ascent steps (after an optional
-    reset) followed by gen_steps generator ascent steps. The trace records,
+    One epoch = one discriminator ascent step (after an optional reset)
+    followed by one generator ascent step. The trace records,
     per epoch, the averaging-consistent objective J and the Frobenius
     residual ||PX O - PY||_F, plus the decoded error rate when the true
     assignment is supplied; with keep_trace False it holds the final
     epoch's row only.
 
-    One pair trains one run, seeded by cfg.seed unless one generator is
-    given in rngs, and returns its TrainResult; a diverged run raises
-    RuntimeError. A sequence of B pairs of one shape trains B independent
-    members, with true_O a sequence of B assignments (or None) and one
-    generator per member in rngs, and returns one entry per member: its
-    TrainResult, or the RuntimeError that stopped it. Linear members train
-    together over a leading member axis; MLP members train one after
-    another, each with its resets drawn one epoch ahead on a second thread
-    that is joined before the member's outcome is kept. Either way each
-    member ends with the bytes of its own run.
+    Every call takes one generator per pair in rngs. One pair trains one
+    run and returns its TrainResult; a diverged run raises RuntimeError. A
+    sequence of B pairs of one shape trains B independent members, with
+    true_O a sequence of B assignments (or None), and returns one entry per
+    member: its TrainResult, or the RuntimeError that stopped it. Linear
+    members train together over a leading member axis; MLP members train one
+    after another, each with its resets drawn one epoch ahead on a second
+    thread that is joined before the member's outcome is kept. Either way
+    each member ends with the bytes of its own run.
     """
     if isinstance(pair, PositionalUnigramPair):
-        if rngs is None:
-            rngs = [np.random.default_rng(cfg.seed)]
         [outcome] = train([pair], cfg, [true_O], rngs, keep_trace)
         if isinstance(outcome, RuntimeError):
             raise outcome
         return outcome
     if rngs is None or len(rngs) != len(pair):
-        raise ValueError("batched training needs one generator per pair")
+        raise ValueError("training needs one generator per pair")
     PX = np.stack([np.asarray(p.PX, dtype=float) for p in pair])
     PY = np.stack([np.asarray(p.PY, dtype=float) for p in pair])
     B, L, nx = PX.shape
@@ -496,14 +471,13 @@ def train(pair: PositionalUnigramPair | Sequence[PositionalUnigramPair], cfg: Tr
     truths = [None if O is None else np.argmax(O, axis=1)
               for O in (true_O if true_O is not None else [None] * B)]
     if cfg.discriminator == "linear":
-        gen = Generator(U=np.stack([Generator.initialize(nx, ny, rng, scale=cfg.init_scale).U
-                                    for rng in rngs]))
+        gen = Generator(U=np.stack([Generator.initialize(nx, ny, rng).U for rng in rngs]))
         disc = LinearPositionalDiscriminator(L, ny, members=B)
         return _train_members(PX, PY, gen, disc, rngs, truths, cfg, keep_trace)
     outcomes = []
     resets = cfg.epochs if cfg.reset_discriminator else 0
     for b, rng in enumerate(rngs):
-        gen = Generator.initialize(nx, ny, rng, scale=cfg.init_scale)
+        gen = Generator.initialize(nx, ny, rng)
         disc = PerStepMlpDiscriminator(L, ny, rng, hidden=cfg.hidden)
         with _ResetDraws(rng, disc, resets) as draws:
             outcomes += _train_members(PX[b], PY[b], gen, disc, [draws], [truths[b]], cfg,
@@ -526,15 +500,10 @@ def _train_members(PX, PY, gen: Generator, disc, rngs, truths, cfg: TrainConfig,
         if cfg.reset_discriminator:
             # a linear reset draws nothing; an MLP member takes the draws made ahead for it
             disc.reset(rngs[0])
-        O = gen.O
-        for _ in range(cfg.disc_steps):
-            grads = discriminator_gradient(disc, cfg.objective, PX, PY, O, cfg.averaging)
-            disc.add_scaled(grads, cfg.disc_lr)
-            if cfg.weight_clip is not None:
-                disc.clip_params(cfg.weight_clip)
-        for _ in range(cfg.gen_steps):
-            dU = generator_gradient(gen, disc, PX, cfg.objective, cfg.averaging)
-            gen.U += adam.step(dU, cfg.gen_lr, cfg.beta1, cfg.beta2, cfg.eps)
+        disc.add_scaled(discriminator_gradient(disc, cfg.objective, PX, PY, gen.O, cfg.averaging))
+        if cfg.weight_clip is not None:
+            disc.clip_params(cfg.weight_clip)
+        gen.U += adam.step(generator_gradient(gen, disc, PX, cfg.objective, cfg.averaging))
         gen_ok = np.isfinite(gen.U).reshape(len(members), -1).all(axis=1)
         disc_ok = np.logical_and.reduce(
             [np.isfinite(p).reshape(len(members), -1).all(axis=1) for p in disc.params()])

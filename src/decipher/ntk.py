@@ -3,9 +3,9 @@
 The discriminator's per-position kernel has entries fixed by standard
 Gaussian half moments: 1 on the diagonal, 1/(2 pi) off it, so the all-ones
 vector is always an eigenvector. The generator kernel at a posterior row p
-is the squared softmax Jacobian H(p)^2 (instantaneous mode) or its average
-over softmax-of-Gaussian initial rows (monte_carlo_init mode); both kill
-the all-ones direction, which is what conserves row sums along the flow.
+is the squared softmax Jacobian H(p)^2, taken at the flow's current rows.
+Both kernels kill the all-ones direction, which is what conserves row sums
+along the flow.
 
 integrate_dynamics runs the coupled per-unit ODEs with the Dormand-Prince
 5(4) pair and records the kernel-weighted squared mismatch C_t at each
@@ -21,11 +21,10 @@ from typing import Optional
 
 import numpy as np
 
-from .adversarial import apply_softmax_jacobian, softmax, softmax_jacobian
+from .adversarial import apply_softmax_jacobian, softmax_jacobian
 from .hmm import PositionalUnigramPair
 from .spectral import singular_values
 
-GENERATOR_KERNEL_MODES = ("instantaneous", "monte_carlo_init")
 OVERSHOOT_EPS = 1e-9
 
 # Dormand-Prince 5(4) pair (Dormand & Prince 1980). Row i gives stage i + 2
@@ -60,36 +59,13 @@ def discriminator_ntk(ny: int) -> np.ndarray:
     return np.full((ny, ny), off) + (1.0 - off) * np.eye(ny)
 
 
-def generator_ntk(O_row: np.ndarray, mode: str = "instantaneous",
-                  rng: Optional[np.random.Generator] = None,
-                  samples: int = 100_000, logit_scale: float = 1.0) -> np.ndarray:
-    """Kernel of one generator row: H(p)^2 at the given row, or the average
-    of H^2 over rows drawn as softmax(Gaussian logits) at initialization."""
+def generator_ntk(O_row: np.ndarray) -> np.ndarray:
+    """Kernel of one generator row: H(p)^2 at the given row p."""
     p = np.asarray(O_row, dtype=float)
     if p.ndim != 1 or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
         raise ValueError("O_row must be a probability vector")
-    if mode == "instantaneous":
-        H = softmax_jacobian(p)
-        return H @ H
-    if mode == "monte_carlo_init":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        dim = p.shape[0]
-        acc = np.zeros((dim, dim))
-        chunk = 200_000
-        done = 0
-        while done < samples:
-            m = min(chunk, samples - done)
-            rows = softmax(rng.normal(0.0, logit_scale, size=(m, dim)), axis=1)
-            # H^2 = diag(r^2) - r^2 r^T - r (r^2)^T + |r|^2 r r^T, so the
-            # expectation reduces to three second-moment sums
-            sq = rows * rows
-            A = sq.T @ rows
-            Cm = (rows * sq.sum(axis=1, keepdims=True)).T @ rows
-            acc += np.diag(sq.sum(axis=0)) - A - A.T + Cm
-            done += m
-        return acc / samples
-    raise ValueError(f"unknown mode {mode!r}; expected one of {GENERATOR_KERNEL_MODES}")
+    H = softmax_jacobian(p)
+    return H @ H
 
 
 def apply_generator_ntk(O: np.ndarray, G: np.ndarray) -> np.ndarray:

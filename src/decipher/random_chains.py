@@ -10,12 +10,12 @@ from degeneracy as the dimension grows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import TransitionMatrix
-from .spectral import EPS_EIG, cluster_eigenvalues, symmetric_eigen, symmetrized_form
+from .spectral import distinct_eigenvalues, symmetric_eigen, symmetrized_form
 
 WEIGHT_HIGH = 2.0 * np.sqrt(3.0)
 
@@ -37,13 +37,11 @@ def random_reversible_chain(n: int, seed) -> TransitionMatrix:
 class GapStatistics:
     n: int
     trials: int
-    B_list: tuple[float, ...]
     min_gaps: np.ndarray  # per trial
     distinct_counts: np.ndarray  # per trial, at the shared eigenvalue tolerance
-    exceedance_fractions: dict[float, float] = field(default_factory=dict)
 
 
-def gap_statistics(n: int, trials: int, B_list=(1.0, 2.0, 3.0), seed: int = 0) -> GapStatistics:
+def gap_statistics(n: int, trials: int, seed: int = 0) -> GapStatistics:
     """Consecutive-gap statistics over independent trials.
 
     Each trial draws its own generator from [seed, trial], so any execution
@@ -57,15 +55,6 @@ def gap_statistics(n: int, trials: int, B_list=(1.0, 2.0, 3.0), seed: int = 0) -
         chain = random_reversible_chain(n, [seed, trial])
         w, _ = symmetric_eigen(symmetrized_form(chain.weights))
         min_gaps[trial] = np.diff(w).min()
-        tol = EPS_EIG * max(float(np.max(np.abs(w))), 1.0)
-        groups, _ = cluster_eigenvalues(w, tol)
+        groups, _, _ = distinct_eigenvalues(w)
         distinct[trial] = len(groups)
-    fractions = {float(B): float(np.mean(min_gaps <= n ** (-float(B)))) for B in B_list}
-    return GapStatistics(
-        n=n,
-        trials=trials,
-        B_list=tuple(float(B) for B in B_list),
-        min_gaps=min_gaps,
-        distinct_counts=distinct,
-        exceedance_fractions=fractions,
-    )
+    return GapStatistics(n=n, trials=trials, min_gaps=min_gaps, distinct_counts=distinct)

@@ -3,9 +3,10 @@ positional unigram matrix, its a-priori lower bound, and the finite-sample
 recovery threshold.
 
 Eigenvalue conventions. Distinct-value merging uses EPS_EIG relative to the
-spectral radius (row-stochastic inputs have radius 1). Numerical column rank
-uses RANK_RTOL relative to the largest singular value. These constants are
-shared by every consumer in the package.
+spectral radius (row-stochastic inputs have radius 1), always through
+distinct_eigenvalues. Numerical column rank uses RANK_RTOL relative to the
+largest singular value. These constants are shared by every consumer in the
+package.
 
 Conditioning. sigma_min of PX, both factors of its lower bound and the NTK
 step-size estimate take their singular values from one SVD route,
@@ -94,6 +95,15 @@ def cluster_eigenvalues(values: np.ndarray, tol: float) -> tuple[list[np.ndarray
     return groups, reps
 
 
+def distinct_eigenvalues(values: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, float]:
+    """cluster_eigenvalues at the shared tolerance EPS_EIG * max(radius, 1),
+    with radius the largest magnitude: (index groups, representatives, tol)."""
+    radius = float(np.max(np.abs(values))) if values.size else 0.0
+    tol = EPS_EIG * max(radius, 1.0)
+    groups, reps = cluster_eigenvalues(values, tol)
+    return groups, reps, tol
+
+
 @dataclass
 class SpectrumReport:
     """Eigenvalues of a transition matrix plus distinctness statistics."""
@@ -106,9 +116,7 @@ class SpectrumReport:
 
 
 def _report_from_values(values: np.ndarray, method: str) -> SpectrumReport:
-    radius = float(np.max(np.abs(values))) if values.size else 0.0
-    tol = EPS_EIG * max(radius, 1.0)
-    groups, reps = cluster_eigenvalues(values, tol)
+    _, reps, tol = distinct_eigenvalues(values)
     nonzero = int(np.sum(np.abs(reps) > tol))
     if len(reps) < 2:
         min_gap = float("inf")
@@ -282,9 +290,7 @@ def sigma_min_lower_bound(lang: HmmLanguage, L: int) -> float:
     """
     K = lang.nx
     vals, U, U_inv = right_eigensystem(lang.T)
-    radius = float(np.max(np.abs(vals)))
-    tol = EPS_EIG * max(radius, 1.0)
-    groups, reps = cluster_eigenvalues(vals, tol)
+    groups, reps, tol = distinct_eigenvalues(vals)
     nonzero = int(np.sum(np.abs(reps) > tol))
     if len(reps) != K or nonzero != K:
         raise NotApplicable(

@@ -5,7 +5,6 @@ import itertools
 import sys
 import threading
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -240,15 +239,6 @@ class TestGradients:
         dU2 = generator_gradient(gen2, disc, PX, "wasserstein", "outside_cost")
         assert np.max(np.abs(dU2 @ np.ones(ny))) < 1e-12
 
-    def test_outside_cost_needs_decomposable_scores(self):
-        class Opaque:
-            decomposable = False
-            kind = "opaque"
-
-        gen = Generator(U=np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            generator_gradient(gen, Opaque(), np.full((3, 2), 0.5), "mmd", "outside_cost")
-
 
 class TestTraining:
     def test_one_reset_step_builds_exact_witness(self):
@@ -257,16 +247,23 @@ class TestTraining:
         gen = Generator.initialize(4, 4, np.random.default_rng(0))
         disc = LinearPositionalDiscriminator(8, 4)
         g = discriminator_gradient(disc, "mmd", pair.PX, pair.PY, gen.O, "soft_input")
-        disc.add_scaled(g, 1.0)
+        disc.add_scaled(g)
         gap = pair.PY - pair.PX @ gen.O
         assert np.max(np.abs(disc.w - gap)) < 1e-14
         J = objective_value(disc, "mmd", pair.PX, pair.PY, gen.O, "soft_input")
         assert abs(J - np.linalg.norm(gap) ** 2) < 1e-12
 
+    def test_first_generator_step_moves_each_logit_by_the_fixed_rate(self):
+        # bias-corrected first moments are g and g^2, so the step is 0.005 sign(g)
+        grad = np.array([[2.0, -0.5], [1e-3, -4.0]])
+        step = _AdamState(m=np.zeros_like(grad), v=np.zeros_like(grad)).step(grad)
+        assert np.allclose(step, 0.005 * np.sign(grad), rtol=1e-4, atol=0)
+
     def test_matched_mmd_reset_reaches_target_and_stays_monotone(self):
         lang = cycle_language()
         pair = exact_positional_unigrams(lang, L=8)
-        res = train(pair, TrainConfig(objective="mmd", epochs=20000, seed=0), true_O=lang.O)
+        res = train(pair, TrainConfig(objective="mmd", epochs=20000), true_O=lang.O,
+                    rngs=[np.random.default_rng(0)])
         assert res.trace[-1]["frobenius_residual"] <= 1e-3
         assert res.trace[-1]["per"] == 0.0
         sq = np.array([r["frobenius_residual"] ** 2 for r in res.trace])
@@ -277,7 +274,7 @@ class TestTraining:
         lang = cycle_language()
         pair = exact_positional_unigrams(lang, L=8)
         res = train(pair, TrainConfig(objective="jsd", discriminator="mlp", hidden=16,
-                                      epochs=40, seed=5), true_O=lang.O)
+                                      epochs=40), true_O=lang.O, rngs=[np.random.default_rng(5)])
         O = res.generator.O
         assert np.allclose(O.sum(axis=1), 1.0, atol=1e-12)
         assert np.all((O > 0) & (O < 1))
@@ -285,7 +282,7 @@ class TestTraining:
     def test_zero_epochs_returns_initial_generator(self):
         lang = cycle_language()
         pair = exact_positional_unigrams(lang, L=8)
-        res = train(pair, TrainConfig(epochs=0, seed=9))
+        res = train(pair, TrainConfig(epochs=0), rngs=[np.random.default_rng(9)])
         expected = np.random.default_rng(9).normal(0.0, 0.01, size=(4, 4))
         assert np.array_equal(res.generator.U, expected)
         assert res.trace == []
@@ -294,25 +291,35 @@ class TestTraining:
         lang = cycle_language()
         pair = exact_positional_unigrams(lang, L=8)
         cfg = TrainConfig(objective="jsd", discriminator="mlp", hidden=16,
-                          reset_discriminator=True, epochs=30, seed=4)
-        t1 = train(pair, cfg, true_O=lang.O).trace
-        t2 = train(pair, cfg, true_O=lang.O).trace
+                          reset_discriminator=True, epochs=30)
+        t1 = train(pair, cfg, true_O=lang.O, rngs=[np.random.default_rng(4)]).trace
+        t2 = train(pair, cfg, true_O=lang.O, rngs=[np.random.default_rng(4)]).trace
         assert t1 == t2
 
-    def test_divergence_guard_raises(self):
+    def test_divergence_guard_raises(self, monkeypatch):
         lang = cycle_language()
         pair = exact_positional_unigrams(lang, L=8)
-        cfg = TrainConfig(objective="wasserstein", disc_lr=1e308, disc_steps=2,
-                          reset_discriminator=False, epochs=3, seed=0)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError):
-            train(pair, cfg)
+        calls = itertools.count()
+
+        def diverging(*args):
+            grads = discriminator_gradient(*args)
+            return [np.full_like(g, -np.inf) for g in grads] if next(calls) == 2 else grads
+
+        # jsd's fake-side transform is softplus, and softplus(-inf) = 0, so
+        # under outside_cost the generator's step stays finite and only the
+        # discriminator diverges
+        monkeypatch.setattr(adversarial, "discriminator_gradient", diverging)
+        cfg = TrainConfig(objective="jsd", averaging="outside_cost", epochs=5)
+        with pytest.raises(RuntimeError) as exc:
+            train(pair, cfg, rngs=[np.random.default_rng(0)])
+        assert str(exc.value) == "discriminator weights diverged at epoch 2"
 
     def test_weight_clip_bounds_discriminator(self):
         lang = cycle_language()
         pair = exact_positional_unigrams(lang, L=8)
         cfg = TrainConfig(objective="wasserstein", weight_clip=0.01,
-                          reset_discriminator=False, epochs=20, seed=2)
-        res = train(pair, cfg)
+                          reset_discriminator=False, epochs=20)
+        res = train(pair, cfg, rngs=[np.random.default_rng(2)])
         assert np.max(np.abs(res.discriminator.w)) <= 0.01 + 1e-15
 
     def test_config_validation(self):
@@ -324,13 +331,13 @@ class TestTraining:
             TrainConfig(discriminator="transformer")
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1)
-        with pytest.raises(ValueError):
-            TrainConfig(gen_lr=0.0)
+        with pytest.raises(TypeError):  # the step rule is fixed
+            TrainConfig(gen_lr=0.005)
 
     def test_loss_trace_csv_roundtrip(self, tmp_path):
         lang = cycle_language()
         pair = exact_positional_unigrams(lang, L=8)
-        res = train(pair, TrainConfig(epochs=5, seed=1), true_O=lang.O)
+        res = train(pair, TrainConfig(epochs=5), true_O=lang.O, rngs=[np.random.default_rng(1)])
         cfg = ExperimentConfig(kind="finite_sample_phase", nx_values=(4,), knob_values=(1,),
                                L=8, seeds=(1,), write_traces=True)
         row = {"kind": cfg.kind, "seed": 1, "error": "", "_trace": res.trace}
@@ -367,13 +374,12 @@ def rngs():
     return [np.random.default_rng(s) for s in SEEDS]
 
 
-def reference_train(pair, cfg, true_O, rng=None):
+def reference_train(pair, cfg, true_O, rng):
     """The single-run loop, on 2-D arrays throughout, with each reset drawn
     from the plain generator in turn: final U, discriminator and full trace."""
     PX, PY = pair.PX, pair.PY
     (L, nx), ny = PX.shape, PY.shape[1]
-    rng = np.random.default_rng(cfg.seed) if rng is None else rng
-    gen = Generator.initialize(nx, ny, rng, scale=cfg.init_scale)
+    gen = Generator.initialize(nx, ny, rng)
     disc = (LinearPositionalDiscriminator(L, ny) if cfg.discriminator == "linear"
             else PerStepMlpDiscriminator(L, ny, rng, hidden=cfg.hidden))
     adam = _AdamState(m=np.zeros_like(gen.U), v=np.zeros_like(gen.U))
@@ -382,14 +388,11 @@ def reference_train(pair, cfg, true_O, rng=None):
         if cfg.reset_discriminator:
             disc.reset(rng)
         O = gen.O
-        for _ in range(cfg.disc_steps):
-            disc.add_scaled(discriminator_gradient(disc, cfg.objective, PX, PY, O, cfg.averaging),
-                            cfg.disc_lr)
-            if cfg.weight_clip is not None:
-                disc.clip_params(cfg.weight_clip)
-        for _ in range(cfg.gen_steps):
-            dU = generator_gradient(gen, disc, PX, cfg.objective, cfg.averaging)
-            gen.U += adam.step(dU, cfg.gen_lr, cfg.beta1, cfg.beta2, cfg.eps)
+        disc.add_scaled(discriminator_gradient(disc, cfg.objective, PX, PY, O, cfg.averaging))
+        if cfg.weight_clip is not None:
+            disc.clip_params(cfg.weight_clip)
+        dU = generator_gradient(gen, disc, PX, cfg.objective, cfg.averaging)
+        gen.U += adam.step(dU)
         O = gen.O
         trace.append({"step": epoch,
                       "J": objective_value(disc, cfg.objective, PX, PY, O, cfg.averaging),
@@ -402,7 +405,7 @@ def poison_generator_gradient(monkeypatch, pairs, at_epoch: dict):
     """Make member k's generator step infinite at epoch at_epoch[k].
 
     Members are found by their PX, so the poison follows them through the
-    stack; train calls the gradient once per epoch (gen_steps 1).
+    stack; train calls the gradient once per epoch.
     """
     calls = itertools.count()
 
@@ -428,8 +431,8 @@ class TestBatchedTraining:
         kept = train(pairs, cfg, true_O=Os, rngs=rngs())
         final = train(pairs, cfg, true_O=Os, rngs=rngs(), keep_trace=False)
         for seed, pair, O, res, last in zip(SEEDS, pairs, Os, kept, final):
-            alone = train(pair, replace(cfg, seed=seed), true_O=O)
-            U, disc, trace = reference_train(pair, replace(cfg, seed=seed), O)
+            alone = train(pair, cfg, true_O=O, rngs=[np.random.default_rng(seed)])
+            U, disc, trace = reference_train(pair, cfg, O, np.random.default_rng(seed))
             assert alone.generator.U.tobytes() == U.tobytes() and alone.trace == trace
             for p, q in zip(alone.discriminator.params(), disc.params()):
                 assert p.tobytes() == q.tobytes()
@@ -445,23 +448,26 @@ class TestBatchedTraining:
     def test_one_pair_takes_one_generator(self):
         lang = cycle_language()
         pair = exact_positional_unigrams(lang, L=8)
-        cfg = TrainConfig(epochs=5, seed=4)
+        cfg = TrainConfig(epochs=5)
         given = train(pair, cfg, rngs=[np.random.default_rng(4)])
-        assert given.trace == train(pair, cfg).trace
+        assert given.trace == train([pair], cfg, rngs=[np.random.default_rng(4)])[0].trace
+        with pytest.raises(ValueError):
+            train(pair, cfg)
         with pytest.raises(ValueError):
             train([pair, pair], cfg)
 
     def test_diverged_members_leave_the_others_unchanged(self, monkeypatch):
         pairs, Os = member_pairs()
         cfg = TrainConfig(epochs=12)
-        serial = [train(p, replace(cfg, seed=s), true_O=O) for s, p, O in zip(SEEDS, pairs, Os)]
+        serial = [train(p, cfg, true_O=O, rngs=[np.random.default_rng(s)])
+                  for s, p, O in zip(SEEDS, pairs, Os)]
         poisoned = {0: 3, 2: 7}
         errors = {}
         with np.errstate(invalid="ignore"):
             for k, epoch in poisoned.items():
                 poison_generator_gradient(monkeypatch, pairs, {k: epoch})
                 with pytest.raises(RuntimeError) as exc:
-                    train(pairs[k], replace(cfg, seed=SEEDS[k]), true_O=Os[k])
+                    train(pairs[k], cfg, true_O=Os[k], rngs=[np.random.default_rng(SEEDS[k])])
                 errors[k] = str(exc.value)
             poison_generator_gradient(monkeypatch, pairs, poisoned)
             batch = train(pairs, cfg, true_O=Os, rngs=rngs())
@@ -491,21 +497,24 @@ class RecordingGenerator(np.random.Generator):
             self.calls.append((threading.current_thread().name, kwargs.get("out")))
 
 
+def is_drawer(name: str) -> bool:
+    return name.startswith("decipher-reset-draws")
+
+
 def drawer_threads():
-    return [t for t in threading.enumerate() if t.name == "decipher-reset-draws"]
+    return [t for t in threading.enumerate() if is_drawer(t.name)]
 
 
 class TestMlpResetsDrawnAhead:
     @pytest.mark.parametrize("reset", [True, False])
     def test_draws_end_with_training_and_leave_the_stream_in_place(self, reset):
         pairs, Os = member_pairs()
-        cfg = TrainConfig(discriminator="mlp", reset_discriminator=reset, epochs=20, hidden=64,
-                          seed=SEEDS[0])
+        cfg = TrainConfig(discriminator="mlp", reset_discriminator=reset, epochs=20, hidden=64)
         rng, ref = RecordingGenerator(SEEDS[0]), np.random.default_rng(SEEDS[0])
         [res] = train(pairs[:1], cfg, true_O=Os[:1], rngs=[rng])
         U, disc, trace = reference_train(pairs[0], cfg, Os[0], rng=ref)
         assert not drawer_threads() and rng.running == 0
-        drawn = [out for name, out in rng.calls if name == "decipher-reset-draws"]
+        drawn = [out for name, out in rng.calls if is_drawer(name)]
         # W then v for each reset, into arrays given, and no draw beyond the last
         assert len(drawn) == (2 * cfg.epochs if reset else 0)
         assert all(out is not None for out in drawn)
@@ -523,7 +532,8 @@ class TestMlpResetsDrawnAhead:
         # switching every microsecond: a swap out of turn would change bytes
         pairs, Os = member_pairs()
         cfg = TrainConfig(discriminator="mlp", objective="jsd", epochs=15, hidden=32)
-        want = [reference_train(p, replace(cfg, seed=s), O) for s, p, O in zip(SEEDS, pairs, Os)]
+        want = [reference_train(p, cfg, O, np.random.default_rng(s))
+                for s, p, O in zip(SEEDS, pairs, Os)]
         got = {}
 
         def run(k):
@@ -550,12 +560,12 @@ class TestMlpResetsDrawnAhead:
     def test_diverged_member_keeps_its_error_and_its_thread_ends(self, monkeypatch):
         pairs, Os = member_pairs()
         cfg = TrainConfig(discriminator="mlp", epochs=12, hidden=64)
-        serial = train(pairs[1], replace(cfg, seed=SEEDS[1]), true_O=Os[1])
+        serial = train(pairs[1], cfg, true_O=Os[1], rngs=[np.random.default_rng(SEEDS[1])])
         threads = threading.active_count()
         with np.errstate(invalid="ignore"):
             poison_generator_gradient(monkeypatch, pairs, {0: 3})
             with pytest.raises(RuntimeError) as exc:
-                train(pairs[0], replace(cfg, seed=SEEDS[0]), true_O=Os[0])
+                train(pairs[0], cfg, true_O=Os[0], rngs=[np.random.default_rng(SEEDS[0])])
             assert threading.active_count() == threads
             poison_generator_gradient(monkeypatch, pairs, {0: 3})
             batch = train(pairs, cfg, true_O=Os, rngs=rngs())

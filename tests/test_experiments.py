@@ -218,9 +218,11 @@ class TestAblationRunners:
         lang = finite_language("circulant", 10, 10, 2, seed=1)
         corpus = sample_corpus(lang, n_sequences=300, L=40, matched=False, seed=1)
         pair = empirical_positional_unigrams(corpus)
-        base = TrainConfig(objective="mmd", epochs=40, seed=9)
-        trace_soft = train(pair, replace(base, averaging="soft_input")).trace
-        trace_out = train(pair, replace(base, averaging="outside_cost")).trace
+        base = TrainConfig(objective="mmd", epochs=40)
+        trace_soft = train(pair, replace(base, averaging="soft_input"),
+                           rngs=[np.random.default_rng(9)]).trace
+        trace_out = train(pair, replace(base, averaging="outside_cost"),
+                          rngs=[np.random.default_rng(9)]).trace
         for a, b in zip(trace_soft, trace_out):
             assert abs(a["J"] - b["J"]) <= 1e-9
             assert abs(a["frobenius_residual"] - b["frobenius_residual"]) <= 1e-9
@@ -485,7 +487,7 @@ class TestCli:
         cfg = cli.config_from_args(Args())
         assert cfg.train.epochs == 7 and cfg.train.objective == "jsd"
         assert cfg.seeds == (0, 1, 2)
-        assert cfg.train.disc_lr == 1.0  # untouched defaults survive the merge
+        assert cfg.train.hidden == 128  # untouched defaults survive the merge
 
     def test_kind_mismatch_rejected(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
@@ -500,6 +502,12 @@ class TestCli:
 
         with pytest.raises(ValueError):
             cli.config_from_args(Args())
+
+    def test_removed_train_field_exit_code(self, tmp_path):
+        # the step rule is fixed, so a learning-rate override is an unknown field
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"train": {"gen_lr": 0.01}}))
+        assert cli.main(["finite", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
 
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

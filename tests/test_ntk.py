@@ -5,7 +5,6 @@ import csv
 import numpy as np
 import pytest
 
-from decipher.adversarial import softmax, softmax_jacobian
 from decipher.experiments import ExperimentConfig, write_outputs
 from decipher.graphs import TransitionMatrix, hamiltonian_cycle_matrix
 from decipher.hmm import HmmLanguage, exact_positional_unigrams
@@ -81,29 +80,6 @@ class TestGeneratorKernel:
             assert np.max(np.abs(K @ np.ones(dim))) < 1e-12
             assert np.min(np.linalg.eigvalsh(K)) > -1e-10
 
-    def test_monte_carlo_matches_naive_loop(self):
-        rng = np.random.default_rng(5)
-        uniform = np.full(3, 1.0 / 3.0)
-        K_fast = generator_ntk(uniform, mode="monte_carlo_init",
-                               rng=np.random.default_rng(5), samples=500)
-        rows = softmax(rng.normal(0.0, 1.0, size=(500, 3)), axis=1)
-        K_naive = np.zeros((3, 3))
-        for r in rows:
-            H = softmax_jacobian(r)
-            K_naive += H @ H
-        K_naive /= 500
-        assert np.allclose(K_fast, K_naive, atol=1e-12)
-
-    def test_monte_carlo_sample_doubling_is_stable(self):
-        uniform = np.full(4, 0.25)
-        K_a = generator_ntk(uniform, mode="monte_carlo_init",
-                            rng=np.random.default_rng(1), samples=100_000)
-        K_b = generator_ntk(uniform, mode="monte_carlo_init",
-                            rng=np.random.default_rng(2), samples=200_000)
-        # measured Monte-Carlo standard error at 100k samples is ~1.3e-4
-        assert np.max(np.abs(K_a - K_b)) < 4e-4
-        assert np.max(np.abs(K_a @ np.ones(4))) < 1e-12
-
     def test_vectorised_rows_match_per_row_kernel(self):
         rng = np.random.default_rng(29)
         for nx in (2, 3, 6):
@@ -120,7 +96,7 @@ class TestGeneratorKernel:
             generator_ntk(np.array([0.7, 0.7]))
         with pytest.raises(ValueError):
             generator_ntk(np.array([-0.1, 1.1]))
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # one kernel, no modes
             generator_ntk(np.array([0.5, 0.5]), mode="analytic")
 
 

@@ -68,12 +68,6 @@ def test_gap_statistics_simple_spectrum_n32():
     assert np.all(stats.min_gaps > 1e-12)
 
 
-def test_exceedance_nonincreasing_in_B():
-    stats = gap_statistics(16, trials=100, B_list=(1.0, 2.0, 3.0), seed=9)
-    f = [stats.exceedance_fractions[B] for B in (1.0, 2.0, 3.0)]
-    assert f[0] >= f[1] >= f[2]
-
-
 def test_trial_seeding_is_order_insensitive():
     # the aggregate equals the union of two disjoint reruns of the same seeds
     full = gap_statistics(12, trials=20, seed=42)
