@@ -27,11 +27,16 @@ derivative is the constant 1, and the scores that would feed it are skipped.
 
 An MLP reset draws L x hidden x (|Y| + 1) standard normals, which take about
 as long as the rest of the epoch, and the draws depend only on the member's
-generator. So MLP resets are drawn one epoch ahead on a second thread: while
-one epoch trains, the thread draws the next reset into a spare pair of weight
-arrays, which that reset swaps in and scales. Each member keeps the stream
-and the bytes of resets drawn in turn. The thread belongs to a one-worker
-executor that lives for one member's training; under --jobs N each worker
+generator. So the variants of a member (configs that differ only in
+objective, averaging, reset or clipping, such as the two averaging modes)
+train in lockstep on one reset stream: each epoch the member's reset is
+drawn and scaled once, and every variant that resets takes its step from
+those weights into its own arrays. The resets are drawn one epoch ahead on a
+second thread: while one epoch trains, the thread draws the next reset into
+a spare pair of weight arrays, which that reset swaps in and scales. Each
+variant keeps the bytes of its own run with resets drawn in turn. The thread
+belongs to a one-worker executor that lives for one member's training, so a
+member's variants share one drawer thread; under --jobs N each worker
 process adds one such thread.
 
 The generator, the linear discriminator and their gradients also accept a
@@ -163,8 +168,9 @@ class LinearPositionalDiscriminator:
     def params(self) -> list[np.ndarray]:
         return [self.w]
 
-    def add_scaled(self, grads: list[np.ndarray]) -> None:
-        self.w += grads[0]
+    def step_from(self, start: "LinearPositionalDiscriminator", grads: list[np.ndarray]) -> None:
+        """The weights become start's weights plus the step grads; start may be self."""
+        np.add(start.w, grads[0], out=self.w)
 
     def clip_params(self, c: float) -> None:
         np.clip(self.w, -c, c, out=self.w)
@@ -216,9 +222,10 @@ class PerStepMlpDiscriminator:
     def params(self) -> list[np.ndarray]:
         return [self.W, self.v]
 
-    def add_scaled(self, grads: list[np.ndarray]) -> None:
-        self.W += grads[0]
-        self.v += grads[1]
+    def step_from(self, start: "PerStepMlpDiscriminator", grads: list[np.ndarray]) -> None:
+        """The weights become start's weights plus the step grads; start may be self."""
+        np.add(start.W, grads[0], out=self.W)
+        np.add(start.v, grads[1], out=self.v)
 
     def clip_params(self, c: float) -> None:
         np.clip(self.W, -c, c, out=self.W)
@@ -355,7 +362,7 @@ def _mlp_discriminator_gradient(disc: PerStepMlpDiscriminator, ap, bp, PX: np.nd
         fake = PX @ O
         coeff = coeff - (fake if bp is None else fake * bp(t))
     gv = (np.maximum(disc.W, 0.0) @ coeff[:, :, None])[:, :, 0]
-    gW = disc.v[:, :, None] @ coeff[:, None, :]
+    gW = np.multiply(disc.v[:, :, None], coeff[:, None, :])
     gW *= disc.W > 0.0
     if averaging == "outside_cost":
         return [gW, gv]
@@ -437,7 +444,7 @@ class TrainResult:
 
 def train(pair: PositionalUnigramPair | Sequence[PositionalUnigramPair], cfg: TrainConfig,
           true_O=None, rngs: Optional[Sequence[np.random.Generator]] = None,
-          keep_trace: bool = True):
+          keep_trace: bool = True, variants: Optional[Sequence[TrainConfig]] = None):
     """Alternating full-batch training on positional unigram pairs.
 
     One epoch = one discriminator ascent step (after an optional reset)
@@ -451,19 +458,33 @@ def train(pair: PositionalUnigramPair | Sequence[PositionalUnigramPair], cfg: Tr
     run and returns its TrainResult; a diverged run raises RuntimeError. A
     sequence of B pairs of one shape trains B independent members, with
     true_O a sequence of B assignments (or None), and returns one entry per
-    member: its TrainResult, or the RuntimeError that stopped it. Linear
-    members train together over a leading member axis; MLP members train one
-    after another, each with its resets drawn one epoch ahead on a second
-    thread that is joined before the member's outcome is kept. Either way
-    each member ends with the bytes of its own run.
+    member: its TrainResult, or the RuntimeError that stopped it.
+
+    variants, if given, are configs that differ from cfg only in objective,
+    averaging, reset_discriminator and weight_clip. Each trains on the same
+    pairs from the same generators, and the call returns one list of member
+    outcomes per variant. The variants run in lockstep, epoch by epoch.
+    Linear members train together over a leading member axis; MLP members
+    train one after another. A member's variants share its initial draws
+    and, each epoch, one reset: it is drawn one epoch ahead on one second
+    thread per member, which is joined before the member's outcomes are
+    kept. Either way each member of each variant ends with the bytes of its
+    own run.
     """
     if isinstance(pair, PositionalUnigramPair):
-        [outcome] = train([pair], cfg, [true_O], rngs, keep_trace)
+        outcomes = train([pair], cfg, [true_O], rngs, keep_trace, variants)
+        if variants is not None:
+            return outcomes
+        [outcome] = outcomes
         if isinstance(outcome, RuntimeError):
             raise outcome
         return outcome
     if rngs is None or len(rngs) != len(pair):
         raise ValueError("training needs one generator per pair")
+    cfgs = [cfg] if variants is None else list(variants)
+    if any((c.epochs, c.discriminator, c.hidden) != (cfg.epochs, cfg.discriminator, cfg.hidden)
+           for c in cfgs):
+        raise ValueError("variants must share cfg's epochs, discriminator and hidden")
     PX = np.stack([np.asarray(p.PX, dtype=float) for p in pair])
     PY = np.stack([np.asarray(p.PY, dtype=float) for p in pair])
     B, L, nx = PX.shape
@@ -471,57 +492,106 @@ def train(pair: PositionalUnigramPair | Sequence[PositionalUnigramPair], cfg: Tr
     truths = [None if O is None else np.argmax(O, axis=1)
               for O in (true_O if true_O is not None else [None] * B)]
     if cfg.discriminator == "linear":
-        gen = Generator(U=np.stack([Generator.initialize(nx, ny, rng).U for rng in rngs]))
-        disc = LinearPositionalDiscriminator(L, ny, members=B)
-        return _train_members(PX, PY, gen, disc, rngs, truths, cfg, keep_trace)
-    outcomes = []
-    resets = cfg.epochs if cfg.reset_discriminator else 0
-    for b, rng in enumerate(rngs):
-        gen = Generator.initialize(nx, ny, rng)
-        disc = PerStepMlpDiscriminator(L, ny, rng, hidden=cfg.hidden)
-        with _ResetDraws(rng, disc, resets) as draws:
-            outcomes += _train_members(PX[b], PY[b], gen, disc, [draws], [truths[b]], cfg,
-                                       keep_trace)
-    return outcomes
+        U = np.stack([Generator.initialize(nx, ny, rng).U for rng in rngs])
+        discs = [LinearPositionalDiscriminator(L, ny, members=B) for _ in cfgs]
+        # a linear reset is all zeros, so one unstacked discriminator serves every member
+        outcomes = _train_members(PX, PY, U, LinearPositionalDiscriminator(L, ny), None, discs,
+                                  truths, cfgs, cfg.epochs, keep_trace)
+    else:
+        outcomes = [[] for _ in cfgs]
+        resets = cfg.epochs if any(c.reset_discriminator for c in cfgs) else 0
+        for b, rng in enumerate(rngs):
+            U = Generator.initialize(nx, ny, rng).U
+            shared = PerStepMlpDiscriminator(L, ny, rng, hidden=cfg.hidden)
+            discs = [copy.deepcopy(shared) for _ in cfgs]
+            with _ResetDraws(rng, shared, resets) as draws:
+                member = _train_members(PX[b], PY[b], U, shared, draws, discs, [truths[b]], cfgs,
+                                        cfg.epochs, keep_trace)
+            for kept, [outcome] in zip(outcomes, member):
+                kept.append(outcome)
+    return outcomes if variants is not None else outcomes[0]
 
 
-def _train_members(PX, PY, gen: Generator, disc, rngs, truths, cfg: TrainConfig,
-                   keep_trace: bool) -> list:
-    """The epoch loop of train, for members stacked along the leading axis of
-    gen.U, or for one member when gen.U is 2-D. A member that diverges gets
-    its error and leaves the stack; the others go on unchanged."""
-    members = list(range(len(rngs)))  # outcome index of each row of the stack
-    outcomes: list = [None] * len(rngs)
-    traces: list[list[dict]] = [[] for _ in rngs]
-    adam = _AdamState(m=np.zeros_like(gen.U), v=np.zeros_like(gen.U))
-    stacked = lambda a: a.reshape((len(members),) + a.shape[-2:])
+def _train_members(PX, PY, U, shared, draws, discs, truths, cfgs, epochs: int,
+                   keep_trace: bool) -> list[list]:
+    """The epoch loop of train, for the variants cfgs in lockstep.
 
-    for epoch in range(cfg.epochs):
-        if cfg.reset_discriminator:
+    Each variant starts from a copy of U, whose leading axis stacks the
+    members (or which is one member's 2-D logits), and from its own
+    discriminator in discs. Each epoch shared is reset once, from draws, if
+    a variant still training resets; every such variant then takes its
+    discriminator step from shared's weights into its own, which leaves
+    shared intact for the next, and the others step from their own. Returns
+    one list of member outcomes per variant.
+    """
+    runs = [_Run(c, Generator(U=U.copy()), d, PX, PY, len(truths)) for c, d in zip(cfgs, discs)]
+    live = runs
+    for epoch in range(epochs):
+        if any(run.cfg.reset_discriminator for run in live):
             # a linear reset draws nothing; an MLP member takes the draws made ahead for it
-            disc.reset(rngs[0])
-        disc.add_scaled(discriminator_gradient(disc, cfg.objective, PX, PY, gen.O, cfg.averaging))
+            shared.reset(draws)
+        for run in live:
+            run.epoch(epoch, shared, truths, keep_trace or epoch == epochs - 1)
+        live = [run for run in live if run.members]
+    return [run.results() for run in runs]
+
+
+class _Run:
+    """One variant's state in the epoch loop: its generator and Adam moments,
+    its discriminator, the members of its stack still training with their
+    data, and every member's trace and outcome."""
+
+    def __init__(self, cfg: TrainConfig, gen: Generator, disc, PX, PY, count: int):
+        self.cfg, self.gen, self.disc, self.PX, self.PY = cfg, gen, disc, PX, PY
+        self.adam = _AdamState(m=np.zeros_like(gen.U), v=np.zeros_like(gen.U))
+        self.members = list(range(count))  # outcome index of each row of the stack
+        self.outcomes: list = [None] * count
+        self.traces: list[list[dict]] = [[] for _ in range(count)]
+
+    def stacked(self, a: np.ndarray) -> np.ndarray:
+        return a.reshape((len(self.members),) + a.shape[-2:])
+
+    def results(self) -> list:
+        """Each member's error, or its TrainResult if it trained to the end."""
+        for i, b in enumerate(self.members):
+            self.outcomes[b] = TrainResult(generator=Generator(U=self.stacked(self.gen.U)[i]),
+                                           discriminator=self.disc.member(i),
+                                           trace=self.traces[b])
+        return self.outcomes
+
+    def epoch(self, epoch: int, shared, truths, record: bool) -> None:
+        """The discriminator's step, from shared's weights if this variant
+        resets, then the generator's. A member that diverges gets its error
+        and leaves the stack; the others go on unchanged. With record, each
+        member left appends its trace row."""
+        cfg, gen, disc = self.cfg, self.gen, self.disc
+        start = shared if cfg.reset_discriminator else disc
+        disc.step_from(start, discriminator_gradient(start, cfg.objective, self.PX, self.PY,
+                                                     gen.O, cfg.averaging))
         if cfg.weight_clip is not None:
             disc.clip_params(cfg.weight_clip)
-        gen.U += adam.step(generator_gradient(gen, disc, PX, cfg.objective, cfg.averaging))
-        gen_ok = np.isfinite(gen.U).reshape(len(members), -1).all(axis=1)
+        gen.U += self.adam.step(generator_gradient(gen, disc, self.PX, cfg.objective,
+                                                   cfg.averaging))
+        gen_ok = np.isfinite(gen.U).reshape(len(self.members), -1).all(axis=1)
         disc_ok = np.logical_and.reduce(
-            [np.isfinite(p).reshape(len(members), -1).all(axis=1) for p in disc.params()])
+            [np.isfinite(p).reshape(len(self.members), -1).all(axis=1) for p in disc.params()])
         if not (gen_ok.all() and disc_ok.all()):
             for i in np.flatnonzero(~(gen_ok & disc_ok)):
                 part = "generator" if not gen_ok[i] else "discriminator"
-                outcomes[members[i]] = RuntimeError(f"{part} weights diverged at epoch {epoch}")
+                self.outcomes[self.members[i]] = RuntimeError(
+                    f"{part} weights diverged at epoch {epoch}")
             keep = gen_ok & disc_ok
-            if not keep.any():
-                return outcomes
+            self.members = [b for b, k in zip(self.members, keep) if k]
+            if not self.members:
+                return
             # only a linear stack has several members, so only it gets here
-            PX, PY, gen.U, disc.w = PX[keep], PY[keep], gen.U[keep], disc.w[keep]
-            adam.m, adam.v = adam.m[keep], adam.v[keep]
-            members = [b for b, k in zip(members, keep) if k]
-        if keep_trace or epoch == cfg.epochs - 1:
+            self.PX, self.PY, gen.U, disc.w = self.PX[keep], self.PY[keep], gen.U[keep], disc.w[keep]
+            self.adam.m, self.adam.v = self.adam.m[keep], self.adam.v[keep]
+        if record:
             O = gen.O
-            for i, (PX_i, PY_i, O_i) in enumerate(zip(stacked(PX), stacked(PY), stacked(O))):
-                b = members[i]
+            for i, (PX_i, PY_i, O_i) in enumerate(
+                    zip(self.stacked(self.PX), self.stacked(self.PY), self.stacked(O))):
+                b = self.members[i]
                 row = {
                     "step": epoch,
                     "J": objective_value(disc.member(i), cfg.objective, PX_i, PY_i, O_i,
@@ -531,11 +601,7 @@ def _train_members(PX, PY, gen: Generator, disc, rngs, truths, cfg: TrainConfig,
                 if truths[b] is not None:
                     decoded = np.argmax(O_i, axis=1)
                     row["per"] = float(np.mean(decoded != truths[b]))
-                traces[b].append(row)
-    for i, U_i in enumerate(stacked(gen.U)):
-        outcomes[members[i]] = TrainResult(generator=Generator(U=U_i),
-                                           discriminator=disc.member(i), trace=traces[members[i]])
-    return outcomes
+                self.traces[b].append(row)
 
 
 def project_row_to_simplex(v: np.ndarray) -> np.ndarray:

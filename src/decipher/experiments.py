@@ -11,8 +11,10 @@ in the in-memory rows but are excluded from the CSV.
 
 The sampled kinds (finite_sample_phase and the two ablations) run one cell
 per (nx, knob): it samples each seed's corpus once, keeps only its unigram
-pair, and trains every seed of a variant as one batch. Its rows equal those
-of single-seed runs, and each row's wall time is the cell's time per row.
+pair, and trains every seed and variant in one train call. The variants of
+a seed share its generator, and with an MLP discriminator they share one
+reset stream and one drawer thread. Its rows equal those of single-seed,
+single-variant runs, and each row's wall time is the cell's time per row.
 
 Cells that fail (for example a subgraph larger than the state space) produce
 an error-tagged row instead of aborting the sweep; in a sampled cell only the
@@ -350,9 +352,10 @@ def _variant_train(train_cfg: TrainConfig, variant: Optional[str]) -> TrainConfi
 def _sampled_block(args) -> list[dict]:
     """Every seed and variant of one (nx, knob) cell of the sampled kinds.
 
-    Each seed's pair is built once and shared by the variants, and GAN
-    training runs all seeds of a variant as one batch, so a row's wall_time
-    is the block time divided by the number of rows, as in _smrm_block.
+    Each seed's pair is built once and shared by the variants, and one
+    train call runs every seed and variant of the block, so a row's
+    wall_time is the block time divided by the number of rows, as in
+    _smrm_block.
     """
     cfg, nx, knob, variants = args
     t0 = perf_counter()
@@ -374,8 +377,9 @@ def _sampled_block(args) -> list[dict]:
             rows[seed, variant] = dict(base) if variant is None else {**base, "variant": variant}
 
     weights = _uniform_weights(nx)
-    for variant in variants:
-        if cfg.solver == "erm":
+    outcomes = []  # per variant, per built seed: a TrainResult or the exception
+    if cfg.solver == "erm":
+        for variant in variants:
             for seed, O, pair in built:
                 try:
                     sol = erm_least_squares(pair)
@@ -384,17 +388,17 @@ def _sampled_block(args) -> list[dict]:
                                                _matrix=sol.O_projected)
                 except Exception as exc:
                     rows[seed, variant]["error"] = _error_text(exc)
-            continue
-        if not built:
-            continue
+    elif built:
         try:
-            outcomes = train([pair for _, _, pair in built], _variant_train(cfg.train, variant),
+            outcomes = train([pair for _, _, pair in built], cfg.train,
                              true_O=[O for _, O, _ in built],
                              rngs=[np.random.default_rng(seed) for seed, _, _ in built],
-                             keep_trace=cfg.write_traces)
+                             keep_trace=cfg.write_traces,
+                             variants=[_variant_train(cfg.train, v) for v in variants])
         except Exception as exc:
-            outcomes = [exc] * len(built)
-        for (seed, O, pair), res in zip(built, outcomes):
+            outcomes = [[exc] * len(built)] * len(variants)
+    for variant, results in zip(variants, outcomes):
+        for (seed, O, pair), res in zip(built, results):
             row = rows[seed, variant]
             if isinstance(res, Exception):
                 row["error"] = _error_text(res)

@@ -11,7 +11,8 @@ integrate_dynamics runs the coupled per-unit ODEs with the Dormand-Prince
 5(4) pair and records the kernel-weighted squared mismatch C_t at each
 accepted step. A PI controller sets each step from the embedded error
 estimate (rtol 1e-8, atol 1e-12); a step is also rejected and retried at
-half the size whenever it would push O outside [-eps, 1+eps].
+half the size whenever it would push O outside [-eps, 1+eps]. A run with a
+stopping residual ends where the residual crosses it, inside the last step.
 """
 
 from __future__ import annotations
@@ -40,6 +41,19 @@ _DP_A = (
 )
 # fifth- minus fourth-order weights of stages 1..7: the local error estimate
 _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# Dormand-Prince's continuous extension (Shampine 1986; Hairer, Norsett &
+# Wanner II.6): row i weights stage i + 1 by theta, theta^2, theta^3, theta^4,
+# for a fourth-order solution at theta in [0, 1] of an accepted step
+_DP_DENSE = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
 # error per entry of O is measured against ATOL + RTOL |O|, RMS over entries
 RTOL = 1e-8
 ATOL = 1e-12
@@ -89,6 +103,13 @@ def _rms(x: np.ndarray, scale: np.ndarray) -> float:
     return float(np.sqrt(np.mean((x / scale) ** 2)))
 
 
+def _dense_output(O: np.ndarray, k: list[np.ndarray], h: float, theta: float) -> np.ndarray:
+    """The state at theta in [0, 1] of the step of size h from O with stages
+    k. Its rows keep O's sums, since every stage's rows sum to 0."""
+    weights = _DP_DENSE @ theta ** np.arange(1, 5)
+    return O + h * sum(w * kj for w, kj in zip(weights, k) if w)
+
+
 def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = None,
                        tau_max: float = 1.0, step: Optional[float] = None,
                        t_end: float = 100.0, stop_residual: float = 0.0) -> NtkTrajectory:
@@ -104,9 +125,12 @@ def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = 
     rejected steps, whether the error estimate or the overshoot guard
     rejected them.
 
-    stop_residual > 0 ends the run early once the recorded Frobenius residual
-    falls to that level, so decay rates vary per language without retuning
-    t_end (and without the trajectory tail sitting on the round-off floor).
+    stop_residual > 0 ends the run early once the Frobenius residual falls to
+    that level, so decay rates vary per language without retuning t_end (and
+    without the trajectory tail sitting on the round-off floor). The step in
+    which it falls ends at the crossing, located on the pair's fourth-order
+    continuous extension, rather than at the step's end, which can lie far
+    past it: late steps span tens of time units.
     """
     PX = np.asarray(pair.PX, dtype=float)
     PY = np.asarray(pair.PY, dtype=float)
@@ -170,11 +194,25 @@ def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = 
             if h < 1e-14 * max(t, 1.0):
                 raise RuntimeError(f"step size {h:.3g} underflows at t = {t:.6g}")
             continue
+        O_prev, t_prev = O, t
         O, f = candidate, k[-1]
         t = t_end if last else t + h_try
         drift = np.max(np.abs(O.sum(axis=1) - 1.0))
         if drift > 1e-9:
             raise RuntimeError(f"row-sum drift {drift:.3g} exceeds 1e-9 at t = {t:.6g}")
+        if stop_residual > 0 and np.linalg.norm(PY - PX @ O) <= stop_residual:
+            # the residual falls to stop_residual inside this step: the run
+            # ends where it does on the step's dense output, with theta
+            # bisected to a double's resolution
+            lo, hi = 0.0, 1.0
+            for _ in range(53):
+                mid = 0.5 * (lo + hi)
+                if np.linalg.norm(PY - PX @ _dense_output(O_prev, k, h_try, mid)) <= stop_residual:
+                    hi = mid
+                else:
+                    lo = mid
+            if hi < 1.0:
+                O, t = _dense_output(O_prev, k, h_try, hi), t_prev + hi * h_try
         record()
         # PI control; no growth right after a rejection
         grow = _MAX_FACTOR if err == 0.0 else min(

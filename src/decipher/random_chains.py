@@ -35,8 +35,6 @@ def random_reversible_chain(n: int, seed) -> TransitionMatrix:
 
 @dataclass
 class GapStatistics:
-    n: int
-    trials: int
     min_gaps: np.ndarray  # per trial
     distinct_counts: np.ndarray  # per trial, at the shared eigenvalue tolerance
 
@@ -57,4 +55,4 @@ def gap_statistics(n: int, trials: int, seed: int = 0) -> GapStatistics:
         min_gaps[trial] = np.diff(w).min()
         groups, _, _ = distinct_eigenvalues(w)
         distinct[trial] = len(groups)
-    return GapStatistics(n=n, trials=trials, min_gaps=min_gaps, distinct_counts=distinct)
+    return GapStatistics(min_gaps=min_gaps, distinct_counts=distinct)

@@ -5,12 +5,15 @@ import itertools
 import sys
 import threading
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from decipher import adversarial
 from decipher.adversarial import (
+    AVERAGING_MODES,
+    OBJECTIVES,
     Generator,
     LinearPositionalDiscriminator,
     PerStepMlpDiscriminator,
@@ -247,7 +250,7 @@ class TestTraining:
         gen = Generator.initialize(4, 4, np.random.default_rng(0))
         disc = LinearPositionalDiscriminator(8, 4)
         g = discriminator_gradient(disc, "mmd", pair.PX, pair.PY, gen.O, "soft_input")
-        disc.add_scaled(g)
+        disc.step_from(disc, g)
         gap = pair.PY - pair.PX @ gen.O
         assert np.max(np.abs(disc.w - gap)) < 1e-14
         J = objective_value(disc, "mmd", pair.PX, pair.PY, gen.O, "soft_input")
@@ -388,7 +391,7 @@ def reference_train(pair, cfg, true_O, rng):
         if cfg.reset_discriminator:
             disc.reset(rng)
         O = gen.O
-        disc.add_scaled(discriminator_gradient(disc, cfg.objective, PX, PY, O, cfg.averaging))
+        disc.step_from(disc, discriminator_gradient(disc, cfg.objective, PX, PY, O, cfg.averaging))
         if cfg.weight_clip is not None:
             disc.clip_params(cfg.weight_clip)
         dU = generator_gradient(gen, disc, PX, cfg.objective, cfg.averaging)
@@ -589,6 +592,122 @@ class TestMlpResetsDrawnAhead:
         with pytest.raises(KeyError):
             train(pairs, TrainConfig(discriminator="mlp", epochs=12, hidden=64), rngs=rngs())
         assert threading.active_count() == threads and not drawer_threads()
+
+
+def lockstep_variants(kind, objective):
+    """Four variants of one run: both averagings, mixed resets and clipping."""
+    return [TrainConfig(discriminator=kind, objective=objective, epochs=12, hidden=8,
+                        averaging=averaging, reset_discriminator=reset, weight_clip=clip)
+            for averaging, reset, clip in (("soft_input", True, None),
+                                           ("outside_cost", True, 0.05),
+                                           ("outside_cost", False, None),
+                                           ("soft_input", False, 0.05))]
+
+
+def assert_same_run(got, want):
+    assert got.generator.U.tobytes() == want.generator.U.tobytes()
+    for p, q in zip(got.discriminator.params(), want.discriminator.params(), strict=True):
+        assert p.tobytes() == q.tobytes()
+    assert got.trace == want.trace
+
+
+def poison_variant(monkeypatch, averaging: str, at_call: int):
+    """Make the discriminator step of the variant with this averaging turn to
+    -inf in its first weight array at its at_call-th gradient call (from 0).
+    Under jsd and outside_cost the generator's step stays finite."""
+    calls = itertools.count()
+
+    def patched(disc, objective, PX, PY, O, avg):
+        grads = discriminator_gradient(disc, objective, PX, PY, O, avg)
+        if avg == averaging and next(calls) == at_call:
+            grads[0] = np.full_like(grads[0], -np.inf)
+        return grads
+
+    monkeypatch.setattr(adversarial, "discriminator_gradient", patched)
+
+
+class TestVariantsInLockstep:
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_variants_equal_separate_calls(self, kind, objective):
+        pairs, Os = member_pairs()
+        cfgs = lockstep_variants(kind, objective)
+        together = train(pairs, cfgs[0], true_O=Os, rngs=rngs(), variants=cfgs)
+        last = train(pairs, cfgs[0], true_O=Os, rngs=rngs(), variants=cfgs, keep_trace=False)
+        assert len(together) == len(last) == len(cfgs)
+        for cfg, runs, final in zip(cfgs, together, last):
+            alone = train(pairs, cfg, true_O=Os, rngs=rngs())
+            assert len(runs) == len(final) == len(alone) == len(SEEDS)
+            for res, res_last, want in zip(runs, final, alone):
+                assert_same_run(res, want)
+                assert res_last.trace == want.trace[-1:]
+                assert res_last.generator.U.tobytes() == want.generator.U.tobytes()
+
+    def test_one_pair_gives_one_outcome_per_variant(self):
+        pairs, Os = member_pairs()
+        pair, O = pairs[0], Os[0]
+        cfgs = lockstep_variants("mlp", "jsd")[:2]
+        got = train(pair, cfgs[0], true_O=O, rngs=[np.random.default_rng(SEEDS[0])],
+                    variants=cfgs)
+        for cfg, [res] in zip(cfgs, got, strict=True):
+            assert_same_run(res, train(pair, cfg, true_O=O, rngs=[np.random.default_rng(SEEDS[0])]))
+
+    @pytest.mark.parametrize("field", [dict(epochs=11), dict(hidden=16),
+                                       dict(discriminator="linear")])
+    def test_variants_share_epochs_discriminator_and_width(self, field):
+        pairs, _ = member_pairs()
+        cfg = TrainConfig(discriminator="mlp", epochs=12, hidden=8)
+        with pytest.raises(ValueError):
+            train(pairs, cfg, rngs=rngs(), variants=[cfg, TrainConfig(**{**asdict(cfg), **field})])
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_diverged_variant_leaves_its_sibling_unchanged(self, monkeypatch, kind):
+        pairs, Os = member_pairs()
+        cfgs = [TrainConfig(discriminator=kind, objective="jsd", epochs=12, hidden=8,
+                            averaging=averaging) for averaging in AVERAGING_MODES]
+        clean = [train(pairs, cfg, true_O=Os, rngs=rngs()) for cfg in cfgs]
+        with np.errstate(invalid="ignore"):
+            poison_variant(monkeypatch, "outside_cost", 2)
+            alone = train(pairs, cfgs[1], true_O=Os, rngs=rngs())
+            poison_variant(monkeypatch, "outside_cost", 2)
+            soft, outside = train(pairs, cfgs[0], true_O=Os, rngs=rngs(), variants=cfgs)
+        # a linear stack takes every member's step in one call; an MLP member
+        # trains alone, so only the first member's third step is poisoned
+        diverged = range(len(SEEDS)) if kind == "linear" else [0]
+        for b, (res, want) in enumerate(zip(outside, alone, strict=True)):
+            if b in diverged:
+                assert isinstance(res, RuntimeError) and isinstance(want, RuntimeError)
+                assert str(res) == str(want) == "discriminator weights diverged at epoch 2"
+            else:
+                assert_same_run(res, want)
+                assert_same_run(res, clean[1][b])
+        for res, want in zip(soft, clean[0], strict=True):
+            assert_same_run(res, want)
+
+    def test_each_member_starts_one_drawer_and_ends_its_stream_in_place(self, monkeypatch):
+        pairs, Os = member_pairs()
+        cfgs = lockstep_variants("mlp", "mmd")
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        threads = threading.active_count()
+        gens = [RecordingGenerator(s) for s in SEEDS]
+        together = train(pairs, cfgs[0], true_O=Os, rngs=gens, variants=cfgs)
+        assert threading.active_count() == threads and not drawer_threads()
+        assert [is_drawer(name) for name in started] == [True] * len(SEEDS)
+        for b, (seed, rng) in enumerate(zip(SEEDS, gens)):
+            # one reset stream for the member: W then v per epoch, whatever the variant count
+            assert len([out for name, out in rng.calls if is_drawer(name)]) == 2 * cfgs[0].epochs
+            ref = np.random.default_rng(seed)
+            U, disc, trace = reference_train(pairs[b], cfgs[0], Os[b], ref)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert together[0][b].generator.U.tobytes() == U.tobytes()
+            assert together[0][b].trace == trace
 
 
 class TestMlpDiscriminator:

@@ -127,6 +127,37 @@ class TestDynamics:
         # only the final record may sit at or below the stopping level
         assert np.all(stopped.residuals[:-1] > 1e-3)
 
+    def test_stop_time_is_the_crossing_of_a_fine_fixed_step_run(self):
+        _, pair = soft_cycle_language(peak=0.6)
+        stop = 1e-5
+        stopped = integrate_dynamics(pair, t_end=200.0, stop_residual=stop)
+        # classical Runge-Kutta at step 0.02, under a hundredth of the late
+        # adaptive steps; the crossing is linear in the residual between the
+        # two fixed steps around it
+        PX, PY = pair.PX, pair.PY
+        K_D = discriminator_ntk(4)
+
+        def rhs(O):
+            return apply_generator_ntk(O, PX.T @ ((PY - PX @ O) @ K_D))
+
+        h, t, O = 0.02, 0.0, np.full((4, 4), 0.25)
+        r = np.linalg.norm(PY - PX @ O)
+        while True:
+            k1 = rhs(O)
+            k2 = rhs(O + h / 2 * k1)
+            k3 = rhs(O + h / 2 * k2)
+            k4 = rhs(O + h * k3)
+            O_next = O + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            r_next = np.linalg.norm(PY - PX @ O_next)
+            if r_next <= stop:
+                t_cross = t + h * (r - stop) / (r - r_next)
+                break
+            t, O, r = t + h, O_next, r_next
+        # the end of the step in which the residual falls lies 2.3% past it
+        assert abs(stopped.times[-1] - t_cross) <= 5e-6 * t_cross
+        assert stop - 1e-12 <= stopped.residuals[-1] <= stop
+        assert np.max(np.abs(stopped.O_final.sum(axis=1) - 1.0)) <= 1e-12
+
     def test_vertex_start_is_frozen(self):
         _, pair = soft_cycle_language(peak=0.6)
         O_vertex = np.eye(4)
