@@ -28,10 +28,10 @@ derivative is the constant 1, and the scores that would feed it are skipped.
 An MLP reset draws L x hidden x (|Y| + 1) standard normals, which take about
 as long as the rest of the epoch, and the draws depend only on the member's
 generator. So the variants of a member (configs that differ only in
-objective, averaging, reset or clipping, such as the two averaging modes)
-train in lockstep on one reset stream: each epoch the member's reset is
-drawn and scaled once, and every variant that resets takes its step from
-those weights into its own arrays. The resets are drawn one epoch ahead on a
+objective, averaging or reset, such as the two averaging modes) train in
+lockstep on one reset stream: each epoch the member's reset is drawn and
+scaled once, and every variant that resets takes its step from those
+weights into its own arrays. The resets are drawn one epoch ahead on a
 second thread: while one epoch trains, the thread draws the next reset into
 a spare pair of weight arrays, which that reset swaps in and scales. Each
 variant keeps the bytes of its own run with resets drawn in turn. The thread
@@ -172,9 +172,6 @@ class LinearPositionalDiscriminator:
         """The weights become start's weights plus the step grads; start may be self."""
         np.add(start.w, grads[0], out=self.w)
 
-    def clip_params(self, c: float) -> None:
-        np.clip(self.w, -c, c, out=self.w)
-
 
 class PerStepMlpDiscriminator:
     """Per-position 2-layer ReLU perceptron |Y| -> hidden -> 1, no biases.
@@ -226,10 +223,6 @@ class PerStepMlpDiscriminator:
         """The weights become start's weights plus the step grads; start may be self."""
         np.add(start.W, grads[0], out=self.W)
         np.add(start.v, grads[1], out=self.v)
-
-    def clip_params(self, c: float) -> None:
-        np.clip(self.W, -c, c, out=self.W)
-        np.clip(self.v, -c, c, out=self.v)
 
 
 class _ResetDraws:
@@ -416,7 +409,6 @@ class TrainConfig:
     averaging: str = "soft_input"
     discriminator: str = "linear"
     hidden: int = 128
-    weight_clip: Optional[float] = None
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
@@ -461,7 +453,7 @@ def train(pair: PositionalUnigramPair | Sequence[PositionalUnigramPair], cfg: Tr
     member: its TrainResult, or the RuntimeError that stopped it.
 
     variants, if given, are configs that differ from cfg only in objective,
-    averaging, reset_discriminator and weight_clip. Each trains on the same
+    averaging and reset_discriminator. Each trains on the same
     pairs from the same generators, and the call returns one list of member
     outcomes per variant. The variants run in lockstep, epoch by epoch.
     Linear members train together over a leading member axis; MLP members
@@ -568,8 +560,6 @@ class _Run:
         start = shared if cfg.reset_discriminator else disc
         disc.step_from(start, discriminator_gradient(start, cfg.objective, self.PX, self.PY,
                                                      gen.O, cfg.averaging))
-        if cfg.weight_clip is not None:
-            disc.clip_params(cfg.weight_clip)
         gen.U += self.adam.step(generator_gradient(gen, disc, self.PX, cfg.objective,
                                                    cfg.averaging))
         gen_ok = np.isfinite(gen.U).reshape(len(self.members), -1).all(axis=1)

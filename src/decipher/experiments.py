@@ -11,10 +11,13 @@ in the in-memory rows but are excluded from the CSV.
 
 The sampled kinds (finite_sample_phase and the two ablations) run one cell
 per (nx, knob): it samples each seed's corpus once, keeps only its unigram
-pair, and trains every seed and variant in one train call. The variants of
-a seed share its generator, and with an MLP discriminator they share one
-reset stream and one drawer thread. Its rows equal those of single-seed,
-single-variant runs, and each row's wall time is the cell's time per row.
+pair, solves the least-squares (ERM) route on that pair once, and trains
+every seed and variant in one train call. Each row carries both PERs: per
+from adversarial training and erm_per from ERM, which the variants of a seed
+share. The variants of a seed share its generator, and with an MLP
+discriminator they share one reset stream and one drawer thread. Its rows
+equal those of single-seed, single-variant runs, and each row's wall time is
+the cell's time per row.
 
 Cells that fail (for example a subgraph larger than the state space) produce
 an error-tagged row instead of aborting the sweep; in a sampled cell only the
@@ -94,16 +97,16 @@ KIND_COLUMNS = {
     "asymptotic_phase": ["kind", "family", "nx", "knob", "seed", "distinct_nonzero",
                          "per", "residual", "rank_deficient", "error"],
     "finite_sample_phase": ["kind", "family", "nx", "knob", "seed", "sigma_min",
-                            "threshold", "per", "residual", "error"],
+                            "threshold", "per", "erm_per", "residual", "error"],
     "smrm_gaps": ["kind", "size", "trial", "seed", "min_gap", "distinct_count",
                   "simple_at_1e12", "error"],
     "ntk_convergence": ["kind", "language_index", "nx", "seed", "attempts", "sigma_min",
                         "residual", "slope", "predicted_rate", "r_squared", "monotone",
                         "t_stop", "steps", "rejected_steps", "error"],
     "reset_ablation": ["kind", "family", "nx", "knob", "variant", "seed", "sigma_min",
-                       "threshold", "per", "residual", "error"],
+                       "threshold", "per", "erm_per", "residual", "error"],
     "averaging_ablation": ["kind", "family", "nx", "knob", "variant", "seed", "sigma_min",
-                           "threshold", "per", "residual", "error"],
+                           "threshold", "per", "erm_per", "residual", "error"],
 }
 
 
@@ -126,7 +129,6 @@ class ExperimentConfig:
     L: int = 20
     n_sequences: int = 2560
     matched: bool = False
-    solver: str = "gan"
     train: TrainConfig = field(default_factory=TrainConfig)
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     sizes: tuple[int, ...] = (16, 32, 64)
@@ -135,7 +137,6 @@ class ExperimentConfig:
     t_end: float = 600_000.0
     stop_residual: float = 1e-5
     write_traces: bool = False
-    out_dir: Optional[str] = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -162,8 +163,10 @@ class ExperimentConfig:
         if self.kind in ("finite_sample_phase", "reset_ablation", "averaging_ablation"):
             if self.n_sequences < 1:
                 raise ValueError("n_sequences must be >= 1")
-            if self.solver not in ("gan", "erm"):
-                raise ValueError(f"solver must be 'gan' or 'erm', got {self.solver!r}")
+        if self.kind == "averaging_ablation" and self.train.discriminator != "mlp":
+            # with a linear discriminator the two modes coincide identically
+            # for MMD, so the comparison would be vacuous
+            raise ValueError("averaging ablation requires train.discriminator == 'mlp'")
         if self.kind == "smrm_gaps":
             if not self.sizes or self.trials < 1:
                 raise ValueError("smrm_gaps needs nonempty sizes and trials >= 1")
@@ -352,43 +355,35 @@ def _variant_train(train_cfg: TrainConfig, variant: Optional[str]) -> TrainConfi
 def _sampled_block(args) -> list[dict]:
     """Every seed and variant of one (nx, knob) cell of the sampled kinds.
 
-    Each seed's pair is built once and shared by the variants, and one
-    train call runs every seed and variant of the block, so a row's
-    wall_time is the block time divided by the number of rows, as in
-    _smrm_block.
+    Each seed's pair is built and solved by ERM once and shared by the
+    variants, and one train call runs every seed and variant of the block,
+    so a row's wall_time is the block time divided by the number of rows, as
+    in _smrm_block.
     """
     cfg, nx, knob, variants = args
     t0 = perf_counter()
     rows: dict[tuple, dict] = {}
+    weights = _uniform_weights(nx)
     built = []  # (seed, true assignment, pair) of every seed whose data built
     for seed in cfg.seeds:
         base = {"kind": cfg.kind, "family": cfg.family, "nx": nx, "knob": knob, "seed": seed,
                 "sigma_min": float("nan"), "threshold": float("nan"), "per": float("nan"),
-                "residual": float("nan"), "error": ""}
+                "erm_per": float("nan"), "residual": float("nan"), "error": ""}
         try:
             lang, pair = _sampled_pair(cfg, nx, knob, seed)
             base["sigma_min"] = sigma_min(pair.PX)
             base["threshold"] = sample_size_threshold(cfg.n_sequences, cfg.n_sequences, pair.L,
                                                       lang.nx, lang.ny, delta=CONFIDENCE_DELTA)
+            base["erm_per"] = phoneme_error_rate(erm_least_squares(pair).decoded(), lang.O,
+                                                 weights)
             built.append((seed, lang.O, pair))
         except Exception as exc:
             base["error"] = _error_text(exc)
         for variant in variants:
             rows[seed, variant] = dict(base) if variant is None else {**base, "variant": variant}
 
-    weights = _uniform_weights(nx)
     outcomes = []  # per variant, per built seed: a TrainResult or the exception
-    if cfg.solver == "erm":
-        for variant in variants:
-            for seed, O, pair in built:
-                try:
-                    sol = erm_least_squares(pair)
-                    rows[seed, variant].update(per=phoneme_error_rate(sol.decoded(), O, weights),
-                                               residual=sol.residual_projected,
-                                               _matrix=sol.O_projected)
-                except Exception as exc:
-                    rows[seed, variant]["error"] = _error_text(exc)
-    elif built:
+    if built:
         try:
             outcomes = train([pair for _, _, pair in built], cfg.train,
                              true_O=[O for _, O, _ in built],
@@ -516,13 +511,8 @@ def run_reset_ablation(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
 
 
 def run_averaging_ablation(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
-    """Paired rows per (cell, seed) for the two generator-averaging modes.
-
-    Runs per-position MLP discriminators; with a linear discriminator the two
-    modes coincide identically for MMD, so the comparison is vacuous there.
-    """
-    if cfg.train.discriminator != "mlp":
-        raise ValueError("averaging ablation requires train.discriminator == 'mlp'")
+    """Paired rows per (cell, seed) for the two generator-averaging modes,
+    with the per-position MLP discriminators that the config requires."""
     return _run_sampled(cfg, ("soft_input", "outside_cost"), jobs)
 
 
@@ -584,7 +574,7 @@ def summarize(cfg: ExperimentConfig, rows: Sequence[dict]) -> dict:
     for label, group in sorted(cells.items()):
         good = [r for r in group if not r["error"]]
         stat = {"rows": len(group), "errors": len(group) - len(good)}
-        for metric in ("per", "residual", "min_gap", "r_squared", "sigma_min"):
+        for metric in ("per", "erm_per", "residual", "min_gap", "r_squared", "sigma_min"):
             values = [r[metric] for r in good if isinstance(r.get(metric), float)
                       and not math.isnan(r[metric])]
             if values:

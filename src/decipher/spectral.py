@@ -33,8 +33,8 @@ SYMMETRY_TOL = 1e-10
 
 
 class NonReversibleNoClosedForm(ValueError):
-    """Spectrum requested for a chain with neither symmetrizable weights nor a
-    closed form."""
+    """Spectrum requested for a non-reversible chain, or for a reversible one
+    with neither a closed form nor symmetrizable weights."""
 
 
 class NotApplicable(ValueError):
@@ -59,38 +59,15 @@ def symmetric_eigen(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cluster_eigenvalues(values: np.ndarray, tol: float) -> tuple[list[np.ndarray], np.ndarray]:
-    """Group eigenvalues closer than tol; returns (index groups, representatives).
-
-    Real inputs are clustered by sorted consecutive gaps. Complex inputs (the
-    directed-circulant case) use transitive pairwise merging.
-    """
+    """Group real eigenvalues whose sorted consecutive gaps are at most tol;
+    returns (index groups in ascending order, representatives)."""
     values = np.asarray(values)
     n = values.size
     if n == 0:
         return [], np.array([])
-    if not np.iscomplexobj(values):
-        order = np.argsort(values)
-        sorted_vals = values[order]
-        breaks = np.nonzero(np.diff(sorted_vals) > tol)[0]
-        groups = [order[lo:hi] for lo, hi in zip(np.r_[0, breaks + 1], np.r_[breaks + 1, n])]
-    else:
-        parent = list(range(n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(values[i] - values[j]) <= tol:
-                    parent[find(i)] = find(j)
-        roots: dict[int, list[int]] = {}
-        for i in range(n):
-            roots.setdefault(find(i), []).append(i)
-        groups = [np.array(g) for g in roots.values()]
-        groups.sort(key=lambda g: (values[g].mean().real, values[g].mean().imag))
+    order = np.argsort(values)
+    breaks = np.nonzero(np.diff(values[order]) > tol)[0]
+    groups = [order[lo:hi] for lo, hi in zip(np.r_[0, breaks + 1], np.r_[breaks + 1, n])]
     reps = np.array([values[g].mean() for g in groups])
     return groups, reps
 
@@ -108,7 +85,7 @@ def distinct_eigenvalues(values: np.ndarray) -> tuple[list[np.ndarray], np.ndarr
 class SpectrumReport:
     """Eigenvalues of a transition matrix plus distinctness statistics."""
 
-    eigenvalues: np.ndarray  # sorted; real for reversible chains, complex for directed circulants
+    eigenvalues: np.ndarray  # real, ascending
     distinct_count: int
     nonzero_distinct_count: int
     min_gap: float
@@ -118,19 +95,9 @@ class SpectrumReport:
 def _report_from_values(values: np.ndarray, method: str) -> SpectrumReport:
     _, reps, tol = distinct_eigenvalues(values)
     nonzero = int(np.sum(np.abs(reps) > tol))
-    if len(reps) < 2:
-        min_gap = float("inf")
-    elif np.iscomplexobj(reps):
-        diff = np.abs(reps[:, None] - reps[None, :])
-        min_gap = float(np.min(diff[~np.eye(len(reps), dtype=bool)]))
-    else:
-        min_gap = float(np.min(np.diff(np.sort(reps))))
-    if not np.iscomplexobj(values):
-        values = np.sort(values.real)
-    else:
-        values = values[np.lexsort((values.imag, values.real))]
+    min_gap = float(np.min(np.diff(reps))) if len(reps) >= 2 else float("inf")
     return SpectrumReport(
-        eigenvalues=values,
+        eigenvalues=np.sort(values),
         distinct_count=len(reps),
         nonzero_distinct_count=nonzero,
         min_gap=min_gap,
@@ -139,15 +106,14 @@ def _report_from_values(values: np.ndarray, method: str) -> SpectrumReport:
 
 
 def circulant_eigenvalues(n: int, action_set) -> np.ndarray:
-    """Fourier spectrum of the circulant step matrix: mean of roots of unity
-    over the action set, one value per frequency."""
+    """Fourier spectrum of a circulant step matrix with a symmetric action set
+    (a reversible circulant): the mean of roots of unity over the action set,
+    one value per frequency. Each offset's conjugate root is also averaged,
+    so the imaginary parts cancel and the real parts are the spectrum."""
     offsets = np.asarray(sorted({int(a) % n for a in action_set}))
     freqs = np.arange(n)
     phases = np.exp(2j * np.pi * np.outer(freqs, offsets) / n)
-    vals = phases.mean(axis=1)
-    if np.max(np.abs(vals.imag)) < 1e-12:
-        return vals.real.copy()
-    return vals
+    return phases.mean(axis=1).real.copy()
 
 
 def hypercube_eigenvalues(dim: int) -> np.ndarray:
@@ -184,29 +150,29 @@ def _subgraph_eigenvalues(spec: GraphSpec, sub: TransitionMatrix) -> tuple[np.nd
 
 
 def spectrum_of_chain(T: TransitionMatrix) -> SpectrumReport:
-    """Spectrum of a transition matrix.
+    """Spectrum of a reversible transition matrix.
 
     Prefers the closed form T.spec provides (circulant Fourier values,
     hypercube level values); De Bruijn subgraphs go through symmetrization.
     Tiled unions reuse the subgraph spectrum: each copy in T.tiling repeats
     it and each filler adds eigenvalue 1, under any relabel (a similarity);
     an untiled chain is one copy with no fillers. Reversible chains without a
-    spec are symmetrized from their edge weights. Anything else has no
-    supported route.
+    spec are symmetrized from their edge weights. Anything else, directed
+    circulants and interpolated chains among them, has no supported route.
     """
     spec = T.spec
-    if spec is not None:
+    if T.reversible and spec is not None:
         tiling = T.tiling
         vals, method = _subgraph_eigenvalues(spec, T if tiling is None else tiling.sub)
         copies, fillers = (1, 0) if tiling is None else (tiling.copies, tiling.fillers.size)
-        full = np.concatenate([np.tile(vals, copies), np.ones(fillers, dtype=vals.dtype)])
+        full = np.concatenate([np.tile(vals, copies), np.ones(fillers)])
         return _report_from_values(full, method)
     if T.reversible and T.weights is not None:
         w, _ = symmetric_eigen(symmetrized_form(T.weights))
         return _report_from_values(w, "symmetrized_numeric")
     raise NonReversibleNoClosedForm(
-        "no closed form and no symmetrizable weights; spectra of interpolated "
-        "matrices are unsupported by design"
+        "not reversible, or no closed form and no symmetrizable weights; spectra "
+        "of directed circulants and interpolated matrices are unsupported by design"
     )
 
 

@@ -317,14 +317,6 @@ class TestTraining:
             train(pair, cfg, rngs=[np.random.default_rng(0)])
         assert str(exc.value) == "discriminator weights diverged at epoch 2"
 
-    def test_weight_clip_bounds_discriminator(self):
-        lang = cycle_language()
-        pair = exact_positional_unigrams(lang, L=8)
-        cfg = TrainConfig(objective="wasserstein", weight_clip=0.01,
-                          reset_discriminator=False, epochs=20)
-        res = train(pair, cfg, rngs=[np.random.default_rng(2)])
-        assert np.max(np.abs(res.discriminator.w)) <= 0.01 + 1e-15
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(objective="kl")
@@ -358,7 +350,7 @@ SEEDS = (3, 8, 13)
 
 BATCH_SETTINGS = [
     dict(discriminator=kind, objective=objective, averaging=averaging,
-         reset_discriminator=reset, weight_clip=0.05 if objective == "wasserstein" else None)
+         reset_discriminator=reset)
     for kind, objective, averaging, reset in itertools.product(
         ("linear", "mlp"), ("mmd", "jsd", "wasserstein"), ("soft_input", "outside_cost"),
         (True, False))
@@ -392,8 +384,6 @@ def reference_train(pair, cfg, true_O, rng):
             disc.reset(rng)
         O = gen.O
         disc.step_from(disc, discriminator_gradient(disc, cfg.objective, PX, PY, O, cfg.averaging))
-        if cfg.weight_clip is not None:
-            disc.clip_params(cfg.weight_clip)
         dU = generator_gradient(gen, disc, PX, cfg.objective, cfg.averaging)
         gen.U += adam.step(dU)
         O = gen.O
@@ -595,13 +585,11 @@ class TestMlpResetsDrawnAhead:
 
 
 def lockstep_variants(kind, objective):
-    """Four variants of one run: both averagings, mixed resets and clipping."""
+    """Four variants of one run: both averagings, each with and without resets."""
     return [TrainConfig(discriminator=kind, objective=objective, epochs=12, hidden=8,
-                        averaging=averaging, reset_discriminator=reset, weight_clip=clip)
-            for averaging, reset, clip in (("soft_input", True, None),
-                                           ("outside_cost", True, 0.05),
-                                           ("outside_cost", False, None),
-                                           ("soft_input", False, 0.05))]
+                        averaging=averaging, reset_discriminator=reset)
+            for averaging, reset in (("soft_input", True), ("outside_cost", True),
+                                     ("outside_cost", False), ("soft_input", False))]
 
 
 def assert_same_run(got, want):

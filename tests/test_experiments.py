@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from decipher import adversarial, experiments
-from decipher.adversarial import TrainConfig, generator_gradient, train
+from decipher.adversarial import TrainConfig, erm_least_squares, generator_gradient, train
 from decipher.experiments import (
     KIND_COLUMNS,
     ExperimentConfig,
@@ -21,6 +21,7 @@ from decipher.experiments import (
     write_outputs,
 )
 from decipher.hmm import exact_positional_unigrams, sample_corpus, empirical_positional_unigrams
+from decipher.recovery import phoneme_error_rate
 from decipher.spectral import sigma_min
 from decipher import cli
 
@@ -56,11 +57,6 @@ class TestConfig:
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
             tiny_asymptotic(seeds=())
-
-    def test_bad_solver_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(kind="finite_sample_phase", nx_values=(10,), knob_values=(2,),
-                             solver="magic")
 
     def test_bad_family_rejected(self):
         with pytest.raises(ValueError):
@@ -154,11 +150,13 @@ class TestFiniteRunner:
     def test_erm_row_fields(self):
         cfg = ExperimentConfig(kind="finite_sample_phase", family="circulant",
                                nx_values=(10,), knob_values=(2,), ngram=2, L=40,
-                               n_sequences=300, solver="erm", seeds=(0,))
+                               n_sequences=300, seeds=(0,),
+                               train=TrainConfig(objective="mmd", epochs=5))
         row = run_experiment(cfg)[0]
         assert row["error"] == ""
         assert row["sigma_min"] > 0 and row["threshold"] > 0
-        assert 0.0 <= row["per"] <= 1.0 and row["residual"] >= 0
+        assert 0.0 <= row["per"] <= 1.0 and 0.0 <= row["erm_per"] <= 1.0
+        assert row["residual"] >= 0
 
     def test_matched_training_recovers(self):
         cfg = ExperimentConfig(kind="finite_sample_phase", family="de_bruijn",
@@ -182,7 +180,8 @@ class TestFiniteRunner:
     def test_jobs_pool_matches_serial(self):
         cfg = ExperimentConfig(kind="finite_sample_phase", family="circulant",
                                nx_values=(10,), knob_values=(2, 10), ngram=2, L=40,
-                               n_sequences=200, solver="erm", seeds=(0,))
+                               n_sequences=200, seeds=(0,),
+                               train=TrainConfig(objective="mmd", epochs=5))
         assert strip_volatile(run_experiment(cfg, jobs=2)) == strip_volatile(run_experiment(cfg))
 
 
@@ -197,11 +196,10 @@ class TestAblationRunners:
         assert all(r["seed"] == 5 and r["error"] == "" for r in rows)
 
     def test_averaging_requires_mlp(self):
-        cfg = ExperimentConfig(kind="averaging_ablation", family="circulant", nx_values=(10,),
-                               knob_values=(58,), L=40, n_sequences=200,
-                               train=TrainConfig(objective="mmd", epochs=3))
         with pytest.raises(ValueError):
-            run_experiment(cfg)
+            ExperimentConfig(kind="averaging_ablation", family="circulant", nx_values=(10,),
+                             knob_values=(58,), L=40, n_sequences=200,
+                             train=TrainConfig(objective="mmd", epochs=3))
 
     def test_averaging_pairs(self):
         cfg = ExperimentConfig(kind="averaging_ablation", family="circulant", nx_values=(10,),
@@ -252,13 +250,33 @@ def assert_same_rows(got, want):
 SAMPLED_CELLS = {
     "finite_linear": small_sampled("finite_sample_phase"),
     "finite_traces": replace(small_sampled("finite_sample_phase"), write_traces=True),
-    "finite_erm": replace(small_sampled("finite_sample_phase"), solver="erm"),
     "reset_jsd": small_sampled("reset_ablation", objective="jsd"),
     "averaging_mlp": small_sampled("averaging_ablation", discriminator="mlp"),
 }
 
 
 class TestSampledBlocks:
+    def test_erm_solved_once_per_seed_and_shared_by_variants(self, monkeypatch):
+        cfg = replace(small_sampled("reset_ablation", objective="jsd"), seeds=(0, 1))
+        calls = []
+
+        def counting(pair):
+            calls.append(pair)
+            return erm_least_squares(pair)
+
+        monkeypatch.setattr(experiments, "erm_least_squares", counting)
+        rows = run_experiment(cfg)
+        assert len(calls) == 2
+        for seed in cfg.seeds:
+            lang, pair = experiments._sampled_pair(cfg, 10, 58, seed)
+            want = phoneme_error_rate(erm_least_squares(pair).decoded(), lang.O,
+                                      np.full(10, 0.1))
+            pair_rows = [r for r in rows if r["seed"] == seed]
+            assert {r["variant"] for r in pair_rows} == {"reset", "no_reset"}
+            assert [r["erm_per"] for r in pair_rows] == [want, want]
+        cells = summarize(cfg, rows)["cells"]
+        assert all("mean_erm_per" in stat for stat in cells.values())
+
     @pytest.mark.parametrize("name", SAMPLED_CELLS)
     def test_knob_cell_rows_equal_single_seed_runs(self, name):
         cfg = SAMPLED_CELLS[name]
@@ -503,11 +521,24 @@ class TestCli:
         with pytest.raises(ValueError):
             cli.config_from_args(Args())
 
-    def test_removed_train_field_exit_code(self, tmp_path):
-        # the step rule is fixed, so a learning-rate override is an unknown field
+    @pytest.mark.parametrize("overrides", [
+        {"train": {"gen_lr": 0.01}},  # the step rule is fixed
+        {"train": {"weight_clip": 0.01}},
+        {"solver": "erm"},  # every sampled row carries erm_per
+        {"out_dir": "x"},  # --out alone sets the output directory
+    ], ids=["gen_lr", "weight_clip", "solver", "out_dir"])
+    def test_removed_train_field_exit_code(self, tmp_path, overrides):
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"train": {"gen_lr": 0.01}}))
+        cfg_file.write_text(json.dumps(overrides))
         assert cli.main(["finite", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "results.csv").exists()
+
+    def test_linear_averaging_ablation_exit_code(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"train": {"discriminator": "linear"}}))
+        assert cli.main(["ablate-averaging", "--config", str(cfg_file),
+                         "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: averaging ablation requires")
 
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -104,15 +104,6 @@ def test_c5_spectrum_closed_form():
         assert np.min(np.abs(rep.eigenvalues - v)) < 1e-12
 
 
-def test_directed_c4_roots_of_unity():
-    rep = spectrum_of_chain(build_circulant(4, (1,)))
-    assert rep.distinct_count == 4
-    assert rep.nonzero_distinct_count == 4
-    npt.assert_allclose(np.abs(rep.eigenvalues), 1.0, atol=1e-12)
-    for target in [1.0, -1.0, 1.0j, -1.0j]:
-        assert np.min(np.abs(rep.eigenvalues - target)) < 1e-12
-
-
 def test_q2_spectrum_counts_and_gap():
     rep = spectrum_of_chain(build_hypercube(2))
     assert rep.distinct_count == 3
@@ -141,15 +132,6 @@ def test_closed_forms_match_numeric_small_graphs():
         npt.assert_allclose(np.sort(rep.eigenvalues), w, atol=1e-8)
 
 
-def test_directed_circulant_matches_general_eig_oracle():
-    # oracle only: the package itself never runs a general eigensolver
-    T = build_circulant(7, (1, 2))
-    rep = spectrum_of_chain(T)
-    oracle = np.linalg.eigvals(T.probs)
-    for v in rep.eigenvalues:
-        assert np.min(np.abs(oracle - v)) < 1e-8
-
-
 def test_debruijn_containment_in_candidate_set():
     for k, m in [(2, 2), (2, 3), (3, 2), (2, 6)]:
         rep = spectrum_of_chain(build_debruijn(k, m))
@@ -167,6 +149,17 @@ def test_spectrum_values_within_unit_interval():
 
 def test_interpolated_chain_has_no_spectrum_route():
     T = interpolate_with_hamiltonian(build_circulant(6, (-1, 1)), w=0.3)
+    with pytest.raises(NonReversibleNoClosedForm):
+        spectrum_of_chain(T)
+
+
+@pytest.mark.parametrize("T", [
+    build_circulant(4, (1,)),
+    assemble(GraphSpec(family="circulant", n=5, action_set=(1, 2)), 12),
+], ids=["directed_c4", "tiled_directed"])
+def test_directed_circulant_has_no_spectrum_route(T):
+    # a closed form exists, but only reversible chains get a spectrum
+    assert T.spec is not None and not T.reversible
     with pytest.raises(NonReversibleNoClosedForm):
         spectrum_of_chain(T)
 
@@ -225,7 +218,8 @@ def test_decipherability_directed_cycle_all_good():
     T = build_circulant(4, (1,))
     pi = np.array([0.85, 0.05, 0.05, 0.05])
     lang = HmmLanguage(pi=pi, T=T, O=np.eye(4), N=1, nx=4, ny=4)
-    assert spectrum_of_chain(T).nonzero_distinct_count == 4
+    with pytest.raises(NonReversibleNoClosedForm):
+        spectrum_of_chain(T)
     pair = exact_positional_unigrams(lang, 8)
     assert sigma_min(pair.PX) > 1e-8
     assert not recover_pseudoinverse(pair).rank_deficient
