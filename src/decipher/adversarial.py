@@ -66,6 +66,9 @@ INIT_SCALE = 0.01
 GEN_LR = 0.005
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
+# the MLP discriminator's width
+HIDDEN = 128
+
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = logits - np.max(logits, axis=axis, keepdims=True)
@@ -181,7 +184,7 @@ class PerStepMlpDiscriminator:
 
     kind = "mlp"
 
-    def __init__(self, L: int, ny: int, rng: np.random.Generator, hidden: int = 128):
+    def __init__(self, L: int, ny: int, rng: np.random.Generator, hidden: int = HIDDEN):
         self.hidden = hidden
         self.ny = ny
         self.L = L
@@ -408,7 +411,6 @@ class TrainConfig:
     reset_discriminator: bool = True
     averaging: str = "soft_input"
     discriminator: str = "linear"
-    hidden: int = 128
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
@@ -474,9 +476,8 @@ def train(pair: PositionalUnigramPair | Sequence[PositionalUnigramPair], cfg: Tr
     if rngs is None or len(rngs) != len(pair):
         raise ValueError("training needs one generator per pair")
     cfgs = [cfg] if variants is None else list(variants)
-    if any((c.epochs, c.discriminator, c.hidden) != (cfg.epochs, cfg.discriminator, cfg.hidden)
-           for c in cfgs):
-        raise ValueError("variants must share cfg's epochs, discriminator and hidden")
+    if any((c.epochs, c.discriminator) != (cfg.epochs, cfg.discriminator) for c in cfgs):
+        raise ValueError("variants must share cfg's epochs and discriminator")
     PX = np.stack([np.asarray(p.PX, dtype=float) for p in pair])
     PY = np.stack([np.asarray(p.PY, dtype=float) for p in pair])
     B, L, nx = PX.shape
@@ -494,7 +495,7 @@ def train(pair: PositionalUnigramPair | Sequence[PositionalUnigramPair], cfg: Tr
         resets = cfg.epochs if any(c.reset_discriminator for c in cfgs) else 0
         for b, rng in enumerate(rngs):
             U = Generator.initialize(nx, ny, rng).U
-            shared = PerStepMlpDiscriminator(L, ny, rng, hidden=cfg.hidden)
+            shared = PerStepMlpDiscriminator(L, ny, rng)
             discs = [copy.deepcopy(shared) for _ in cfgs]
             with _ResetDraws(rng, shared, resets) as draws:
                 member = _train_members(PX[b], PY[b], U, shared, draws, discs, [truths[b]], cfgs,

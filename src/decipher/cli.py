@@ -14,7 +14,8 @@ import sys
 from dataclasses import asdict, replace
 
 from .adversarial import TrainConfig
-from .experiments import ExperimentConfig, default_config, run_experiment, summarize, write_outputs
+from .experiments import (VARIANTS, ExperimentConfig, default_config, run_experiment, summarize,
+                          write_outputs)
 
 SUBCOMMANDS = {
     "asymptotic": "asymptotic_phase",
@@ -38,11 +39,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON file of ExperimentConfig overrides")
         p.add_argument("--out", default=None, metavar="DIR",
                        help="output directory (default decipher_out/<kind>)")
-        p.add_argument("--family", default=None,
-                       choices=("circulant", "de_bruijn", "hypercube"),
-                       help="graph family for grid experiments")
-        p.add_argument("--seeds", type=int, default=None, metavar="N",
-                       help="use seeds 0..N-1 per cell")
+        p.set_defaults(family=None, seeds=None)
+        if kind == "asymptotic_phase" or kind in VARIANTS:  # the grid kinds
+            p.add_argument("--family", choices=("circulant", "de_bruijn", "hypercube"),
+                           help="graph family for grid experiments")
+            p.add_argument("--seeds", type=int, metavar="N", help="use seeds 0..N-1 per cell")
         p.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker processes (1 = run serially)")
         p.add_argument("--traces", action="store_true",

@@ -1,26 +1,29 @@
-"""Experiment sweep harness: grids, runners, and deterministic CSV/JSON output.
+"""Experiment sweep harness: grids, one sweep loop, and deterministic CSV/JSON output.
 
 Six experiment kinds cover the phase-transition sweeps (exact recovery vs
 eigenvalue diversity, sampled recovery vs sigma_min), random reversible-chain
 gap statistics, tangent-kernel convergence runs, and the two training
-ablations (discriminator reset, generator averaging). Every runner is a pure
-function of (config, seeds): cells are computed independently, optionally on
-a process pool, then sorted by grid coordinates before writing, so the
-results.csv bytes do not depend on worker scheduling. Wall-clock times stay
+ablations (discriminator reset, generator averaging). Every kind runs through
+run_experiment, one loop over the table TASKS: it maps the kind's worker over
+its tasks, serially or on a process pool, and each task returns a block of
+rows, stamped with the block's wall time per row. The rows are then sorted by
+the grid coordinates in COORDS, so the results.csv bytes do not depend on
+worker scheduling. A row starts from _blank_row, which fills the kind's
+columns (KIND_COLUMNS) with the sentinels in DEFAULTS. Wall-clock times stay
 in the in-memory rows but are excluded from the CSV.
 
-The sampled kinds (finite_sample_phase and the two ablations) run one cell
+The sampled kinds (finite_sample_phase and the two ablations) run one block
 per (nx, knob): it samples each seed's corpus once, keeps only its unigram
 pair, solves the least-squares (ERM) route on that pair once, and trains
-every seed and variant in one train call. Each row carries both PERs: per
-from adversarial training and erm_per from ERM, which the variants of a seed
+every seed and variant in one train call; VARIANTS gives each kind's
+variants as changes to its TrainConfig. Each row carries both PERs: per from
+adversarial training and erm_per from ERM, which the variants of a seed
 share. The variants of a seed share its generator, and with an MLP
 discriminator they share one reset stream and one drawer thread. Its rows
-equal those of single-seed, single-variant runs, and each row's wall time is
-the cell's time per row.
+equal those of single-seed, single-variant runs.
 
 Cells that fail (for example a subgraph larger than the state space) produce
-an error-tagged row instead of aborting the sweep; in a sampled cell only the
+an error-tagged row instead of aborting the sweep; in a sampled block only the
 failing seed's rows carry the error. Any Exception is caught this way, and
 its error text is the exception's type name and then its message. Types
 other than ValueError and RuntimeError are faults in the program, so their
@@ -30,6 +33,7 @@ traceback also goes to stderr.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import multiprocessing
@@ -38,7 +42,7 @@ import traceback
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from time import perf_counter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -62,15 +66,6 @@ from .ntk import integrate_dynamics, log_linear_tail_fit
 from .random_chains import gap_statistics, random_reversible_chain
 from .recovery import phoneme_error_rate, recover_pseudoinverse
 from .spectral import sample_size_threshold, sigma_min, spectrum_of_chain
-
-KINDS = (
-    "asymptotic_phase",
-    "finite_sample_phase",
-    "smrm_gaps",
-    "ntk_convergence",
-    "reset_ablation",
-    "averaging_ablation",
-)
 
 FAMILIES = ("circulant", "de_bruijn", "hypercube")
 
@@ -109,6 +104,29 @@ KIND_COLUMNS = {
                            "threshold", "per", "erm_per", "residual", "error"],
 }
 
+# a column's value until its cell computes it; every coordinate but nx and trial is given
+DEFAULTS = {
+    "nx": -1, "trial": -1, "error": "",
+    "distinct_nonzero": -1, "per": float("nan"), "residual": float("nan"), "rank_deficient": 0,
+    "sigma_min": float("nan"), "threshold": float("nan"), "erm_per": float("nan"),
+    "min_gap": float("nan"), "distinct_count": -1, "simple_at_1e12": 0,
+    "attempts": -1, "slope": float("nan"), "predicted_rate": float("nan"),
+    "r_squared": float("nan"), "monotone": 0, "t_stop": float("nan"), "steps": -1,
+    "rejected_steps": -1,
+}
+
+# grid coordinates, in sort order; a row holds those of its kind's columns
+COORDS = ("family", "size", "nx", "knob", "variant", "language_index", "trial", "seed")
+
+# the variants of each sampled kind, as changes to its TrainConfig
+VARIANTS = {
+    "finite_sample_phase": {None: {}},
+    "reset_ablation": {"reset": {"reset_discriminator": True},
+                       "no_reset": {"reset_discriminator": False}},
+    "averaging_ablation": {"soft_input": {"averaging": "soft_input"},
+                           "outside_cost": {"averaging": "outside_cost"}},
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -139,7 +157,7 @@ class ExperimentConfig:
     write_traces: bool = False
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in KIND_COLUMNS:
             raise ValueError(f"unknown experiment kind: {self.kind!r}")
         self.nx_values = tuple(int(v) for v in self.nx_values)
         # plain python scalars so configs stay json-serializable
@@ -151,16 +169,14 @@ class ExperimentConfig:
         self.sizes = tuple(int(s) for s in self.sizes)
         if len(self.seeds) < 1:
             raise ValueError("need at least one seed per cell")
-        grid_kinds = ("asymptotic_phase", "finite_sample_phase", "reset_ablation",
-                      "averaging_ablation")
-        if self.kind in grid_kinds:
+        if self.kind == "asymptotic_phase" or self.kind in VARIANTS:
             if self.family not in FAMILIES:
                 raise ValueError(f"unknown graph family: {self.family!r}")
             if not self.nx_values or not self.knob_values:
                 raise ValueError("grid kinds need nonempty nx_values and knob_values")
             if self.ngram < 1 or self.L < 1:
                 raise ValueError("ngram and L must be >= 1")
-        if self.kind in ("finite_sample_phase", "reset_ablation", "averaging_ablation"):
+        if self.kind in VARIANTS:
             if self.n_sequences < 1:
                 raise ValueError("n_sequences must be >= 1")
         if self.kind == "averaging_ablation" and self.train.discriminator != "mlp":
@@ -314,12 +330,16 @@ def _uniform_weights(nx: int) -> np.ndarray:
     return np.full(nx, 1.0 / nx)
 
 
-def _asymptotic_cell(args) -> dict:
+def _blank_row(cfg: ExperimentConfig, **coords) -> dict:
+    """A row of cfg's kind: the given values, and DEFAULTS for the rest.
+    Values for columns the kind does not have are dropped."""
+    given = {"kind": cfg.kind, "family": cfg.family, **coords}
+    return {col: given[col] if col in given else DEFAULTS[col] for col in KIND_COLUMNS[cfg.kind]}
+
+
+def _asymptotic_cell(args) -> list[dict]:
     cfg, nx, knob, seed = args
-    t0 = perf_counter()
-    row = {"kind": cfg.kind, "family": cfg.family, "nx": nx, "knob": knob, "seed": seed,
-           "distinct_nonzero": -1, "per": float("nan"), "residual": float("nan"),
-           "rank_deficient": 0, "error": ""}
+    row = _blank_row(cfg, nx=nx, knob=knob, seed=seed)
     try:
         lang = asymptotic_language(cfg.family, nx, knob, cfg.ngram, seed)
         report = spectrum_of_chain(lang.T)
@@ -332,8 +352,7 @@ def _asymptotic_cell(args) -> dict:
         row["_matrix"] = rec.O_hat
     except Exception as exc:
         row["error"] = _error_text(exc)
-    row["wall_time"] = perf_counter() - t0
-    return row
+    return [row]
 
 
 def _sampled_pair(cfg: ExperimentConfig, nx: int, knob, seed: int):
@@ -344,43 +363,32 @@ def _sampled_pair(cfg: ExperimentConfig, nx: int, knob, seed: int):
     return lang, empirical_positional_unigrams(corpus)
 
 
-def _variant_train(train_cfg: TrainConfig, variant: Optional[str]) -> TrainConfig:
-    if variant in ("reset", "no_reset"):
-        return replace(train_cfg, reset_discriminator=variant == "reset")
-    if variant in ("soft_input", "outside_cost"):
-        return replace(train_cfg, averaging=variant)
-    return train_cfg
-
-
 def _sampled_block(args) -> list[dict]:
     """Every seed and variant of one (nx, knob) cell of the sampled kinds.
 
     Each seed's pair is built and solved by ERM once and shared by the
-    variants, and one train call runs every seed and variant of the block,
-    so a row's wall_time is the block time divided by the number of rows, as
-    in _smrm_block.
+    variants, and one train call runs every seed and variant of the block.
     """
-    cfg, nx, knob, variants = args
-    t0 = perf_counter()
+    cfg, nx, knob = args
+    variants = VARIANTS[cfg.kind]
     rows: dict[tuple, dict] = {}
     weights = _uniform_weights(nx)
     built = []  # (seed, true assignment, pair) of every seed whose data built
     for seed in cfg.seeds:
-        base = {"kind": cfg.kind, "family": cfg.family, "nx": nx, "knob": knob, "seed": seed,
-                "sigma_min": float("nan"), "threshold": float("nan"), "per": float("nan"),
-                "erm_per": float("nan"), "residual": float("nan"), "error": ""}
+        found = {}  # the seed's values that every variant shares
         try:
             lang, pair = _sampled_pair(cfg, nx, knob, seed)
-            base["sigma_min"] = sigma_min(pair.PX)
-            base["threshold"] = sample_size_threshold(cfg.n_sequences, cfg.n_sequences, pair.L,
-                                                      lang.nx, lang.ny, delta=CONFIDENCE_DELTA)
-            base["erm_per"] = phoneme_error_rate(erm_least_squares(pair).decoded(), lang.O,
-                                                 weights)
+            found["sigma_min"] = sigma_min(pair.PX)
+            found["threshold"] = sample_size_threshold(cfg.n_sequences, cfg.n_sequences, pair.L,
+                                                       lang.nx, lang.ny, delta=CONFIDENCE_DELTA)
+            found["erm_per"] = phoneme_error_rate(erm_least_squares(pair).decoded(), lang.O,
+                                                  weights)
             built.append((seed, lang.O, pair))
         except Exception as exc:
-            base["error"] = _error_text(exc)
+            found["error"] = _error_text(exc)
         for variant in variants:
-            rows[seed, variant] = dict(base) if variant is None else {**base, "variant": variant}
+            rows[seed, variant] = _blank_row(cfg, nx=nx, knob=knob, variant=variant, seed=seed,
+                                             **found)
 
     outcomes = []  # per variant, per built seed: a TrainResult or the exception
     if built:
@@ -389,7 +397,8 @@ def _sampled_block(args) -> list[dict]:
                              true_O=[O for _, O, _ in built],
                              rngs=[np.random.default_rng(seed) for seed, _, _ in built],
                              keep_trace=cfg.write_traces,
-                             variants=[_variant_train(cfg.train, v) for v in variants])
+                             variants=[replace(cfg.train, **change)
+                                       for change in variants.values()])
         except Exception as exc:
             outcomes = [[exc] * len(built)] * len(variants)
     for variant, results in zip(variants, outcomes):
@@ -409,19 +418,12 @@ def _sampled_block(args) -> list[dict]:
                 continue
             if cfg.write_traces:
                 row["_trace"] = res.trace
-    elapsed = (perf_counter() - t0) / len(rows)
-    for row in rows.values():
-        row["wall_time"] = elapsed
     return list(rows.values())
 
 
-def _ntk_cell(args) -> dict:
+def _ntk_cell(args) -> list[dict]:
     cfg, index = args
-    t0 = perf_counter()
-    row = {"kind": cfg.kind, "language_index": index, "nx": -1, "seed": index, "attempts": -1,
-           "sigma_min": float("nan"), "residual": float("nan"), "slope": float("nan"),
-           "predicted_rate": float("nan"), "r_squared": float("nan"), "monotone": 0,
-           "t_stop": float("nan"), "steps": -1, "rejected_steps": -1, "error": ""}
+    row = _blank_row(cfg, language_index=index, seed=index)
     try:
         lang, attempts = ntk_language(index, cfg.L)
         pair = exact_positional_unigrams(lang, L=cfg.L)
@@ -439,104 +441,67 @@ def _ntk_cell(args) -> dict:
             row["_ntk_traj"] = traj
     except Exception as exc:
         row["error"] = _error_text(exc)
-    row["wall_time"] = perf_counter() - t0
-    return row
+    return [row]
 
 
 def _smrm_block(args) -> list[dict]:
     cfg, size = args
-    t0 = perf_counter()
+    seed = cfg.seeds[0]
     try:
-        stats = gap_statistics(size, cfg.trials, seed=cfg.seeds[0])
+        stats = gap_statistics(size, cfg.trials, seed=seed)
     except Exception as exc:
-        return [{"kind": cfg.kind, "size": size, "trial": -1, "seed": cfg.seeds[0],
-                 "min_gap": float("nan"), "distinct_count": -1, "simple_at_1e12": 0,
-                 "error": _error_text(exc), "wall_time": perf_counter() - t0}]
-    elapsed = (perf_counter() - t0) / cfg.trials
-    return [
-        {"kind": cfg.kind, "size": size, "trial": t, "seed": cfg.seeds[0],
-         "min_gap": float(stats.min_gaps[t]), "distinct_count": int(stats.distinct_counts[t]),
-         "simple_at_1e12": int(stats.min_gaps[t] > 1e-12), "error": "", "wall_time": elapsed}
-        for t in range(cfg.trials)
-    ]
+        return [_blank_row(cfg, size=size, seed=seed, error=_error_text(exc))]
+    return [_blank_row(cfg, size=size, trial=t, seed=seed, min_gap=float(stats.min_gaps[t]),
+                       distinct_count=int(stats.distinct_counts[t]),
+                       simple_at_1e12=int(stats.min_gaps[t] > 1e-12))
+            for t in range(cfg.trials)]
 
 
 # ---------------------------------------------------------------------------
-# runners
+# the sweep loop
 
 
-def _map_cells(worker, tasks, jobs: int) -> list:
-    if jobs <= 1:
-        return [worker(t) for t in tasks]
-    with multiprocessing.Pool(jobs) as pool:
-        return pool.map(worker, tasks)
+def _grid(cfg: ExperimentConfig) -> list[tuple]:
+    return [(cfg, nx, knob) for nx in cfg.nx_values for knob in cfg.knob_values]
 
 
-def _sort_key(row: dict):
-    return (
-        str(row.get("family", "")),
-        int(row.get("size", -1)),
-        int(row.get("nx", -1)),
-        float(row.get("knob", -1.0)),
-        int(row.get("language_index", -1)),
-        int(row.get("trial", -1)),
-        str(row.get("variant", "")),
-        int(row.get("seed", -1)),
-    )
-
-
-def run_asymptotic_phase(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
-    tasks = [(cfg, nx, knob, seed)
-             for nx in cfg.nx_values for knob in cfg.knob_values for seed in cfg.seeds]
-    return sorted(_map_cells(_asymptotic_cell, tasks, jobs), key=_sort_key)
-
-
-def _map_blocks(worker, tasks, jobs: int) -> list[dict]:
-    blocks = _map_cells(worker, tasks, jobs)
-    return sorted([row for block in blocks for row in block], key=_sort_key)
-
-
-def _run_sampled(cfg: ExperimentConfig, variants: tuple, jobs: int) -> list[dict]:
-    tasks = [(cfg, nx, knob, variants) for nx in cfg.nx_values for knob in cfg.knob_values]
-    return _map_blocks(_sampled_block, tasks, jobs)
-
-
-def run_finite_sample_phase(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
-    return _run_sampled(cfg, (None,), jobs)
-
-
-def run_reset_ablation(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
-    """Paired rows per (cell, seed): identical data, reset flag flipped."""
-    return _run_sampled(cfg, ("reset", "no_reset"), jobs)
-
-
-def run_averaging_ablation(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
-    """Paired rows per (cell, seed) for the two generator-averaging modes,
-    with the per-position MLP discriminators that the config requires."""
-    return _run_sampled(cfg, ("soft_input", "outside_cost"), jobs)
-
-
-def run_smrm_gaps(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
-    return _map_blocks(_smrm_block, [(cfg, size) for size in cfg.sizes], jobs)
-
-
-def run_ntk_convergence(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
-    tasks = [(cfg, index) for index in range(cfg.n_languages)]
-    return sorted(_map_cells(_ntk_cell, tasks, jobs), key=_sort_key)
-
-
-RUNNERS = {
-    "asymptotic_phase": run_asymptotic_phase,
-    "finite_sample_phase": run_finite_sample_phase,
-    "smrm_gaps": run_smrm_gaps,
-    "ntk_convergence": run_ntk_convergence,
-    "reset_ablation": run_reset_ablation,
-    "averaging_ablation": run_averaging_ablation,
+# kind -> (worker, the tasks of a config); each task gives one block of rows
+TASKS = {
+    "asymptotic_phase": (_asymptotic_cell, lambda cfg: [
+        (*task, seed) for task in _grid(cfg) for seed in cfg.seeds]),
+    "finite_sample_phase": (_sampled_block, _grid),
+    "smrm_gaps": (_smrm_block, lambda cfg: [(cfg, size) for size in cfg.sizes]),
+    "ntk_convergence": (_ntk_cell, lambda cfg: [(cfg, i) for i in range(cfg.n_languages)]),
+    "reset_ablation": (_sampled_block, _grid),
+    "averaging_ablation": (_sampled_block, _grid),
 }
 
 
+def _timed(worker, task) -> list[dict]:
+    """worker's rows for task, each with the block's wall time per row.
+    Module level, so that a pool can pickle partial(_timed, worker)."""
+    t0 = perf_counter()
+    rows = worker(task)
+    elapsed = (perf_counter() - t0) / len(rows)
+    for row in rows:
+        row["wall_time"] = elapsed
+    return rows
+
+
+def _sort_key(row: dict) -> tuple:
+    return tuple(row[key] for key in COORDS if key in row)
+
+
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
-    return RUNNERS[cfg.kind](cfg, jobs=jobs)
+    """Every row of cfg's sweep, sorted by grid coordinates."""
+    worker, tasks = TASKS[cfg.kind]
+    timed = functools.partial(_timed, worker)
+    if jobs <= 1:
+        blocks = [timed(task) for task in tasks(cfg)]
+    else:
+        with multiprocessing.Pool(jobs) as pool:
+            blocks = pool.map(timed, tasks(cfg))
+    return sorted((row for block in blocks for row in block), key=_sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -558,11 +523,8 @@ def write_results_csv(rows: Iterable[dict], path, columns: Sequence[str]) -> Non
 
 
 def _cell_label(row: dict) -> str:
-    parts = []
-    for key in ("family", "size", "nx", "knob", "variant", "language_index"):
-        if key in row:
-            parts.append(f"{key}={_format_cell(row[key])}")
-    return " ".join(parts)
+    return " ".join(f"{key}={_format_cell(row[key])}" for key in COORDS
+                    if key in row and key not in ("trial", "seed"))
 
 
 def summarize(cfg: ExperimentConfig, rows: Sequence[dict]) -> dict:
@@ -589,9 +551,7 @@ def summarize(cfg: ExperimentConfig, rows: Sequence[dict]) -> dict:
 
 def _artifact_stem(row: dict) -> str:
     parts = [str(row.get("kind", "run"))]
-    for key in ("family", "size", "nx", "knob", "variant", "language_index", "trial", "seed"):
-        if key in row:
-            parts.append(f"{key}-{_format_cell(row[key]).replace('.', 'p')}")
+    parts += [f"{key}-{_format_cell(row[key]).replace('.', 'p')}" for key in COORDS if key in row]
     return "_".join(parts)
 
 

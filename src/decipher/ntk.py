@@ -111,11 +111,11 @@ def _dense_output(O: np.ndarray, k: list[np.ndarray], h: float, theta: float) ->
 
 
 def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = None,
-                       tau_max: float = 1.0, step: Optional[float] = None,
-                       t_end: float = 100.0, stop_residual: float = 0.0) -> NtkTrajectory:
-    """Dormand-Prince 5(4) on dO_x/dt = tau K_Ox K_D (PY - PX O)^T PX[:, x].
+                       step: Optional[float] = None, t_end: float = 100.0,
+                       stop_residual: float = 0.0) -> NtkTrajectory:
+    """Dormand-Prince 5(4) on dO_x/dt = K_Ox K_D (PY - PX O)^T PX[:, x].
 
-    Records C_t = tau * Tr(R K_D R^T) with R the per-position mismatch, the
+    Records C_t = Tr(R K_D R^T) with R the per-position mismatch, the
     Frobenius residual and the smallest O entry at every accepted step. Row
     sums are conserved analytically (both kernels kill the all-ones
     direction); integration drift beyond 1e-9 raises.
@@ -143,15 +143,13 @@ def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = 
             raise ValueError(f"O_0 must be ({nx}, {ny})")
         if np.any(O < 0) or np.max(np.abs(O.sum(axis=1) - 1.0)) > 1e-9:
             raise ValueError("O_0 rows must be probability vectors")
-    if tau_max <= 0:
-        raise ValueError("tau_max must be positive")
     if step is not None and step <= 0:
         raise ValueError("step must be positive")
     K_D = discriminator_ntk(ny)
 
     def rhs(O):
         R = PY - PX @ O
-        return tau_max * apply_generator_ntk(O, PX.T @ (R @ K_D))
+        return apply_generator_ntk(O, PX.T @ (R @ K_D))
 
     times, Cs, resids, mins = [], [], [], []
     t = 0.0
@@ -160,7 +158,7 @@ def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = 
     def record():
         R = PY - PX @ O
         times.append(t)
-        Cs.append(tau_max * float(np.einsum("ly,yz,lz->", R, K_D, R)))
+        Cs.append(float(np.einsum("ly,yz,lz->", R, K_D, R)))
         resids.append(float(np.linalg.norm(R)))
         mins.append(float(np.min(O)))
 

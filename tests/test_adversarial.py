@@ -276,8 +276,8 @@ class TestTraining:
     def test_generator_rows_stay_stochastic_during_training(self):
         lang = cycle_language()
         pair = exact_positional_unigrams(lang, L=8)
-        res = train(pair, TrainConfig(objective="jsd", discriminator="mlp", hidden=16,
-                                      epochs=40), true_O=lang.O, rngs=[np.random.default_rng(5)])
+        res = train(pair, TrainConfig(objective="jsd", discriminator="mlp", epochs=40),
+                    true_O=lang.O, rngs=[np.random.default_rng(5)])
         O = res.generator.O
         assert np.allclose(O.sum(axis=1), 1.0, atol=1e-12)
         assert np.all((O > 0) & (O < 1))
@@ -293,8 +293,7 @@ class TestTraining:
     def test_fixed_seed_reproduces_trace(self):
         lang = cycle_language()
         pair = exact_positional_unigrams(lang, L=8)
-        cfg = TrainConfig(objective="jsd", discriminator="mlp", hidden=16,
-                          reset_discriminator=True, epochs=30)
+        cfg = TrainConfig(objective="jsd", discriminator="mlp", reset_discriminator=True, epochs=30)
         t1 = train(pair, cfg, true_O=lang.O, rngs=[np.random.default_rng(4)]).trace
         t2 = train(pair, cfg, true_O=lang.O, rngs=[np.random.default_rng(4)]).trace
         assert t1 == t2
@@ -376,7 +375,7 @@ def reference_train(pair, cfg, true_O, rng):
     (L, nx), ny = PX.shape, PY.shape[1]
     gen = Generator.initialize(nx, ny, rng)
     disc = (LinearPositionalDiscriminator(L, ny) if cfg.discriminator == "linear"
-            else PerStepMlpDiscriminator(L, ny, rng, hidden=cfg.hidden))
+            else PerStepMlpDiscriminator(L, ny, rng))
     adam = _AdamState(m=np.zeros_like(gen.U), v=np.zeros_like(gen.U))
     trace = []
     for epoch in range(cfg.epochs):
@@ -420,7 +419,7 @@ class TestBatchedTraining:
                              ids=lambda d: "-".join(str(v) for v in d.values()))
     def test_batch_equals_serial_runs(self, settings):
         pairs, Os = member_pairs()
-        cfg = TrainConfig(epochs=12, hidden=8, **settings)
+        cfg = TrainConfig(epochs=12, **settings)
         kept = train(pairs, cfg, true_O=Os, rngs=rngs())
         final = train(pairs, cfg, true_O=Os, rngs=rngs(), keep_trace=False)
         for seed, pair, O, res, last in zip(SEEDS, pairs, Os, kept, final):
@@ -502,7 +501,7 @@ class TestMlpResetsDrawnAhead:
     @pytest.mark.parametrize("reset", [True, False])
     def test_draws_end_with_training_and_leave_the_stream_in_place(self, reset):
         pairs, Os = member_pairs()
-        cfg = TrainConfig(discriminator="mlp", reset_discriminator=reset, epochs=20, hidden=64)
+        cfg = TrainConfig(discriminator="mlp", reset_discriminator=reset, epochs=20)
         rng, ref = RecordingGenerator(SEEDS[0]), np.random.default_rng(SEEDS[0])
         [res] = train(pairs[:1], cfg, true_O=Os[:1], rngs=[rng])
         U, disc, trace = reference_train(pairs[0], cfg, Os[0], rng=ref)
@@ -524,7 +523,7 @@ class TestMlpResetsDrawnAhead:
         # more training threads than cores, each with its own drawer thread,
         # switching every microsecond: a swap out of turn would change bytes
         pairs, Os = member_pairs()
-        cfg = TrainConfig(discriminator="mlp", objective="jsd", epochs=15, hidden=32)
+        cfg = TrainConfig(discriminator="mlp", objective="jsd", epochs=15)
         want = [reference_train(p, cfg, O, np.random.default_rng(s))
                 for s, p, O in zip(SEEDS, pairs, Os)]
         got = {}
@@ -552,7 +551,7 @@ class TestMlpResetsDrawnAhead:
 
     def test_diverged_member_keeps_its_error_and_its_thread_ends(self, monkeypatch):
         pairs, Os = member_pairs()
-        cfg = TrainConfig(discriminator="mlp", epochs=12, hidden=64)
+        cfg = TrainConfig(discriminator="mlp", epochs=12)
         serial = train(pairs[1], cfg, true_O=Os[1], rngs=[np.random.default_rng(SEEDS[1])])
         threads = threading.active_count()
         with np.errstate(invalid="ignore"):
@@ -580,13 +579,13 @@ class TestMlpResetsDrawnAhead:
         monkeypatch.setattr(adversarial, "discriminator_gradient", failing)
         threads = threading.active_count()
         with pytest.raises(KeyError):
-            train(pairs, TrainConfig(discriminator="mlp", epochs=12, hidden=64), rngs=rngs())
+            train(pairs, TrainConfig(discriminator="mlp", epochs=12), rngs=rngs())
         assert threading.active_count() == threads and not drawer_threads()
 
 
 def lockstep_variants(kind, objective):
     """Four variants of one run: both averagings, each with and without resets."""
-    return [TrainConfig(discriminator=kind, objective=objective, epochs=12, hidden=8,
+    return [TrainConfig(discriminator=kind, objective=objective, epochs=12,
                         averaging=averaging, reset_discriminator=reset)
             for averaging, reset in (("soft_input", True), ("outside_cost", True),
                                      ("outside_cost", False), ("soft_input", False))]
@@ -640,18 +639,17 @@ class TestVariantsInLockstep:
         for cfg, [res] in zip(cfgs, got, strict=True):
             assert_same_run(res, train(pair, cfg, true_O=O, rngs=[np.random.default_rng(SEEDS[0])]))
 
-    @pytest.mark.parametrize("field", [dict(epochs=11), dict(hidden=16),
-                                       dict(discriminator="linear")])
-    def test_variants_share_epochs_discriminator_and_width(self, field):
+    @pytest.mark.parametrize("field", [dict(epochs=11), dict(discriminator="linear")])
+    def test_variants_share_epochs_and_discriminator(self, field):
         pairs, _ = member_pairs()
-        cfg = TrainConfig(discriminator="mlp", epochs=12, hidden=8)
+        cfg = TrainConfig(discriminator="mlp", epochs=12)
         with pytest.raises(ValueError):
             train(pairs, cfg, rngs=rngs(), variants=[cfg, TrainConfig(**{**asdict(cfg), **field})])
 
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
     def test_diverged_variant_leaves_its_sibling_unchanged(self, monkeypatch, kind):
         pairs, Os = member_pairs()
-        cfgs = [TrainConfig(discriminator=kind, objective="jsd", epochs=12, hidden=8,
+        cfgs = [TrainConfig(discriminator=kind, objective="jsd", epochs=12,
                             averaging=averaging) for averaging in AVERAGING_MODES]
         clean = [train(pairs, cfg, true_O=Os, rngs=rngs()) for cfg in cfgs]
         with np.errstate(invalid="ignore"):

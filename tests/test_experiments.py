@@ -134,7 +134,7 @@ class TestAsymptoticRunner:
         assert cfg.ngram == 4
         tracemalloc.start()
         try:
-            row = experiments._asymptotic_cell((cfg, 8, 8, 0))
+            [row] = experiments._asymptotic_cell((cfg, 8, 8, 0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -228,7 +228,7 @@ class TestAblationRunners:
 
 def small_sampled(kind, **train):
     """A three-seed knob cell of a sampled kind on short corpora."""
-    train_cfg = TrainConfig(**{"objective": "mmd", "epochs": 15, "hidden": 8, **train})
+    train_cfg = TrainConfig(**{"objective": "mmd", "epochs": 15, **train})
     return ExperimentConfig(kind=kind, family="circulant", nx_values=(10,), knob_values=(58,),
                             ngram=2, L=40, n_sequences=200, seeds=(0, 1, 2), train=train_cfg)
 
@@ -379,6 +379,23 @@ class TestSmrmRunner:
             assert r["simple_at_1e12"] == 1
 
 
+def test_failed_cells_write_their_defaults(monkeypatch, tmp_path):
+    # the error rows of the two kinds whose workers are not grid cells
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(experiments, "ntk_language", boom)
+    monkeypatch.setattr(experiments, "gap_statistics", boom)
+    cases = [(ExperimentConfig(kind="ntk_convergence", n_languages=1, seeds=(0,)),
+              "ntk_convergence,0,-1,0,-1,nan,nan,nan,nan,nan,0,nan,-1,-1,ValueError: boom"),
+             (ExperimentConfig(kind="smrm_gaps", sizes=(16,), trials=3, seeds=(4,)),
+              "smrm_gaps,16,-1,4,nan,-1,0,ValueError: boom")]
+    for cfg, line in cases:
+        out = write_outputs(cfg, run_experiment(cfg), tmp_path / cfg.kind)
+        header, row = (out / "results.csv").read_text().splitlines()
+        assert header == ",".join(KIND_COLUMNS[cfg.kind]) and row == line
+
+
 NTK_TWO = ExperimentConfig(kind="ntk_convergence", n_languages=2, L=10, seeds=(0,))
 
 
@@ -505,7 +522,8 @@ class TestCli:
         cfg = cli.config_from_args(Args())
         assert cfg.train.epochs == 7 and cfg.train.objective == "jsd"
         assert cfg.seeds == (0, 1, 2)
-        assert cfg.train.hidden == 128  # untouched defaults survive the merge
+        # untouched defaults survive the merge
+        assert cfg.train.discriminator == "linear" and cfg.train.reset_discriminator
 
     def test_kind_mismatch_rejected(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
@@ -524,9 +542,10 @@ class TestCli:
     @pytest.mark.parametrize("overrides", [
         {"train": {"gen_lr": 0.01}},  # the step rule is fixed
         {"train": {"weight_clip": 0.01}},
+        {"train": {"hidden": 16}},  # the MLP width is fixed
         {"solver": "erm"},  # every sampled row carries erm_per
         {"out_dir": "x"},  # --out alone sets the output directory
-    ], ids=["gen_lr", "weight_clip", "solver", "out_dir"])
+    ], ids=["gen_lr", "weight_clip", "hidden", "solver", "out_dir"])
     def test_removed_train_field_exit_code(self, tmp_path, overrides):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(overrides))
@@ -539,6 +558,15 @@ class TestCli:
         assert cli.main(["ablate-averaging", "--config", str(cfg_file),
                          "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: averaging ablation requires")
+
+    @pytest.mark.parametrize("argv", [["smrm", "--seeds", "3"],
+                                      ["ntk", "--seeds", "4", "--family", "hypercube"]])
+    def test_grid_flags_rejected_where_they_do_nothing(self, tmp_path, argv):
+        # smrm and ntk read neither a graph family nor a seed list
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert not (tmp_path / "results.csv").exists()
 
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -226,8 +226,6 @@ class TestDynamics:
         with pytest.raises(ValueError):
             integrate_dynamics(pair, O_0=np.eye(3), t_end=1.0)
         with pytest.raises(ValueError):
-            integrate_dynamics(pair, tau_max=0.0, t_end=1.0)
-        with pytest.raises(ValueError):
             integrate_dynamics(pair, step=-0.1, t_end=1.0)
         bad = np.full((4, 4), 0.3)
         with pytest.raises(ValueError):
