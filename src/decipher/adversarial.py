@@ -54,7 +54,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .hmm import PositionalUnigramPair
-from .recovery import RecoveredAssignment, recover_pseudoinverse
+from .recovery import recover_pseudoinverse
 
 OBJECTIVES = ("mmd", "jsd", "wasserstein")
 AVERAGING_MODES = ("soft_input", "outside_cost")
@@ -152,8 +152,6 @@ class LinearPositionalDiscriminator:
 
     def member(self, i: int) -> "LinearPositionalDiscriminator":
         """Member i of a stacked discriminator; it shares the stack's weights."""
-        if self.w.ndim == 2:
-            return self
         view = copy.copy(self)
         view.w = self.w[i]
         return view
@@ -429,9 +427,6 @@ class TrainResult:
     discriminator: object
     trace: list[dict] = field(default_factory=list)
 
-    def final_assignment(self) -> np.ndarray:
-        return self.generator.O
-
     def decoded(self) -> np.ndarray:
         return np.argmax(self.generator.O, axis=1)
 
@@ -609,11 +604,7 @@ def project_row_to_simplex(v: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ErmSolution:
-    O_unprojected: np.ndarray
     O_projected: np.ndarray
-    residual_unprojected: float
-    residual_projected: float
-    rank_deficient: bool
 
     def decoded(self) -> np.ndarray:
         return np.argmax(self.O_projected, axis=1)
@@ -621,14 +612,5 @@ class ErmSolution:
 
 def erm_least_squares(pair: PositionalUnigramPair) -> ErmSolution:
     """Least-squares fit of PX @ O ~ PY followed by row-wise simplex projection."""
-    rec: RecoveredAssignment = recover_pseudoinverse(pair)
-    projected = np.array([project_row_to_simplex(row) for row in rec.O_hat])
-    PX = np.asarray(pair.PX, dtype=float)
-    PY = np.asarray(pair.PY, dtype=float)
-    return ErmSolution(
-        O_unprojected=rec.O_hat,
-        O_projected=projected,
-        residual_unprojected=rec.residual,
-        residual_projected=float(np.linalg.norm(PX @ projected - PY)),
-        rank_deficient=rec.rank_deficient,
-    )
+    O_hat = recover_pseudoinverse(pair).O_hat
+    return ErmSolution(O_projected=np.array([project_row_to_simplex(row) for row in O_hat]))

@@ -1,9 +1,10 @@
 """Command-line entry point for the experiment sweeps.
 
 Each subcommand starts from the published default grid for its experiment
-kind, applies overrides from an optional JSON config file (keys are
-ExperimentConfig fields; "train" holds TrainConfig fields), then the explicit
-flags, and writes results.csv / summary.json to the output directory.
+kind, applies overrides from an optional JSON config object (ExperimentConfig
+fields the kind reads, others only at their published values; "train" holds
+TrainConfig fields), then the explicit flags, and writes results.csv /
+summary.json to the output directory.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import sys
 from dataclasses import asdict, replace
 
 from .adversarial import TrainConfig
-from .experiments import (VARIANTS, ExperimentConfig, default_config, run_experiment, summarize,
-                          write_outputs)
+from .experiments import (READS, VARIANTS, ExperimentConfig, default_config, run_experiment,
+                          summarize, write_outputs)
 
 SUBCOMMANDS = {
     "asymptotic": "asymptotic_phase",
@@ -53,10 +54,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args) -> ExperimentConfig:
     kind = SUBCOMMANDS[args.command]
-    cfg = default_config(kind, family=args.family or "circulant")
+    cfg = published = default_config(kind, family=args.family or "circulant")
     if args.config:
         with open(args.config) as fh:
             overrides = json.load(fh)
+        if not isinstance(overrides, dict):
+            raise ValueError(f"config file must hold a JSON object, got {type(overrides).__name__}")
         if "kind" in overrides and overrides["kind"] != kind:
             raise ValueError(
                 f"config file kind {overrides['kind']!r} does not match subcommand {kind!r}")
@@ -65,6 +68,10 @@ def config_from_args(args) -> ExperimentConfig:
         if train_overrides is not None:
             cfg = replace(cfg, train=TrainConfig(**{**asdict(cfg.train), **train_overrides}))
         cfg = replace(cfg, **overrides)
+        unread = [name for name in asdict(cfg) if name not in READS[kind] + ("kind", "write_traces")
+                  and getattr(cfg, name) != getattr(published, name)]
+        if unread:
+            raise ValueError(f"{kind} does not read config field(s) {', '.join(unread)}")
     if args.family and cfg.family != args.family:
         cfg = replace(cfg, family=args.family)
     if args.seeds is not None:

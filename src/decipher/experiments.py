@@ -116,7 +116,7 @@ DEFAULTS = {
 }
 
 # grid coordinates, in sort order; a row holds those of its kind's columns
-COORDS = ("family", "size", "nx", "knob", "variant", "language_index", "trial", "seed")
+COORDS = ("family", "size", "nx", "knob", "variant", "language_index", "seed", "trial")
 
 # the variants of each sampled kind, as changes to its TrainConfig
 VARIANTS = {
@@ -126,6 +126,12 @@ VARIANTS = {
     "averaging_ablation": {"soft_input": {"averaging": "soft_input"},
                            "outside_cost": {"averaging": "outside_cost"}},
 }
+
+# the ExperimentConfig fields each kind's sweep reads, besides kind and write_traces
+_GRID_FIELDS = ("family", "nx_values", "knob_values", "ngram", "L", "seeds")
+READS = {"asymptotic_phase": _GRID_FIELDS, "smrm_gaps": ("sizes", "trials", "seeds"),
+         "ntk_convergence": ("L", "n_languages", "t_end", "stop_residual"),
+         **dict.fromkeys(VARIANTS, _GRID_FIELDS + ("n_sequences", "matched", "train"))}
 
 
 @dataclass
@@ -408,10 +414,9 @@ def _sampled_block(args) -> list[dict]:
                 row["error"] = _error_text(res)
                 continue
             try:
-                O_hat = res.final_assignment()
+                O_hat = res.generator.O
                 row.update(per=phoneme_error_rate(res.decoded(), O, weights),
-                           residual=res.trace[-1]["frobenius_residual"] if res.trace else float(
-                               np.linalg.norm(pair.PX @ O_hat - pair.PY)),
+                           residual=float(np.linalg.norm(pair.PX @ O_hat - pair.PY)),
                            _matrix=O_hat)
             except Exception as exc:
                 row["error"] = _error_text(exc)
@@ -445,8 +450,7 @@ def _ntk_cell(args) -> list[dict]:
 
 
 def _smrm_block(args) -> list[dict]:
-    cfg, size = args
-    seed = cfg.seeds[0]
+    cfg, size, seed = args
     try:
         stats = gap_statistics(size, cfg.trials, seed=seed)
     except Exception as exc:
@@ -470,7 +474,8 @@ TASKS = {
     "asymptotic_phase": (_asymptotic_cell, lambda cfg: [
         (*task, seed) for task in _grid(cfg) for seed in cfg.seeds]),
     "finite_sample_phase": (_sampled_block, _grid),
-    "smrm_gaps": (_smrm_block, lambda cfg: [(cfg, size) for size in cfg.sizes]),
+    "smrm_gaps": (_smrm_block, lambda cfg: [
+        (cfg, size, seed) for size in cfg.sizes for seed in cfg.seeds]),
     "ntk_convergence": (_ntk_cell, lambda cfg: [(cfg, i) for i in range(cfg.n_languages)]),
     "reset_ablation": (_sampled_block, _grid),
     "averaging_ablation": (_sampled_block, _grid),

@@ -66,13 +66,12 @@ class TransitionMatrix:
     copy sits, else None.
 
     An untiled matrix is validated densely: entries in [0, 1], rows summing
-    to 1 within ROW_SUM_TOL, symmetric weights. A tiled one is validated
-    through its tiling, in O(S), and may be made without its dense arrays
-    (probs None): probs and weights are then laid out from the tiling when
-    first read, and kept. They hold only the already validated subgraph's
-    entries and the fillers' 1.0, so their ranges, symmetry and row sums
-    follow from the subgraph's (each row has the nonzeros of a subgraph row,
-    so it sums to 1 within about 1e-15).
+    to 1 within ROW_SUM_TOL, symmetric weights. A tiled one is made without
+    dense arrays (probs None) and validated through its tiling, in O(S);
+    probs and weights are laid out from the tiling on first read, and kept.
+    They hold only the validated subgraph's entries and the fillers' 1.0, so
+    their ranges, symmetry and row sums follow from the subgraph's (a row
+    holds a subgraph row's nonzeros, so it sums to 1 within about 1e-15).
     """
 
     def __init__(self, probs: Optional[np.ndarray], reversible: bool,
@@ -88,27 +87,24 @@ class TransitionMatrix:
         self.__post_init__()
 
     def __post_init__(self):
-        if self._probs is None and self.tiling is not None:
-            # checked through the tiling alone, so the layout stays unbuilt
-            self.tiling.check(self.tiling.n_states)
+        if self.tiling is not None:
+            if self._probs is not None or self._weights is not None:
+                raise ValueError("a tiled chain is made without dense probs or weights")
+            self.tiling.check()
             return
         P = np.asarray(self._probs, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError(f"transition matrix must be square, got {P.shape}")
-        W = None
+        if np.any(P < -ROW_SUM_TOL) or np.any(P > 1 + ROW_SUM_TOL):
+            raise ValueError("transition probabilities must lie in [0, 1]")
+        row_err = np.max(np.abs(P.sum(axis=1) - 1.0))
+        if row_err > ROW_SUM_TOL:
+            raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}, max error {row_err:.3e}")
         if self.reversible and self._weights is not None:
             W = np.asarray(self._weights, dtype=float)
             if W.shape != P.shape:
                 raise ValueError("weights shape must match probs")
-        if self.tiling is not None:
-            self.tiling.check(P.shape[0])
-        else:
-            if np.any(P < -ROW_SUM_TOL) or np.any(P > 1 + ROW_SUM_TOL):
-                raise ValueError("transition probabilities must lie in [0, 1]")
-            row_err = np.max(np.abs(P.sum(axis=1) - 1.0))
-            if row_err > ROW_SUM_TOL:
-                raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}, max error {row_err:.3e}")
-            if W is not None and np.max(np.abs(W - W.T)) > 1e-10:
+            if np.max(np.abs(W - W.T)) > 1e-10:
                 raise ValueError("edge weights must be symmetric")
         self._probs = P
 
@@ -150,15 +146,15 @@ class Tiling:
     def n_states(self) -> int:
         return self.blocks.size + self.fillers.size
 
-    def check(self, n_states: int) -> None:
+    def check(self) -> None:
         """Blocks s wide, and blocks plus fillers each position exactly once."""
         if self.blocks.ndim != 2 or self.blocks.shape[1] != self.sub.n_states:
             raise ValueError(f"tiling blocks must be (copies, {self.sub.n_states}), "
                              f"got {self.blocks.shape}")
         positions = np.concatenate([self.blocks.ravel(), self.fillers.ravel()])
-        if positions.size != n_states or positions.min() < 0 or positions.max() >= n_states:
-            raise ValueError(f"tiling positions must cover range({n_states})")
-        if np.any(np.bincount(positions, minlength=n_states) != 1):
+        if positions.min() < 0 or positions.max() >= positions.size:
+            raise ValueError(f"tiling positions must cover range({positions.size})")
+        if np.any(np.bincount(positions) != 1):
             raise ValueError("tiling positions must be distinct")
 
     def lay_out(self, block: np.ndarray) -> np.ndarray:

@@ -26,7 +26,6 @@ first column with positive probability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -64,10 +63,6 @@ class HmmLanguage:
         if np.any(self.O < 0) or np.max(np.abs(self.O.sum(axis=1) - 1.0)) > PROB_TOL:
             raise ValueError("O rows must be probability vectors")
 
-    @property
-    def n_states(self) -> int:
-        return self.nx**self.N
-
 
 @dataclass
 class Corpus:
@@ -76,7 +71,6 @@ class Corpus:
     speech: np.ndarray  # (n_speech, L*N) ints in [0, |X|)
     text: np.ndarray  # (n_text, L*N) ints in [0, |Y|)
     matched: bool
-    seed: int
     N: int
     L: int
     nx: int
@@ -100,9 +94,6 @@ class PositionalUnigramPair:
 
     PX: np.ndarray
     PY: np.ndarray
-    exact: bool
-    n_speech: Optional[int] = None
-    n_text: Optional[int] = None
 
     def __post_init__(self):
         self.PX = np.asarray(self.PX, dtype=float)
@@ -149,34 +140,28 @@ def final_unit_selector(dist: np.ndarray, base: int) -> np.ndarray:
 def exact_positional_unigrams(lang: HmmLanguage, L: int) -> PositionalUnigramPair:
     """Analytic positional unigrams: row k of PX marginalizes pi T^k.
 
-    A tiled T (see graphs.assemble) evolves pi copy by copy: D = pi[blocks]
-    steps as D @ sub.probs, and row k bins D by each position's final unit,
-    plus the fillers' mass, which never moves. Any other T takes dense
-    vector-matrix products, pi @ T one step at a time (never matrix powers).
-    PY = PX @ O holds identically by construction.
+    pi evolves copy by copy: D = pi[blocks] steps as D @ step (never matrix
+    powers), and row k bins D by each position's final unit, plus the
+    fillers' mass, which never moves. A tiled T (see graphs.assemble) steps
+    by its subgraph; any other T is one copy of itself with no fillers,
+    stepped by its dense probs. PY = PX @ O holds by construction.
     """
     if L < 1:
         raise ValueError("need at least one block position")
-    PX = np.empty((L, lang.nx))
     tiling = lang.T.tiling
-    if tiling is None:
-        state_dist = lang.pi.copy()
-        for k in range(L):
-            PX[k] = final_unit_selector(state_dist, lang.nx)
-            if k + 1 < L:
-                state_dist = state_dist @ lang.T.probs
-    else:
-        # the selector reads position p's final unit, p mod |X|
-        units = (tiling.blocks % lang.nx).ravel()
-        resting = np.bincount(tiling.fillers % lang.nx, weights=lang.pi[tiling.fillers],
-                              minlength=lang.nx)
-        dist = lang.pi[tiling.blocks]
-        for k in range(L):
-            PX[k] = np.bincount(units, weights=dist.ravel(), minlength=lang.nx) + resting
-            if k + 1 < L:
-                dist = dist @ tiling.sub.probs
-    PY = PX @ lang.O
-    return PositionalUnigramPair(PX=PX, PY=PY, exact=True)
+    blocks, fillers, step = (
+        (np.arange(lang.pi.size)[None], np.arange(0), lang.T.probs) if tiling is None
+        else (tiling.blocks, tiling.fillers, tiling.sub.probs))
+    # the selector reads position p's final unit, p mod |X|
+    units = (blocks % lang.nx).ravel()
+    resting = np.bincount(fillers % lang.nx, weights=lang.pi[fillers], minlength=lang.nx)
+    PX = np.empty((L, lang.nx))
+    dist = lang.pi[blocks]
+    for k in range(L):
+        PX[k] = np.bincount(units, weights=dist.ravel(), minlength=lang.nx) + resting
+        if k + 1 < L:
+            dist = dist @ step
+    return PositionalUnigramPair(PX=PX, PY=PX @ lang.O)
 
 
 class _RowSampler:
@@ -280,10 +265,7 @@ def sample_corpus(
     else:
         speech, _ = one_corpus(seed, emit=False)
         _, text = one_corpus(seed + UNMATCHED_SEED_SPLIT)
-    return Corpus(
-        speech=speech, text=text, matched=matched, seed=seed,
-        N=lang.N, L=L, nx=lang.nx, ny=lang.ny,
-    )
+    return Corpus(speech=speech, text=text, matched=matched, N=lang.N, L=L, nx=lang.nx, ny=lang.ny)
 
 
 def _positional_counts(seqs: np.ndarray, alphabet: int, N: int, L: int) -> np.ndarray:
@@ -300,7 +282,4 @@ def empirical_positional_unigrams(corpus: Corpus) -> PositionalUnigramPair:
         raise ValueError("corpus must contain sequences on both sides")
     PX = _positional_counts(corpus.speech, corpus.nx, corpus.N, corpus.L)
     PY = _positional_counts(corpus.text, corpus.ny, corpus.N, corpus.L)
-    return PositionalUnigramPair(
-        PX=PX, PY=PY, exact=False,
-        n_speech=corpus.speech.shape[0], n_text=corpus.text.shape[0],
-    )
+    return PositionalUnigramPair(PX=PX, PY=PY)

@@ -111,8 +111,7 @@ def _dense_output(O: np.ndarray, k: list[np.ndarray], h: float, theta: float) ->
 
 
 def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = None,
-                       step: Optional[float] = None, t_end: float = 100.0,
-                       stop_residual: float = 0.0) -> NtkTrajectory:
+                       t_end: float = 100.0, stop_residual: float = 0.0) -> NtkTrajectory:
     """Dormand-Prince 5(4) on dO_x/dt = K_Ox K_D (PY - PX O)^T PX[:, x].
 
     Records C_t = Tr(R K_D R^T) with R the per-position mismatch, the
@@ -120,10 +119,9 @@ def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = 
     sums are conserved analytically (both kernels kill the all-ones
     direction); integration drift beyond 1e-9 raises.
 
-    step is the first step to try; by default it is estimated from |O| and
-    |f(O)|. Later steps follow the error controller. halvings counts the
-    rejected steps, whether the error estimate or the overshoot guard
-    rejected them.
+    The first step to try is estimated from |O| and |f(O)|; later steps
+    follow the error controller. halvings counts the rejected steps, whether
+    the error estimate or the overshoot guard rejected them.
 
     stop_residual > 0 ends the run early once the Frobenius residual falls to
     that level, so decay rates vary per language without retuning t_end (and
@@ -143,8 +141,6 @@ def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = 
             raise ValueError(f"O_0 must be ({nx}, {ny})")
         if np.any(O < 0) or np.max(np.abs(O.sum(axis=1) - 1.0)) > 1e-9:
             raise ValueError("O_0 rows must be probability vectors")
-    if step is not None and step <= 0:
-        raise ValueError("step must be positive")
     K_D = discriminator_ntk(ny)
 
     def rhs(O):
@@ -164,11 +160,9 @@ def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = 
 
     record()
     f = rhs(O)
-    if step is None:
-        scale = ATOL + RTOL * np.abs(O)
-        d0, d1 = _rms(O, scale), _rms(f, scale)
-        step = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
-    h = float(step)
+    scale = ATOL + RTOL * np.abs(O)
+    d0, d1 = _rms(O, scale), _rms(f, scale)
+    h = float(0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6)
     err_old = 1e-4
     rejected = False
     while t < t_end and not (stop_residual > 0 and resids[-1] <= stop_residual):
@@ -230,12 +224,12 @@ def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = 
     )
 
 
-def log_linear_tail_fit(traj: NtkTrajectory, tail_fraction: float = 0.5):
+def log_linear_tail_fit(traj: NtkTrajectory):
     """Least-squares slope and R^2 of log C_t over the trajectory tail.
 
-    The tail is chosen by time, t >= (1 - tail_fraction) t_stop, since
-    adaptive steps bunch the recorded points at early times."""
-    keep = (traj.times >= (1.0 - tail_fraction) * traj.times[-1]) & (traj.C > 0)
+    The tail is the second half by time, t >= t_stop / 2, since adaptive
+    steps bunch the recorded points at early times."""
+    keep = (traj.times >= 0.5 * traj.times[-1]) & (traj.C > 0)
     t, logc = traj.times[keep], np.log(traj.C[keep])
     if len(t) < 3:
         raise ValueError("not enough positive tail points for a fit")

@@ -162,9 +162,9 @@ def spectrum_of_chain(T: TransitionMatrix) -> SpectrumReport:
     """
     spec = T.spec
     if T.reversible and spec is not None:
-        tiling = T.tiling
-        vals, method = _subgraph_eigenvalues(spec, T if tiling is None else tiling.sub)
-        copies, fillers = (1, 0) if tiling is None else (tiling.copies, tiling.fillers.size)
+        sub, copies, fillers = (T, 1, 0) if T.tiling is None else (
+            T.tiling.sub, T.tiling.copies, T.tiling.fillers.size)
+        vals, method = _subgraph_eigenvalues(spec, sub)
         full = np.concatenate([np.tile(vals, copies), np.ones(fillers)])
         return _report_from_values(full, method)
     if T.reversible and T.weights is not None:

@@ -572,3 +572,49 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert cli.main(["asymptotic", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("text", ['"x"', "[1, 2]", "3"])
+    def test_config_that_is_not_an_object_exit_code(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert cli.main(["asymptotic", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: config file must hold a JSON object")
+        assert not (tmp_path / "results.csv").exists()
+
+    def test_smrm_runs_every_seed(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"sizes": [8], "trials": 2, "seeds": [3, 4]}))
+        assert cli.main(["smrm", "--config", str(cfg_file), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        # one gap_statistics block per seed, each equal to a one-seed run
+        assert [(r["seed"], r["trial"]) for r in rows] == [
+            ("3", "0"), ("3", "1"), ("4", "0"), ("4", "1")]
+        for seed in (3, 4):
+            single = run_experiment(ExperimentConfig(kind="smrm_gaps", sizes=(8,), trials=2,
+                                                     seeds=(seed,)))
+            assert [r["min_gap"] for r in rows if r["seed"] == str(seed)] == [
+                experiments._format_cell(r["min_gap"]) for r in single]
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("ntk", {"n_languages": 1, "seeds": [5, 6], "family": "hypercube"}),
+        ("ntk", {"n_languages": 1, "train": {"epochs": 3}}),
+        ("smrm", {"sizes": [8], "trials": 2, "L": 7}),
+        ("asymptotic", {"nx_values": [10], "knob_values": [2], "n_sequences": 10}),
+        ("finite", {"knob_values": [2], "t_end": 5.0}),
+    ], ids=["ntk-seeds-family", "ntk-train", "smrm-L", "asymptotic-n_sequences", "finite-t_end"])
+    def test_unread_config_field_exit_code(self, tmp_path, capsys, command, overrides):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(overrides))
+        assert cli.main([command, "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+        assert "does not read config field" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
+
+    def test_unread_config_field_at_its_published_value_runs(self, tmp_path):
+        # the benchmark's ntk configs spell out the published seeds
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"kind": "ntk_convergence", "n_languages": 1,
+                                        "t_end": 50.0, "seeds": [0], "family": "circulant"}))
+        assert cli.main(["ntk", "--config", str(cfg_file), "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["config"]["seeds"] == [0] and summary["total_rows"] == 1

@@ -208,11 +208,13 @@ def test_malformed_tiling_is_rejected():
         (Tiling(sub, repeated, fillers), "distinct"),
         (Tiling(sub, outside, fillers), "cover"),
         (Tiling(sub, negative, fillers), "cover"),
-        (Tiling(sub, blocks, fillers[:1]), "cover"),  # a position missing
+        (Tiling(sub, blocks, fillers[1:]), "cover"),  # position 10 missing
     ]:
         with pytest.raises(ValueError, match=match):
-            TransitionMatrix(T.probs, reversible=True, weights=T.weights, spec=T.spec,
-                             tiling=tiling)
+            TransitionMatrix(None, reversible=True, spec=T.spec, tiling=tiling)
+    # a tiled chain is checked through its tiling alone, so it takes no dense arrays
+    with pytest.raises(ValueError, match="without dense"):
+        TransitionMatrix(T.probs, reversible=True, spec=T.spec, tiling=T.tiling)
 
 
 def test_assemble_makes_no_dense_temporaries():

@@ -82,7 +82,6 @@ def test_exact_unigrams_row0_and_identity_emission():
     pair = exact_positional_unigrams(lang, 6)
     npt.assert_allclose(pair.PX[0], final_unit_selector(lang.pi, 5), atol=1e-15)
     npt.assert_allclose(pair.PX @ lang.O, pair.PY, atol=1e-12)
-    assert pair.exact
 
     ident = HmmLanguage(pi=lang.pi, T=lang.T, O=np.eye(5), N=1, nx=5, ny=5)
     pair2 = exact_positional_unigrams(ident, 6)
@@ -130,6 +129,15 @@ def test_untiled_unigrams_keep_the_dense_loop():
             rows.append(dist.reshape(-1, 4).sum(axis=0))
             dist = dist @ T.probs
         assert exact_positional_unigrams(lang, L).PX.tobytes() == np.array(rows).tobytes()
+    # one copy of the same circulant, tiled with no relabel and no fillers,
+    # steps through the subgraph to the same bytes
+    circulant = build_circulant(16, (1, 3))
+    tiled = assemble(circulant.spec, 16)
+    assert tiled.tiling.copies == 1 and tiled.tiling.fillers.size == 0
+    untiled_px, tiled_px = (
+        exact_positional_unigrams(make_language(n_units=4, N=2, graph=T), L).PX
+        for T in (circulant, tiled))
+    assert tiled_px.tobytes() == untiled_px.tobytes()
 
 
 def test_stationary_pi_gives_constant_rows():
@@ -203,12 +211,10 @@ def test_deterministic_cycle_paths_identical():
 def test_empirical_single_sequence_one_hot():
     speech = np.array([[3, 1, 0, 2]])
     text = np.array([[3, 1, 0, 2]])
-    corpus = Corpus(speech=speech, text=text, matched=True, seed=0, N=1, L=4, nx=4, ny=4)
+    corpus = Corpus(speech=speech, text=text, matched=True, N=1, L=4, nx=4, ny=4)
     pair = empirical_positional_unigrams(corpus)
     npt.assert_array_equal(pair.PX[0], [0, 0, 0, 1])
     npt.assert_array_equal(pair.PX[2], [1, 0, 0, 0])
-    assert not pair.exact
-    assert pair.n_speech == 1
 
 
 def test_corpus_rejects_units_outside_the_alphabet():
@@ -220,7 +226,7 @@ def test_corpus_rejects_units_outside_the_alphabet():
             sides = {"speech": good, "text": good}
             sides[bad_side] = np.array([[0, bad], [2, 1]])
             with pytest.raises(ValueError, match=bad_side):
-                Corpus(**sides, matched=True, seed=0, N=1, L=2, nx=4, ny=4)
+                Corpus(**sides, matched=True, N=1, L=2, nx=4, ny=4)
 
 
 def test_empirical_identity_emission_matches():

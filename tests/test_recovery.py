@@ -72,12 +72,12 @@ def test_oracle_multiple_on_symmetric_stationary():
 
 
 def test_oracle_trivial_and_caps():
-    pair = PositionalUnigramPair(PX=np.ones((3, 1)), PY=np.ones((3, 1)), exact=True)
+    pair = PositionalUnigramPair(PX=np.ones((3, 1)), PY=np.ones((3, 1)))
     hits = brute_force_oracle(pair)
     assert len(hits) == 1
     npt.assert_array_equal(hits[0], [[1.0]])
 
-    big = PositionalUnigramPair(PX=np.full((2, 9), 1 / 9), PY=np.full((2, 9), 1 / 9), exact=True)
+    big = PositionalUnigramPair(PX=np.full((2, 9), 1 / 9), PY=np.full((2, 9), 1 / 9))
     with pytest.raises(ValueError):
         brute_force_oracle(big)
 

@@ -175,7 +175,7 @@ def test_sigma_min_identity_padded():
 def test_sigma_min_duplicated_rows_zero():
     PX = np.array([[0.2, 0.8], [0.2, 0.8]])
     assert sigma_min(PX) <= 1e-8
-    pair = PositionalUnigramPair(PX=PX, PY=PX, exact=True)
+    pair = PositionalUnigramPair(PX=PX, PY=PX)
     assert recover_pseudoinverse(pair).rank_deficient
     # fewer rows than columns: a null space, so exactly zero
     wide = np.array([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]])
