@@ -160,9 +160,6 @@ class LinearPositionalDiscriminator:
         # score of the one-hot symbol y at position l
         return self.w
 
-    def soft_scores(self, P: np.ndarray) -> np.ndarray:
-        return (self.w * P).sum(axis=-1)
-
     def reset(self, rng: Optional[np.random.Generator] = None) -> None:
         self.w[:] = 0.0
 
@@ -212,10 +209,6 @@ class PerStepMlpDiscriminator:
     def symbol_scores(self) -> np.ndarray:
         # one-hot input selects a column of W: t[l, y] = v_l . relu(W_l[:, y])
         return (self.v[:, None, :] @ np.maximum(self.W, 0.0))[:, 0, :]
-
-    def soft_scores(self, P: np.ndarray) -> np.ndarray:
-        pre = self.W @ P[:, :, None]  # L x hidden x 1
-        return (self.v[:, None, :] @ np.maximum(pre, 0.0))[:, 0, 0]
 
     def params(self) -> list[np.ndarray]:
         return [self.W, self.v]

@@ -1,10 +1,12 @@
 """Command-line entry point for the experiment sweeps.
 
 Each subcommand starts from the published default grid for its experiment
-kind, applies overrides from an optional JSON config object (ExperimentConfig
-fields the kind reads, others only at their published values; "train" holds
+kind and graph family (--family, else the config file's family), applies
+overrides from an optional JSON config object (ExperimentConfig fields the
+kind reads, others only at their published values; "train" holds
 TrainConfig fields), then the explicit flags, and writes results.csv /
-summary.json to the output directory.
+summary.json to the output directory. A subcommand takes --family and
+--seeds only when its kind reads that field.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 from dataclasses import asdict, replace
 
 from .adversarial import TrainConfig
-from .experiments import (READS, VARIANTS, ExperimentConfig, default_config, run_experiment,
+from .experiments import (FAMILIES, READS, ExperimentConfig, default_config, run_experiment,
                           summarize, write_outputs)
 
 SUBCOMMANDS = {
@@ -41,10 +43,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, metavar="DIR",
                        help="output directory (default decipher_out/<kind>)")
         p.set_defaults(family=None, seeds=None)
-        if kind == "asymptotic_phase" or kind in VARIANTS:  # the grid kinds
-            p.add_argument("--family", choices=("circulant", "de_bruijn", "hypercube"),
-                           help="graph family for grid experiments")
-            p.add_argument("--seeds", type=int, metavar="N", help="use seeds 0..N-1 per cell")
+        if "family" in READS[kind]:
+            p.add_argument("--family", choices=FAMILIES, help="graph family of the grid")
+        if "seeds" in READS[kind]:
+            p.add_argument("--seeds", type=int, metavar="N", help="use seeds 0..N-1")
         p.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker processes (1 = run serially)")
         p.add_argument("--traces", action="store_true",
@@ -54,26 +56,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args) -> ExperimentConfig:
     kind = SUBCOMMANDS[args.command]
-    cfg = published = default_config(kind, family=args.family or "circulant")
+    overrides = {}
     if args.config:
         with open(args.config) as fh:
             overrides = json.load(fh)
         if not isinstance(overrides, dict):
             raise ValueError(f"config file must hold a JSON object, got {type(overrides).__name__}")
-        if "kind" in overrides and overrides["kind"] != kind:
-            raise ValueError(
-                f"config file kind {overrides['kind']!r} does not match subcommand {kind!r}")
-        overrides.pop("kind", None)
-        train_overrides = overrides.pop("train", None)
-        if train_overrides is not None:
-            cfg = replace(cfg, train=TrainConfig(**{**asdict(cfg.train), **train_overrides}))
-        cfg = replace(cfg, **overrides)
-        unread = [name for name in asdict(cfg) if name not in READS[kind] + ("kind", "write_traces")
-                  and getattr(cfg, name) != getattr(published, name)]
-        if unread:
-            raise ValueError(f"{kind} does not read config field(s) {', '.join(unread)}")
-    if args.family and cfg.family != args.family:
-        cfg = replace(cfg, family=args.family)
+        file_kind = overrides.pop("kind", kind)
+        if file_kind != kind:
+            raise ValueError(f"config file kind {file_kind!r} does not match subcommand {kind!r}")
+    if args.family:
+        overrides["family"] = args.family
+    # the family, from --family or else the file, selects the published grid
+    cfg = published = default_config(kind, family=overrides.get("family", "circulant"))
+    train_overrides = overrides.pop("train", None)
+    if train_overrides is not None:
+        cfg = replace(cfg, train=TrainConfig(**{**asdict(cfg.train), **train_overrides}))
+    cfg = replace(cfg, **overrides)
+    unread = [name for name in asdict(cfg) if name not in READS[kind] + ("kind", "write_traces")
+              and getattr(cfg, name) != getattr(published, name)]
+    if unread:
+        raise ValueError(f"{kind} does not read config field(s) {', '.join(unread)}")
     if args.seeds is not None:
         cfg = replace(cfg, seeds=tuple(range(args.seeds)))
     if args.traces:

@@ -190,15 +190,17 @@ class ExperimentConfig:
             # for MMD, so the comparison would be vacuous
             raise ValueError("averaging ablation requires train.discriminator == 'mlp'")
         if self.kind == "smrm_gaps":
-            if not self.sizes or self.trials < 1:
-                raise ValueError("smrm_gaps needs nonempty sizes and trials >= 1")
+            if not self.sizes or min(self.sizes) < 2 or self.trials < 1:
+                raise ValueError("smrm_gaps needs nonempty sizes, each >= 2, and trials >= 1")
         if self.kind == "ntk_convergence":
-            if self.n_languages < 1 or self.t_end <= 0:
-                raise ValueError("ntk_convergence needs n_languages >= 1 and t_end > 0")
+            if self.n_languages < 1 or self.L < 1 or self.t_end <= 0:
+                raise ValueError("ntk_convergence needs n_languages >= 1, L >= 1 and t_end > 0")
 
 
 def default_config(kind: str, family: str = "circulant") -> ExperimentConfig:
     """The published grids for each experiment kind."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown graph family: {family!r}")
     if kind == "asymptotic_phase":
         grids = {
             "circulant": dict(nx_values=tuple(range(10, 15)), knob_values=tuple(range(2, 21)),
@@ -231,7 +233,7 @@ def default_config(kind: str, family: str = "circulant") -> ExperimentConfig:
         if kind == "averaging_ablation":
             train_cfg = TrainConfig(objective="mmd", epochs=500, discriminator="mlp")
         return ExperimentConfig(
-            kind=kind, family="circulant", nx_values=(10,), knob_values=(58, 66, 74),
+            kind=kind, family=family, nx_values=(10,), knob_values=(58, 66, 74),
             ngram=2, L=80, n_sequences=2560, seeds=tuple(range(10)), train=train_cfg,
         )
     raise ValueError(f"unknown experiment kind: {kind!r}")
@@ -560,13 +562,6 @@ def _artifact_stem(row: dict) -> str:
     return "_".join(parts)
 
 
-def _save_matrix(matrix: np.ndarray, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in matrix:
-            writer.writerow([f"{v:.12g}" for v in row])
-
-
 def write_outputs(cfg: ExperimentConfig, rows: Sequence[dict], out_dir) -> Path:
     """results.csv + summary.json (+ per-run traces and recovered matrices)."""
     out = Path(out_dir)
@@ -590,5 +585,6 @@ def write_outputs(cfg: ExperimentConfig, rows: Sequence[dict], out_dir) -> Path:
                 write_results_csv((dict(zip(cols, step)) for step in steps),
                                   out / f"trace_{stem}.csv", cols)
             if "_matrix" in row:
-                _save_matrix(row["_matrix"], out / f"assign_{stem}.csv")
+                np.savetxt(out / f"assign_{stem}.csv", row["_matrix"], fmt="%.12g",
+                           delimiter=",", newline="\r\n")
     return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import TransitionMatrix
-from .spectral import distinct_eigenvalues, symmetric_eigen, symmetrized_form
+from .spectral import spectrum_of_chain
 
 WEIGHT_HIGH = 2.0 * np.sqrt(3.0)
 
@@ -40,7 +40,8 @@ class GapStatistics:
 
 
 def gap_statistics(n: int, trials: int, seed: int = 0) -> GapStatistics:
-    """Consecutive-gap statistics over independent trials.
+    """Consecutive-gap statistics over independent trials, read off each
+    trial chain's spectrum_of_chain report.
 
     Each trial draws its own generator from [seed, trial], so any execution
     order (or parallel split) reproduces the same aggregate.
@@ -50,9 +51,7 @@ def gap_statistics(n: int, trials: int, seed: int = 0) -> GapStatistics:
     min_gaps = np.zeros(trials)
     distinct = np.zeros(trials, dtype=np.int64)
     for trial in range(trials):
-        chain = random_reversible_chain(n, [seed, trial])
-        w, _ = symmetric_eigen(symmetrized_form(chain.weights))
-        min_gaps[trial] = np.diff(w).min()
-        groups, _, _ = distinct_eigenvalues(w)
-        distinct[trial] = len(groups)
+        report = spectrum_of_chain(random_reversible_chain(n, [seed, trial]))
+        min_gaps[trial] = np.diff(report.eigenvalues).min()
+        distinct[trial] = report.distinct_count
     return GapStatistics(min_gaps=min_gaps, distinct_counts=distinct)

@@ -2,6 +2,13 @@
 positional unigram matrix, its a-priori lower bound, and the finite-sample
 recovery threshold.
 
+One spectrum route. Every eigenvalue the sweeps report, the asymptotic
+rows' distinct nonzero counts and the smrm rows' gap statistics alike, comes
+from spectrum_of_chain. It reads a reversible chain through its subgraph (an
+untiled chain is its own one-copy subgraph) and takes a circulant or
+hypercube closed form, or else the eigenvalues of the subgraph's symmetrized
+weights D^{-1/2} W D^{-1/2}.
+
 Eigenvalue conventions. Distinct-value merging uses EPS_EIG relative to the
 spectral radius (row-stochastic inputs have radius 1), always through
 distinct_eigenvalues. Numerical column rank uses RANK_RTOL relative to the
@@ -24,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 # perfbench's tracer patches spectral.build_subgraph by name, so the name stays
-from .graphs import GraphSpec, TransitionMatrix, build_subgraph  # noqa: F401
+from .graphs import TransitionMatrix, build_subgraph  # noqa: F401
 from .hmm import HmmLanguage, exact_positional_unigrams, final_unit_selector
 
 EPS_EIG = 1e-7
@@ -58,26 +65,19 @@ def symmetric_eigen(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
-def cluster_eigenvalues(values: np.ndarray, tol: float) -> tuple[list[np.ndarray], np.ndarray]:
-    """Group real eigenvalues whose sorted consecutive gaps are at most tol;
-    returns (index groups in ascending order, representatives)."""
+def distinct_eigenvalues(values: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, float]:
+    """Group real eigenvalues whose sorted consecutive gaps are at most the
+    shared tolerance tol = EPS_EIG * max(radius, 1), with radius the largest
+    magnitude: (index groups in ascending order, their means, tol)."""
     values = np.asarray(values)
     n = values.size
     if n == 0:
-        return [], np.array([])
+        return [], np.array([]), EPS_EIG
+    tol = EPS_EIG * max(float(np.max(np.abs(values))), 1.0)
     order = np.argsort(values)
     breaks = np.nonzero(np.diff(values[order]) > tol)[0]
     groups = [order[lo:hi] for lo, hi in zip(np.r_[0, breaks + 1], np.r_[breaks + 1, n])]
     reps = np.array([values[g].mean() for g in groups])
-    return groups, reps
-
-
-def distinct_eigenvalues(values: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, float]:
-    """cluster_eigenvalues at the shared tolerance EPS_EIG * max(radius, 1),
-    with radius the largest magnitude: (index groups, representatives, tol)."""
-    radius = float(np.max(np.abs(values))) if values.size else 0.0
-    tol = EPS_EIG * max(radius, 1.0)
-    groups, reps = cluster_eigenvalues(values, tol)
     return groups, reps, tol
 
 
@@ -90,19 +90,6 @@ class SpectrumReport:
     nonzero_distinct_count: int
     min_gap: float
     method: str  # "closed_form" | "symmetrized_numeric"
-
-
-def _report_from_values(values: np.ndarray, method: str) -> SpectrumReport:
-    _, reps, tol = distinct_eigenvalues(values)
-    nonzero = int(np.sum(np.abs(reps) > tol))
-    min_gap = float(np.min(np.diff(reps))) if len(reps) >= 2 else float("inf")
-    return SpectrumReport(
-        eigenvalues=np.sort(values),
-        distinct_count=len(reps),
-        nonzero_distinct_count=nonzero,
-        min_gap=min_gap,
-        method=method,
-    )
 
 
 def circulant_eigenvalues(n: int, action_set) -> np.ndarray:
@@ -139,40 +126,39 @@ def symmetrized_form(weights: np.ndarray) -> np.ndarray:
     return weights * np.outer(inv_sqrt, inv_sqrt)
 
 
-def _subgraph_eigenvalues(spec: GraphSpec, sub: TransitionMatrix) -> tuple[np.ndarray, str]:
-    """Eigenvalues of sub, the subgraph that spec builds."""
-    if spec.family == "circulant":
-        return circulant_eigenvalues(spec.n, spec.action_set), "closed_form"
-    if spec.family == "hypercube":
-        return hypercube_eigenvalues(spec.dim), "closed_form"
-    w, _ = symmetric_eigen(symmetrized_form(sub.weights))
-    return w, "symmetrized_numeric"
-
-
 def spectrum_of_chain(T: TransitionMatrix) -> SpectrumReport:
-    """Spectrum of a reversible transition matrix.
+    """Spectrum of a reversible transition matrix, from its subgraph.
 
-    Prefers the closed form T.spec provides (circulant Fourier values,
-    hypercube level values); De Bruijn subgraphs go through symmetrization.
-    Tiled unions reuse the subgraph spectrum: each copy in T.tiling repeats
-    it and each filler adds eigenvalue 1, under any relabel (a similarity);
-    an untiled chain is one copy with no fillers. Reversible chains without a
-    spec are symmetrized from their edge weights. Anything else, directed
-    circulants and interpolated chains among them, has no supported route.
+    An untiled chain is its own one-copy subgraph with no fillers; in a tiled
+    union each copy repeats the subgraph's spectrum and each filler adds
+    eigenvalue 1, under any relabel (a similarity). The subgraph's values
+    come from the closed form T.spec provides (circulant Fourier values,
+    hypercube level values), or else from symmetrizing its edge weights.
+    Anything else, directed circulants and interpolated chains among them,
+    has no supported route.
     """
-    spec = T.spec
-    if T.reversible and spec is not None:
-        sub, copies, fillers = (T, 1, 0) if T.tiling is None else (
-            T.tiling.sub, T.tiling.copies, T.tiling.fillers.size)
-        vals, method = _subgraph_eigenvalues(spec, sub)
-        full = np.concatenate([np.tile(vals, copies), np.ones(fillers)])
-        return _report_from_values(full, method)
-    if T.reversible and T.weights is not None:
-        w, _ = symmetric_eigen(symmetrized_form(T.weights))
-        return _report_from_values(w, "symmetrized_numeric")
-    raise NonReversibleNoClosedForm(
-        "not reversible, or no closed form and no symmetrizable weights; spectra "
-        "of directed circulants and interpolated matrices are unsupported by design"
+    sub, copies, fillers = (T, 1, 0) if T.tiling is None else (
+        T.tiling.sub, T.tiling.copies, T.tiling.fillers.size)
+    family = T.spec.family if T.reversible and T.spec is not None else None
+    if family == "circulant":
+        vals, method = circulant_eigenvalues(T.spec.n, T.spec.action_set), "closed_form"
+    elif family == "hypercube":
+        vals, method = hypercube_eigenvalues(T.spec.dim), "closed_form"
+    elif T.reversible and sub.weights is not None:
+        vals, method = symmetric_eigen(symmetrized_form(sub.weights))[0], "symmetrized_numeric"
+    else:
+        raise NonReversibleNoClosedForm(
+            "not reversible, or no closed form and no symmetrizable weights; spectra "
+            "of directed circulants and interpolated matrices are unsupported by design"
+        )
+    values = np.concatenate([np.tile(vals, copies), np.ones(fillers)])
+    _, reps, tol = distinct_eigenvalues(values)
+    return SpectrumReport(
+        eigenvalues=np.sort(values),
+        distinct_count=len(reps),
+        nonzero_distinct_count=int(np.sum(np.abs(reps) > tol)),
+        min_gap=float(np.min(np.diff(reps))) if len(reps) >= 2 else float("inf"),
+        method=method,
     )
 
 
@@ -208,9 +194,8 @@ def right_eigensystem(T: TransitionMatrix) -> tuple[np.ndarray, np.ndarray, np.n
     if W is None:
         raise NonReversibleNoClosedForm("eigenvector path requires a reversible chain")
     d = W.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(d)
-    w, V = symmetric_eigen(W * np.outer(inv_sqrt, inv_sqrt))
-    U = inv_sqrt[:, None] * V
+    w, V = symmetric_eigen(symmetrized_form(W))
+    U = (1.0 / np.sqrt(d))[:, None] * V
     U_inv = V.T * np.sqrt(d)[None, :]
     return w, U, U_inv
 

@@ -717,10 +717,9 @@ class TestMlpDiscriminator:
     def test_symbol_scores_match_soft_scores_on_one_hots(self):
         rng = np.random.default_rng(37)
         disc = PerStepMlpDiscriminator(L=4, ny=5, rng=rng, hidden=16)
-        t = disc.symbol_scores()
-        for y in range(5):
-            one_hot = np.zeros((4, 5)); one_hot[:, y] = 1.0
-            assert np.allclose(disc.soft_scores(one_hot), t[:, y], atol=1e-12)
+        # unit y's posterior row is the one-hot of symbol y
+        m = adversarial._soft_unit_scores(disc, np.eye(5))
+        assert np.allclose(m, disc.symbol_scores(), atol=1e-12)
 
     def test_reset_in_place_keeps_the_bytes_of_normal_draws(self):
         L, ny, hidden = 80, 10, 128
@@ -820,9 +819,6 @@ class TestMlpKernels:
         PX, PY, gen, disc = self.setting()
         t = np.einsum("lh,lhy->ly", disc.v, np.maximum(disc.W, 0.0))
         assert _relative_error(disc.symbol_scores(), t) <= self.TOL
-        soft = np.einsum("lh,lh->l", disc.v,
-                         np.maximum(np.einsum("lhy,ly->lh", disc.W, PY), 0.0))
-        assert _relative_error(disc.soft_scores(PY), soft) <= self.TOL
         m = adversarial._soft_unit_scores(disc, gen.O)
         assert _relative_error(m, _reference_unit_scores(disc, gen.O)) <= self.TOL
 

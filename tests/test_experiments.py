@@ -559,13 +559,62 @@ class TestCli:
                          "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: averaging ablation requires")
 
-    @pytest.mark.parametrize("argv", [["smrm", "--seeds", "3"],
-                                      ["ntk", "--seeds", "4", "--family", "hypercube"]])
+    @pytest.mark.parametrize("argv", [["ntk", "--seeds", "4", "--family", "hypercube"],
+                                      ["smrm", "--family", "hypercube"]])
     def test_grid_flags_rejected_where_they_do_nothing(self, tmp_path, argv):
-        # smrm and ntk read neither a graph family nor a seed list
+        # ntk reads neither a graph family nor a seed list, smrm no family
         with pytest.raises(SystemExit) as exc:
             cli.main(argv + ["--out", str(tmp_path)])
         assert exc.value.code == 2
+        assert not (tmp_path / "results.csv").exists()
+
+    def test_smrm_seeds_flag(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"sizes": [8], "trials": 2}))
+        assert cli.main(["smrm", "--config", str(cfg_file), "--seeds", "2",
+                         "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["seed"], r["trial"]) for r in rows] == [
+            ("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]
+
+    def test_config_family_selects_its_published_grid(self, tmp_path):
+        grid = {"knob_values": [0.0, 1.0], "seeds": [0], "train": {"epochs": 5}}
+        (tmp_path / "file.json").write_text(json.dumps({"family": "de_bruijn", **grid}))
+        (tmp_path / "flag.json").write_text(json.dumps(grid))
+        assert cli.main(["finite", "--config", str(tmp_path / "file.json"),
+                         "--out", str(tmp_path / "file")]) == 0
+        assert cli.main(["finite", "--config", str(tmp_path / "flag.json"), "--family",
+                         "de_bruijn", "--out", str(tmp_path / "flag")]) == 0
+        got = (tmp_path / "file" / "results.csv").read_bytes()
+        assert got == (tmp_path / "flag" / "results.csv").read_bytes()
+        rows = list(csv.DictReader(got.decode().splitlines()))
+        # de Bruijn's published nx 8, not circulant's 10, and no error rows
+        assert [(r["family"], r["nx"], r["error"]) for r in rows] == [("de_bruijn", "8", "")] * 2
+
+    def test_family_flag_beats_the_config_file(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"family": "de_bruijn"}))
+
+        class Args:
+            command = "asymptotic"
+            config = str(cfg_file)
+            family = "hypercube"
+            seeds = None
+            traces = False
+
+        assert cli.config_from_args(Args()) == default_config("asymptotic_phase", "hypercube")
+
+    @pytest.mark.parametrize("command, overrides, message", [
+        ("ntk", {"L": 0, "n_languages": 2}, "L >= 1"),
+        ("smrm", {"sizes": [1], "trials": 2}, "each >= 2"),
+        ("asymptotic", {"family": "petersen"}, "unknown graph family"),
+    ], ids=["ntk-L0", "smrm-size1", "asymptotic-family"])
+    def test_unusable_config_exit_code(self, tmp_path, capsys, command, overrides, message):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(overrides))
+        assert cli.main([command, "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "results.csv").exists()
 
     def test_bad_config_exit_code(self, tmp_path):

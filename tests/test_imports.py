@@ -1,8 +1,9 @@
-"""Every name a decipher module imports is used in that module.
+"""Every name a decipher module imports is used in that module, and every
+module-level private name is read somewhere in the package.
 
-A deletion that leaves an import behind fails here. An import kept for a
-reader outside the module, such as the benchmark's tracer, is marked
-``# noqa: F401`` on its line.
+A deletion that leaves an import or a private helper behind fails here. An
+import kept for a reader outside the module, such as the benchmark's tracer,
+is marked ``# noqa: F401`` on its line.
 """
 
 from __future__ import annotations
@@ -46,3 +47,46 @@ def test_checker_flags_an_unused_import():
               "def f(x: Sequence[int]):\n"
               "    return np.sum(x)\n")
     assert unused_imports(source) == ["Optional"]
+
+
+def dead_private_names(sources: list[str]) -> list[str]:
+    """Module-level functions, classes and constants named _x (dunders aside)
+    that no source reads, as a name or as an attribute, in definition order."""
+    trees = [ast.parse(source) for source in sources]
+    defined = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [name for name in defined if name.startswith("_")
+            and not (name.startswith("__") and name.endswith("__")) and name not in read]
+
+
+def test_every_private_name_is_read():
+    assert dead_private_names([path.read_text() for path in MODULES]) == []
+
+
+def test_checker_flags_a_dead_private_name():
+    helpers = ("_SCALE = 2.0\n"
+               "_OLD_TOL = 1e-9\n"
+               "__version__ = '0'\n"
+               "def _double(x):\n"
+               "    return _SCALE * x\n"
+               "def _orphan(x):\n"
+               "    return x\n"
+               "class _Box:\n"
+               "    pass\n")
+    caller = ("from . import helpers\n"
+              "def f(x):\n"
+              "    return helpers._double(x)\n")
+    assert dead_private_names([helpers, caller]) == ["_OLD_TOL", "_orphan", "_Box"]

@@ -218,6 +218,22 @@ class TestDynamics:
         assert len(reference.times) > len(traj.times)
         assert np.max(np.abs(traj.O_final - reference.O_final)) <= 2e-9
 
+    def test_overshoot_guard_keeps_loose_runs_in_bounds(self, monkeypatch):
+        # at loose tolerances the controller accepts steps that leave the
+        # simplex; only the overshoot guard's retries keep NTK language 1 inside
+        lang, _ = ntk_language(1, L=10)
+        pair = exact_positional_unigrams(lang, L=10)
+        monkeypatch.setattr(ntk, "RTOL", 0.1)
+        monkeypatch.setattr(ntk, "ATOL", 0.01)
+        with np.errstate(all="ignore"):  # rejected trial steps may overflow
+            traj = integrate_dynamics(pair, t_end=1000.0)
+        assert traj.times[-1] == 1000.0
+        assert np.all(traj.min_entries >= -ntk.OVERSHOOT_EPS)
+        assert np.max(traj.O_final) <= 1.0 + ntk.OVERSHOOT_EPS
+        monkeypatch.setattr(ntk, "OVERSHOOT_EPS", np.inf)
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="row-sum drift"):
+            integrate_dynamics(pair, t_end=1000.0)
+
     def test_deterministic_trajectories(self):
         _, pair = soft_cycle_language(peak=0.6)
         t1 = integrate_dynamics(pair, t_end=20.0)

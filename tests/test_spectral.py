@@ -25,8 +25,8 @@ from decipher.spectral import (
     NonReversibleNoClosedForm,
     NotApplicable,
     circulant_eigenvalues,
-    cluster_eigenvalues,
     debruijn_candidate_values,
+    distinct_eigenvalues,
     hypercube_eigenvalues,
     sample_size_threshold,
     sigma_min,
@@ -87,7 +87,8 @@ def test_symmetric_eigen_hypercube_q3():
 
 
 def test_cluster_eigenvalues_merges():
-    groups, reps = cluster_eigenvalues(np.array([0.0, 1e-9, 0.5, 1.0, 1.0 - 1e-9]), 1e-7)
+    groups, reps, tol = distinct_eigenvalues(np.array([0.0, 1e-9, 0.5, 1.0, 1.0 - 1e-9]))
+    assert tol == 1e-7  # the shared tolerance at radius 1
     assert len(groups) == 3
     npt.assert_allclose(np.sort(reps), [5e-10, 0.5, 1.0 - 5e-10])
 
