@@ -4,13 +4,16 @@ Six experiment kinds cover the phase-transition sweeps (exact recovery vs
 eigenvalue diversity, sampled recovery vs sigma_min), random reversible-chain
 gap statistics, tangent-kernel convergence runs, and the two training
 ablations (discriminator reset, generator averaging). Every kind runs through
-run_experiment, one loop over the table TASKS: it maps the kind's worker over
-its tasks, serially or on a process pool, and each task returns a block of
-rows, stamped with the block's wall time per row. The rows are then sorted by
-the grid coordinates in COORDS, so the results.csv bytes do not depend on
-worker scheduling. A row starts from _blank_row, which fills the kind's
-columns (KIND_COLUMNS) with the sentinels in DEFAULTS. Wall-clock times stay
-in the in-memory rows but are excluded from the CSV.
+run_experiment, one loop over the tasks that TASKS gives for it, each a dict
+of grid coordinates. On each task, serially or on a process pool, _run_task
+calls the kind's worker as worker(cfg, **coords). A worker returns one dict
+per row with only what it computed: column values, _-prefixed artifacts
+(_matrix, _trace, _ntk_traj) and, in a block of several rows, the row's own
+coordinate (trial, or seed and variant). _run_task alone makes rows: through
+_blank_row, which adds the task's coordinates and the sentinels in DEFAULTS
+for the kind's other columns (KIND_COLUMNS), and with the block's wall time
+per row, which stays out of the CSV. The rows are then sorted by the grid
+coordinates in COORDS, so the results.csv bytes do not depend on scheduling.
 
 The sampled kinds (finite_sample_phase and the two ablations) run one block
 per (nx, knob): it samples each seed's corpus once, keeps only its unigram
@@ -22,10 +25,11 @@ share. The variants of a seed share its generator, and with an MLP
 discriminator they share one reset stream and one drawer thread. Its rows
 equal those of single-seed, single-variant runs.
 
-Cells that fail (for example a subgraph larger than the state space) produce
-an error-tagged row instead of aborting the sweep; in a sampled block only the
-failing seed's rows carry the error. Any Exception is caught this way, and
-its error text is the exception's type name and then its message. Types
+A task whose worker raises (for example on a subgraph larger than the state
+space) gets one error-tagged row at its coordinates, and the sweep goes on; a
+sampled block's error row has seed -1 and variant "". A sampled block tags
+only the rows of a seed whose data fails to build, or of a diverged member.
+An error text is the exception's type name and then its message. Types
 other than ValueError and RuntimeError are faults in the program, so their
 traceback also goes to stderr.
 """
@@ -104,9 +108,9 @@ KIND_COLUMNS = {
                            "threshold", "per", "erm_per", "residual", "error"],
 }
 
-# a column's value until its cell computes it; every coordinate but nx and trial is given
+# a column's value when neither its task nor its worker gives one
 DEFAULTS = {
-    "nx": -1, "trial": -1, "error": "",
+    "nx": -1, "trial": -1, "seed": -1, "variant": "", "error": "",
     "distinct_nonzero": -1, "per": float("nan"), "residual": float("nan"), "rank_deficient": 0,
     "sigma_min": float("nan"), "threshold": float("nan"), "erm_per": float("nan"),
     "min_gap": float("nan"), "distinct_count": -1, "simple_at_1e12": 0,
@@ -127,11 +131,15 @@ VARIANTS = {
                            "outside_cost": {"averaging": "outside_cost"}},
 }
 
-# the ExperimentConfig fields each kind's sweep reads, besides kind and write_traces
-_GRID_FIELDS = ("family", "nx_values", "knob_values", "ngram", "L", "seeds")
-READS = {"asymptotic_phase": _GRID_FIELDS, "smrm_gaps": ("sizes", "trials", "seeds"),
+# the ExperimentConfig fields each kind's sweep reads, besides kind and write_traces;
+# the ablations run on the circulant grid only
+_GRID_FIELDS = ("nx_values", "knob_values", "ngram", "L", "seeds")
+_SAMPLED_FIELDS = _GRID_FIELDS + ("n_sequences", "matched", "train")
+READS = {"asymptotic_phase": ("family",) + _GRID_FIELDS,
+         "finite_sample_phase": ("family",) + _SAMPLED_FIELDS,
+         "smrm_gaps": ("sizes", "trials", "seeds"),
          "ntk_convergence": ("L", "n_languages", "t_end", "stop_residual"),
-         **dict.fromkeys(VARIANTS, _GRID_FIELDS + ("n_sequences", "matched", "train"))}
+         "reset_ablation": _SAMPLED_FIELDS, "averaging_ablation": _SAMPLED_FIELDS}
 
 
 @dataclass
@@ -141,7 +149,9 @@ class ExperimentConfig:
     Grid semantics depend on the kind. For asymptotic_phase the knob is the
     requested distinct-eigenvalue count of the tiled subgraph; for
     finite_sample_phase and the ablations it is the circulant action-set size
-    d or the Hamiltonian interpolation weight w. smrm_gaps uses sizes/trials,
+    d or the Hamiltonian interpolation weight w. A knob that counts (every
+    asymptotic_phase knob, and d) must be an integer, and no grid, seed or
+    size list may repeat a value. smrm_gaps uses sizes/trials,
     ntk_convergence uses n_languages plus the integration horizon.
     """
 
@@ -175,11 +185,20 @@ class ExperimentConfig:
         self.sizes = tuple(int(s) for s in self.sizes)
         if len(self.seeds) < 1:
             raise ValueError("need at least one seed per cell")
+        for name in ("nx_values", "knob_values", "seeds", "sizes"):  # a repeat reruns a cell
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} repeats a value: {list(values)}")
         if self.kind == "asymptotic_phase" or self.kind in VARIANTS:
             if self.family not in FAMILIES:
                 raise ValueError(f"unknown graph family: {self.family!r}")
             if not self.nx_values or not self.knob_values:
                 raise ValueError("grid kinds need nonempty nx_values and knob_values")
+            # the knob counts eigenvalues, or circulant offsets; the languages truncate it
+            counts = self.kind == "asymptotic_phase" or self.family == "circulant"
+            if counts and not all(float(k).is_integer() for k in self.knob_values):
+                raise ValueError(f"{self.kind} on {self.family} needs integer knob_values, "
+                                 f"got {list(self.knob_values)}")
             if self.ngram < 1 or self.L < 1:
                 raise ValueError("ngram and L must be >= 1")
         if self.kind in VARIANTS:
@@ -227,13 +246,14 @@ def default_config(kind: str, family: str = "circulant") -> ExperimentConfig:
     if kind == "ntk_convergence":
         return ExperimentConfig(kind=kind, L=10, seeds=(0,))
     if kind in ("reset_ablation", "averaging_ablation"):
-        # the three highest action-set sizes: the floor of the circulant
-        # sigma_min sweep, where the reset effect is visible
+        # circulant whatever the family asked for: the three highest
+        # action-set sizes, the floor of the circulant sigma_min sweep,
+        # where the reset effect is visible
         train_cfg = TrainConfig(objective="jsd", epochs=500)
         if kind == "averaging_ablation":
             train_cfg = TrainConfig(objective="mmd", epochs=500, discriminator="mlp")
         return ExperimentConfig(
-            kind=kind, family=family, nx_values=(10,), knob_values=(58, 66, 74),
+            kind=kind, family="circulant", nx_values=(10,), knob_values=(58, 66, 74),
             ngram=2, L=80, n_sequences=2560, seeds=tuple(range(10)), train=train_cfg,
         )
     raise ValueError(f"unknown experiment kind: {kind!r}")
@@ -322,7 +342,7 @@ def ntk_language(index: int, L: int) -> tuple[HmmLanguage, int]:
 
 
 # ---------------------------------------------------------------------------
-# cell workers (module level so a process pool can pickle them)
+# cell workers: the values of a task's rows (module level so a pool can pickle them)
 
 
 def _error_text(exc: Exception) -> str:
@@ -338,29 +358,15 @@ def _uniform_weights(nx: int) -> np.ndarray:
     return np.full(nx, 1.0 / nx)
 
 
-def _blank_row(cfg: ExperimentConfig, **coords) -> dict:
-    """A row of cfg's kind: the given values, and DEFAULTS for the rest.
-    Values for columns the kind does not have are dropped."""
-    given = {"kind": cfg.kind, "family": cfg.family, **coords}
-    return {col: given[col] if col in given else DEFAULTS[col] for col in KIND_COLUMNS[cfg.kind]}
-
-
-def _asymptotic_cell(args) -> list[dict]:
-    cfg, nx, knob, seed = args
-    row = _blank_row(cfg, nx=nx, knob=knob, seed=seed)
-    try:
-        lang = asymptotic_language(cfg.family, nx, knob, cfg.ngram, seed)
-        report = spectrum_of_chain(lang.T)
-        pair = exact_positional_unigrams(lang, L=cfg.L)
-        rec = recover_pseudoinverse(pair)
-        row["distinct_nonzero"] = report.nonzero_distinct_count
-        row["per"] = phoneme_error_rate(rec.decoded, lang.O, _uniform_weights(nx))
-        row["residual"] = rec.residual
-        row["rank_deficient"] = int(rec.rank_deficient)
-        row["_matrix"] = rec.O_hat
-    except Exception as exc:
-        row["error"] = _error_text(exc)
-    return [row]
+def _asymptotic_cell(cfg: ExperimentConfig, nx: int, knob, seed: int) -> list[dict]:
+    lang = asymptotic_language(cfg.family, nx, knob, cfg.ngram, seed)
+    report = spectrum_of_chain(lang.T)
+    pair = exact_positional_unigrams(lang, L=cfg.L)
+    rec = recover_pseudoinverse(pair)
+    return [dict(distinct_nonzero=report.nonzero_distinct_count,
+                 per=phoneme_error_rate(rec.decoded, lang.O, _uniform_weights(nx)),
+                 residual=rec.residual, rank_deficient=int(rec.rank_deficient),
+                 _matrix=rec.O_hat)]
 
 
 def _sampled_pair(cfg: ExperimentConfig, nx: int, knob, seed: int):
@@ -371,19 +377,20 @@ def _sampled_pair(cfg: ExperimentConfig, nx: int, knob, seed: int):
     return lang, empirical_positional_unigrams(corpus)
 
 
-def _sampled_block(args) -> list[dict]:
+def _sampled_block(cfg: ExperimentConfig, nx: int, knob) -> list[dict]:
     """Every seed and variant of one (nx, knob) cell of the sampled kinds.
 
     Each seed's pair is built and solved by ERM once and shared by the
     variants, and one train call runs every seed and variant of the block.
+    A seed whose data fails to build, and a member that diverges, get error
+    rows of their own.
     """
-    cfg, nx, knob = args
     variants = VARIANTS[cfg.kind]
     rows: dict[tuple, dict] = {}
     weights = _uniform_weights(nx)
     built = []  # (seed, true assignment, pair) of every seed whose data built
     for seed in cfg.seeds:
-        found = {}  # the seed's values that every variant shares
+        found = {"seed": seed}  # the seed's values that every variant shares
         try:
             lang, pair = _sampled_pair(cfg, nx, knob, seed)
             found["sigma_min"] = sigma_min(pair.PX)
@@ -391,75 +398,59 @@ def _sampled_block(args) -> list[dict]:
                                                        lang.nx, lang.ny, delta=CONFIDENCE_DELTA)
             found["erm_per"] = phoneme_error_rate(erm_least_squares(pair).decoded(), lang.O,
                                                   weights)
-            built.append((seed, lang.O, pair))
         except Exception as exc:
             found["error"] = _error_text(exc)
-        for variant in variants:
-            rows[seed, variant] = _blank_row(cfg, nx=nx, knob=knob, variant=variant, seed=seed,
-                                             **found)
-
-    outcomes = []  # per variant, per built seed: a TrainResult or the exception
-    if built:
-        try:
-            outcomes = train([pair for _, _, pair in built], cfg.train,
-                             true_O=[O for _, O, _ in built],
-                             rngs=[np.random.default_rng(seed) for seed, _, _ in built],
-                             keep_trace=cfg.write_traces,
-                             variants=[replace(cfg.train, **change)
-                                       for change in variants.values()])
-        except Exception as exc:
-            outcomes = [[exc] * len(built)] * len(variants)
+        else:
+            built.append((seed, lang.O, pair))
+        for variant in variants:  # finite_sample_phase's one variant, None, is no column
+            rows[seed, variant] = dict(found, variant=variant) if variant else dict(found)
+    if not built:
+        return list(rows.values())
+    # per variant, per built seed: a TrainResult or the RuntimeError of a divergence
+    outcomes = train([pair for _, _, pair in built], cfg.train,
+                     true_O=[O for _, O, _ in built],
+                     rngs=[np.random.default_rng(seed) for seed, _, _ in built],
+                     keep_trace=cfg.write_traces,
+                     variants=[replace(cfg.train, **change) for change in variants.values()])
     for variant, results in zip(variants, outcomes):
         for (seed, O, pair), res in zip(built, results):
             row = rows[seed, variant]
-            if isinstance(res, Exception):
+            if isinstance(res, RuntimeError):
                 row["error"] = _error_text(res)
                 continue
-            try:
-                O_hat = res.generator.O
-                row.update(per=phoneme_error_rate(res.decoded(), O, weights),
-                           residual=float(np.linalg.norm(pair.PX @ O_hat - pair.PY)),
-                           _matrix=O_hat)
-            except Exception as exc:
-                row["error"] = _error_text(exc)
-                continue
+            O_hat = res.generator.O
+            row.update(per=phoneme_error_rate(res.decoded(), O, weights),
+                       residual=float(np.linalg.norm(pair.PX @ O_hat - pair.PY)),
+                       _matrix=O_hat)
             if cfg.write_traces:
                 row["_trace"] = res.trace
     return list(rows.values())
 
 
-def _ntk_cell(args) -> list[dict]:
-    cfg, index = args
-    row = _blank_row(cfg, language_index=index, seed=index)
-    try:
-        lang, attempts = ntk_language(index, cfg.L)
-        pair = exact_positional_unigrams(lang, L=cfg.L)
-        traj = integrate_dynamics(pair, t_end=cfg.t_end, stop_residual=cfg.stop_residual)
-        slope, r2 = log_linear_tail_fit(traj)
-        rates = traj.rate_estimates
-        row.update(nx=lang.nx, attempts=attempts, sigma_min=sigma_min(pair.PX),
-                   residual=float(traj.residuals[-1]), slope=slope,
-                   # the decay rate of C_t that the smallest kernel eigenvalues bound
-                   predicted_rate=2.0 * rates["lambda_D"] * rates["lambda_G"] * rates["lambda_X"],
-                   r_squared=r2, monotone=int(bool(np.all(np.diff(traj.C) <= 1e-10))),
-                   t_stop=float(traj.times[-1]), steps=len(traj.times) - 1,
-                   rejected_steps=traj.halvings)
-        if cfg.write_traces:
-            row["_ntk_traj"] = traj
-    except Exception as exc:
-        row["error"] = _error_text(exc)
-    return [row]
+def _ntk_cell(cfg: ExperimentConfig, language_index: int, seed: int) -> list[dict]:
+    """One convergence run; its seed coordinate is language_index."""
+    lang, attempts = ntk_language(language_index, cfg.L)
+    pair = exact_positional_unigrams(lang, L=cfg.L)
+    traj = integrate_dynamics(pair, t_end=cfg.t_end, stop_residual=cfg.stop_residual)
+    slope, r2 = log_linear_tail_fit(traj)
+    rates = traj.rate_estimates
+    found = dict(nx=lang.nx, attempts=attempts, sigma_min=sigma_min(pair.PX),
+                 residual=float(traj.residuals[-1]), slope=slope,
+                 # the decay rate of C_t that the smallest kernel eigenvalues bound
+                 predicted_rate=2.0 * rates["lambda_D"] * rates["lambda_G"] * rates["lambda_X"],
+                 r_squared=r2, monotone=int(bool(np.all(np.diff(traj.C) <= 1e-10))),
+                 t_stop=float(traj.times[-1]), steps=len(traj.times) - 1,
+                 rejected_steps=traj.halvings)
+    if cfg.write_traces:
+        found["_ntk_traj"] = traj
+    return [found]
 
 
-def _smrm_block(args) -> list[dict]:
-    cfg, size, seed = args
-    try:
-        stats = gap_statistics(size, cfg.trials, seed=seed)
-    except Exception as exc:
-        return [_blank_row(cfg, size=size, seed=seed, error=_error_text(exc))]
-    return [_blank_row(cfg, size=size, trial=t, seed=seed, min_gap=float(stats.min_gaps[t]),
-                       distinct_count=int(stats.distinct_counts[t]),
-                       simple_at_1e12=int(stats.min_gaps[t] > 1e-12))
+def _smrm_block(cfg: ExperimentConfig, size: int, seed: int) -> list[dict]:
+    stats = gap_statistics(size, cfg.trials, seed=seed)
+    return [dict(trial=t, min_gap=float(stats.min_gaps[t]),
+                 distinct_count=int(stats.distinct_counts[t]),
+                 simple_at_1e12=int(stats.min_gaps[t] > 1e-12))
             for t in range(cfg.trials)]
 
 
@@ -467,32 +458,43 @@ def _smrm_block(args) -> list[dict]:
 # the sweep loop
 
 
-def _grid(cfg: ExperimentConfig) -> list[tuple]:
-    return [(cfg, nx, knob) for nx in cfg.nx_values for knob in cfg.knob_values]
+def _grid(cfg: ExperimentConfig) -> list[dict]:
+    return [dict(nx=nx, knob=knob) for nx in cfg.nx_values for knob in cfg.knob_values]
 
 
-# kind -> (worker, the tasks of a config); each task gives one block of rows
+# kind -> (worker, the tasks of a config); each task is the coordinates of one block of rows
 TASKS = {
     "asymptotic_phase": (_asymptotic_cell, lambda cfg: [
-        (*task, seed) for task in _grid(cfg) for seed in cfg.seeds]),
+        dict(cell, seed=seed) for cell in _grid(cfg) for seed in cfg.seeds]),
     "finite_sample_phase": (_sampled_block, _grid),
     "smrm_gaps": (_smrm_block, lambda cfg: [
-        (cfg, size, seed) for size in cfg.sizes for seed in cfg.seeds]),
-    "ntk_convergence": (_ntk_cell, lambda cfg: [(cfg, i) for i in range(cfg.n_languages)]),
+        dict(size=size, seed=seed) for size in cfg.sizes for seed in cfg.seeds]),
+    "ntk_convergence": (_ntk_cell, lambda cfg: [
+        dict(language_index=i, seed=i) for i in range(cfg.n_languages)]),
     "reset_ablation": (_sampled_block, _grid),
     "averaging_ablation": (_sampled_block, _grid),
 }
 
 
-def _timed(worker, task) -> list[dict]:
-    """worker's rows for task, each with the block's wall time per row.
-    Module level, so that a pool can pickle partial(_timed, worker)."""
+def _blank_row(cfg: ExperimentConfig, **values) -> dict:
+    """A row of cfg's kind: the given values, DEFAULTS for the rest, then the
+    given _-prefixed artifacts. Values for other columns are dropped."""
+    given = {**DEFAULTS, "kind": cfg.kind, "family": cfg.family, **values}
+    return {**{col: given[col] for col in KIND_COLUMNS[cfg.kind]},
+            **{key: value for key, value in values.items() if key.startswith("_")}}
+
+
+def _run_task(worker, cfg: ExperimentConfig, coords: dict) -> list[dict]:
+    """The rows of one task: worker's values at coords, or one error row for
+    coords if it raises, each with the block's wall time per row. Module
+    level, so that a pool can pickle partial(_run_task, worker, cfg)."""
     t0 = perf_counter()
-    rows = worker(task)
-    elapsed = (perf_counter() - t0) / len(rows)
-    for row in rows:
-        row["wall_time"] = elapsed
-    return rows
+    try:
+        found = worker(cfg, **coords)
+    except Exception as exc:
+        found = [{"error": _error_text(exc)}]
+    elapsed = (perf_counter() - t0) / len(found)
+    return [{**_blank_row(cfg, **coords, **values), "wall_time": elapsed} for values in found]
 
 
 def _sort_key(row: dict) -> tuple:
@@ -502,12 +504,12 @@ def _sort_key(row: dict) -> tuple:
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
     """Every row of cfg's sweep, sorted by grid coordinates."""
     worker, tasks = TASKS[cfg.kind]
-    timed = functools.partial(_timed, worker)
+    run = functools.partial(_run_task, worker, cfg)
     if jobs <= 1:
-        blocks = [timed(task) for task in tasks(cfg)]
+        blocks = [run(coords) for coords in tasks(cfg)]
     else:
         with multiprocessing.Pool(jobs) as pool:
-            blocks = pool.map(timed, tasks(cfg))
+            blocks = pool.map(run, tasks(cfg))
     return sorted((row for block in blocks for row in block), key=_sort_key)
 
 

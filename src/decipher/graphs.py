@@ -20,12 +20,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# Hard cap on state counts. An untiled chain holds a dense S x S probs (and
-# weights when reversible), 16 * S^2 bytes for the pair. A tiled chain is
-# validated and propagated through its subgraph and builds that pair only
-# when something reads it (row sampling, interpolation), so the asymptotic
-# sweeps make no S x S array. The largest grid in the experiment sweeps is
-# 8^4 = 4096 states.
+# Hard cap on the side of a dense S x S array. An untiled chain holds a dense
+# probs (and weights when reversible), 16 * S^2 bytes for the pair. A tiled
+# chain is validated and propagated through its subgraph and lays that pair
+# out only when something reads it (row sampling, interpolation), so the cap
+# applies to its state count only then, and the asymptotic sweeps make no
+# S x S array. The largest grid in the experiment sweeps is 8^4 = 4096 states.
 STATE_COUNT_CAP = 8192
 
 ROW_SUM_TOL = 1e-12
@@ -159,6 +159,7 @@ class Tiling:
 
     def lay_out(self, block: np.ndarray) -> np.ndarray:
         """Dense S x S union: block on every copy, 1.0 on every filler."""
+        _check_cap(self.n_states)
         M = np.zeros((self.n_states, self.n_states))
         M[self.blocks[:, :, None], self.blocks[:, None, :]] = block
         M[self.fillers, self.fillers] = 1.0
@@ -263,7 +264,6 @@ def assemble(spec: GraphSpec, target_states: int,
     s = sub.n_states
     if target_states < s:
         raise ValueError(f"subgraph has {s} nodes but target_states is only {target_states}")
-    _check_cap(target_states)
     order = np.arange(target_states) if relabel is None else np.asarray(relabel)
     if not np.array_equal(np.sort(order), np.arange(target_states)):
         raise ValueError("relabel must be a permutation of range(target_states)")
@@ -296,8 +296,8 @@ def interpolate_with_hamiltonian(base: TransitionMatrix, w: float = 0.0) -> Tran
         raise ValueError(f"interpolation weight must be in [0, 1], got {w}")
     if w == 0.0:
         return base
-    C = hamiltonian_cycle_matrix(np.arange(base.n_states))
-    P = (1.0 - w) * base.probs + w * C
+    # base.probs first: a tiled base checks the state-count cap as it lays out
+    P = (1.0 - w) * base.probs + w * hamiltonian_cycle_matrix(np.arange(base.n_states))
     # the blended matrix no longer has the base graph's spectrum: drop the
     # provenance so no closed-form route is taken downstream
     return TransitionMatrix(P, reversible=False, weights=None, spec=None)

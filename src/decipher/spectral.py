@@ -88,8 +88,6 @@ class SpectrumReport:
     eigenvalues: np.ndarray  # real, ascending
     distinct_count: int
     nonzero_distinct_count: int
-    min_gap: float
-    method: str  # "closed_form" | "symmetrized_numeric"
 
 
 def circulant_eigenvalues(n: int, action_set) -> np.ndarray:
@@ -141,11 +139,11 @@ def spectrum_of_chain(T: TransitionMatrix) -> SpectrumReport:
         T.tiling.sub, T.tiling.copies, T.tiling.fillers.size)
     family = T.spec.family if T.reversible and T.spec is not None else None
     if family == "circulant":
-        vals, method = circulant_eigenvalues(T.spec.n, T.spec.action_set), "closed_form"
+        vals = circulant_eigenvalues(T.spec.n, T.spec.action_set)
     elif family == "hypercube":
-        vals, method = hypercube_eigenvalues(T.spec.dim), "closed_form"
+        vals = hypercube_eigenvalues(T.spec.dim)
     elif T.reversible and sub.weights is not None:
-        vals, method = symmetric_eigen(symmetrized_form(sub.weights))[0], "symmetrized_numeric"
+        vals = symmetric_eigen(symmetrized_form(sub.weights))[0]
     else:
         raise NonReversibleNoClosedForm(
             "not reversible, or no closed form and no symmetrizable weights; spectra "
@@ -157,8 +155,6 @@ def spectrum_of_chain(T: TransitionMatrix) -> SpectrumReport:
         eigenvalues=np.sort(values),
         distinct_count=len(reps),
         nonzero_distinct_count=int(np.sum(np.abs(reps) > tol)),
-        min_gap=float(np.min(np.diff(reps))) if len(reps) >= 2 else float("inf"),
-        method=method,
     )
 
 

@@ -69,9 +69,13 @@ class TestConfig:
             ExperimentConfig(kind="ntk_convergence", n_languages=0)
 
     def test_numpy_knobs_coerced(self):
-        cfg = ExperimentConfig(kind="finite_sample_phase", nx_values=(8,),
+        cfg = ExperimentConfig(kind="finite_sample_phase", family="de_bruijn", nx_values=(8,),
                                knob_values=tuple(np.linspace(0, 1, 3)))
         assert all(type(k) is float for k in cfg.knob_values)
+
+    def test_integer_valued_float_knob_stays_valid(self):
+        cfg = tiny_asymptotic(knob_values=(2.0, 3))
+        assert cfg.knob_values == (2.0, 3)
 
     def test_default_grids(self):
         cfg = default_config("asymptotic_phase", "circulant")
@@ -134,12 +138,21 @@ class TestAsymptoticRunner:
         assert cfg.ngram == 4
         tracemalloc.start()
         try:
-            [row] = experiments._asymptotic_cell((cfg, 8, 8, 0))
+            [row] = experiments._asymptotic_cell(cfg, 8, 8, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert row["error"] == "" and row["per"] == 0.0
+        assert row["per"] == 0.0
         assert peak < 16 * 2**20
+
+    def test_hypercube_cell_past_the_state_count_cap_runs(self):
+        # 10^4 tiled states, over STATE_COUNT_CAP: the cap guards dense layouts only
+        cfg = replace(default_config("asymptotic_phase", family="hypercube"),
+                      nx_values=(10,), knob_values=(9,), seeds=(0,))
+        assert cfg.ngram == 4
+        [row] = run_experiment(cfg)
+        assert row["error"] == ""
+        assert row["distinct_nonzero"] == 10 and row["rank_deficient"] == 0 and row["per"] == 0.0
 
     def test_rerun_identical(self):
         cfg = tiny_asymptotic(seeds=(3,))
@@ -360,6 +373,63 @@ def test_unexpected_exception_costs_only_its_cell(monkeypatch, tmp_path, jobs):
     assert failed["error"] == "KeyError: 'no such cell'"
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_fault_in_a_sampled_block_costs_one_error_row(monkeypatch, tmp_path, jobs):
+    cfg = replace(small_sampled("reset_ablation", objective="jsd"), knob_values=(58, 74),
+                  seeds=(0, 1))
+    clean = (write_outputs(cfg, run_experiment(cfg), tmp_path / "clean") / "results.csv")
+    _, bad = experiments._sampled_pair(cfg, 10, 74, 0)
+    real_train = experiments.train
+
+    def failing(pairs, *args, **kwargs):
+        if np.array_equal(pairs[0].PX, bad.PX):
+            raise KeyError("no such block")
+        return real_train(pairs, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "train", failing)
+    rows = run_experiment(cfg, jobs=jobs)
+    got = (write_outputs(cfg, rows, tmp_path / "failed") / "results.csv").read_text()
+    header, *want = clean.read_text().splitlines()
+    assert got.splitlines() == [
+        header, *[line for line in want if line.split(",")[3] != "74"],
+        "reset_ablation,circulant,10,74,,-1,nan,nan,nan,nan,nan,KeyError: 'no such block'"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_workers_return_only_columns_and_artifacts(monkeypatch, jobs):
+    # _blank_row drops a key that is no column of the kind, so a misspelt
+    # key would vanish; every key a worker returns must be a column or an artifact
+    blank_row = experiments._blank_row
+
+    def checked(cfg, **values):
+        stray = [key for key in values
+                 if key not in KIND_COLUMNS[cfg.kind] and not key.startswith("_")]
+        assert not stray, (cfg.kind, stray)
+        return blank_row(cfg, **values)
+
+    monkeypatch.setattr(experiments, "_blank_row", checked)
+    one_seed = dict(seeds=(0,), write_traces=True)
+    configs = [
+        tiny_asymptotic(**one_seed),
+        replace(small_sampled("finite_sample_phase"), **one_seed),
+        ExperimentConfig(kind="smrm_gaps", sizes=(8,), trials=2, seeds=(0,)),
+        ExperimentConfig(kind="ntk_convergence", n_languages=1, L=10, t_end=20.0,
+                         **one_seed),
+        replace(small_sampled("reset_ablation", objective="jsd"), **one_seed),
+        replace(small_sampled("averaging_ablation", discriminator="mlp"), **one_seed),
+    ]
+    assert {cfg.kind for cfg in configs} == set(KIND_COLUMNS)
+    artifacts = {"asymptotic_phase": {"_matrix"}, "finite_sample_phase": {"_matrix", "_trace"},
+                 "smrm_gaps": set(), "ntk_convergence": {"_ntk_traj"},
+                 "reset_ablation": {"_matrix", "_trace"},
+                 "averaging_ablation": {"_matrix", "_trace"}}
+    for cfg in configs:
+        rows = run_experiment(cfg, jobs=jobs)
+        assert rows and all(r["error"] == "" for r in rows), cfg.kind
+        for r in rows:
+            assert {key for key in r if key.startswith("_")} == artifacts[cfg.kind]
+
+
 def test_value_and_runtime_errors_keep_their_text(capsys):
     assert experiments._error_text(ValueError("bad grid")) == "ValueError: bad grid"
     assert experiments._error_text(RuntimeError("diverged")) == "RuntimeError: diverged"
@@ -560,12 +630,33 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: averaging ablation requires")
 
     @pytest.mark.parametrize("argv", [["ntk", "--seeds", "4", "--family", "hypercube"],
-                                      ["smrm", "--family", "hypercube"]])
+                                      ["smrm", "--family", "hypercube"],
+                                      ["ablate-reset", "--family", "hypercube"]])
     def test_grid_flags_rejected_where_they_do_nothing(self, tmp_path, argv):
-        # ntk reads neither a graph family nor a seed list, smrm no family
+        # ntk reads neither a graph family nor a seed list, smrm and the
+        # ablations no family
         with pytest.raises(SystemExit) as exc:
             cli.main(argv + ["--out", str(tmp_path)])
         assert exc.value.code == 2
+        assert not (tmp_path / "results.csv").exists()
+
+    @pytest.mark.parametrize("argv, overrides, message", [
+        (["finite"], {"knob_values": [2.5, 2], "seeds": [0], "train": {"epochs": 50}},
+         "needs integer knob_values"),
+        (["asymptotic", "--family", "hypercube"],
+         {"nx_values": [5], "knob_values": [3.7, 3], "seeds": [0]}, "needs integer knob_values"),
+        (["finite"], {"knob_values": [2], "seeds": [0, 0, 1]}, "seeds repeats a value"),
+        (["asymptotic"], {"knob_values": [3, 3], "seeds": [0, 0]},
+         "knob_values repeats a value"),
+    ], ids=["finite-fractional-d", "asymptotic-fractional-dim", "finite-repeated-seed",
+            "asymptotic-repeated-knob"])
+    def test_mislabelled_or_collapsing_grid_exit_code(self, tmp_path, capsys, argv, overrides,
+                                                      message):
+        # each grid used to run: a truncated knob or a repeated cell under one label
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(overrides))
+        assert cli.main(argv + ["--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "results.csv").exists()
 
     def test_smrm_seeds_flag(self, tmp_path):
@@ -651,7 +742,9 @@ class TestCli:
         ("smrm", {"sizes": [8], "trials": 2, "L": 7}),
         ("asymptotic", {"nx_values": [10], "knob_values": [2], "n_sequences": 10}),
         ("finite", {"knob_values": [2], "t_end": 5.0}),
-    ], ids=["ntk-seeds-family", "ntk-train", "smrm-L", "asymptotic-n_sequences", "finite-t_end"])
+        ("ablate-averaging", {"family": "de_bruijn"}),
+    ], ids=["ntk-seeds-family", "ntk-train", "smrm-L", "asymptotic-n_sequences", "finite-t_end",
+            "ablate-averaging-family"])
     def test_unread_config_field_exit_code(self, tmp_path, capsys, command, overrides):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(overrides))

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from decipher.graphs import (
+    STATE_COUNT_CAP,
     GraphSpec,
     TransitionMatrix,
     assemble,
@@ -116,6 +117,32 @@ def test_tiled_unigrams_match_dense_powers(spec):
                     for k in range(L)])
     npt.assert_allclose(pair.PX, ref, rtol=0, atol=1e-14)
     npt.assert_array_equal(pair.PY, pair.PX @ lang.O)
+
+
+def test_tiled_chain_past_the_cap_gives_exact_unigrams_without_a_dense_layout():
+    # 10 units, 4-grams: 10,000 states, 19 copies of Q_9 and 272 fillers
+    nx, N, L = 10, 4, 6
+    states = nx**N
+    assert states > STATE_COUNT_CAP
+    T = assemble(GraphSpec(family="hypercube", dim=9), states,
+                 relabel=np.random.default_rng(4).permutation(states))
+    lang = HmmLanguage(pi=random_initial_vector(states, 5), T=T,
+                       O=random_permutation_emission(nx, 6), N=N, nx=nx, ny=nx)
+    PX = exact_positional_unigrams(lang, L).PX
+    # reference: a hypercube step averages the dim bit-flip neighbours of
+    # each copy's nodes, position by position; fillers keep their mass
+    blocks = T.tiling.blocks
+    flips = [blocks[:, np.arange(512) ^ (1 << bit)] for bit in range(9)]
+    dist, ref = lang.pi.copy(), []
+    for k in range(L):
+        ref.append(np.bincount(np.arange(states) % nx, weights=dist, minlength=nx))
+        stepped = dist.copy()
+        stepped[blocks] = np.mean([dist[f] for f in flips], axis=0)
+        dist = stepped
+    npt.assert_allclose(PX, ref, rtol=0, atol=1e-14)
+    # the dense S x S layout is what the cap guards
+    with pytest.raises(ValueError, match="state-count cap"):
+        T.probs
 
 
 def test_untiled_unigrams_keep_the_dense_loop():
