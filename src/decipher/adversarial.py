@@ -54,7 +54,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .hmm import PositionalUnigramPair
-from .recovery import recover_pseudoinverse
+from .recovery import phoneme_error_rate, recover_pseudoinverse
 
 OBJECTIVES = ("mmd", "jsd", "wasserstein")
 AVERAGING_MODES = ("soft_input", "outside_cost")
@@ -470,8 +470,7 @@ def train(pair: PositionalUnigramPair | Sequence[PositionalUnigramPair], cfg: Tr
     PY = np.stack([np.asarray(p.PY, dtype=float) for p in pair])
     B, L, nx = PX.shape
     ny = PY.shape[2]
-    truths = [None if O is None else np.argmax(O, axis=1)
-              for O in (true_O if true_O is not None else [None] * B)]
+    truths = list(true_O) if true_O is not None else [None] * B
     if cfg.discriminator == "linear":
         U = np.stack([Generator.initialize(nx, ny, rng).U for rng in rngs])
         discs = [LinearPositionalDiscriminator(L, ny, members=B) for _ in cfgs]
@@ -578,8 +577,7 @@ class _Run:
                     "frobenius_residual": float(np.linalg.norm(PX_i @ O_i - PY_i)),
                 }
                 if truths[b] is not None:
-                    decoded = np.argmax(O_i, axis=1)
-                    row["per"] = float(np.mean(decoded != truths[b]))
+                    row["per"] = phoneme_error_rate(np.argmax(O_i, axis=1), truths[b])
                 self.traces[b].append(row)
 
 

@@ -199,6 +199,11 @@ class ExperimentConfig:
             if counts and not all(float(k).is_integer() for k in self.knob_values):
                 raise ValueError(f"{self.kind} on {self.family} needs integer knob_values, "
                                  f"got {list(self.knob_values)}")
+            if self.kind == "asymptotic_phase" and self.family == "de_bruijn":
+                orders = [_debruijn_order(k) for k in self.knob_values]
+                if len(set(orders)) != len(orders):  # two knobs would build one language
+                    raise ValueError(f"de_bruijn knob_values {list(self.knob_values)} repeat "
+                                     f"a graph order: m = {orders}")
             if self.ngram < 1 or self.L < 1:
                 raise ValueError("ngram and L must be >= 1")
         if self.kind in VARIANTS:
@@ -224,8 +229,8 @@ def default_config(kind: str, family: str = "circulant") -> ExperimentConfig:
         grids = {
             "circulant": dict(nx_values=tuple(range(10, 15)), knob_values=tuple(range(2, 21)),
                               ngram=2, L=20),
-            "de_bruijn": dict(nx_values=tuple(range(8, 12)), knob_values=tuple(range(2, 33, 2)),
-                              ngram=3, L=10),
+            "de_bruijn": dict(nx_values=tuple(range(8, 12)),  # one knob per order m = 1..7
+                              knob_values=(2, 4, 8, 12, 16, 22, 32), ngram=3, L=10),
             "hypercube": dict(nx_values=tuple(range(5, 9)), knob_values=tuple(range(2, 10)),
                               ngram=4, L=10),
         }
@@ -263,6 +268,11 @@ def default_config(kind: str, family: str = "circulant") -> ExperimentConfig:
 # language construction
 
 
+def _debruijn_order(knob) -> int:
+    """The order m of DB(2, m) whose candidate spectrum has about knob values."""
+    return max(1, round(math.sqrt(2.0 * knob)) - 1)
+
+
 def asymptotic_language(family: str, nx: int, knob: int, ngram: int, seed: int) -> HmmLanguage:
     """Tiled-subgraph language whose distinct-eigenvalue count tracks knob.
 
@@ -278,8 +288,7 @@ def asymptotic_language(family: str, nx: int, knob: int, ngram: int, seed: int) 
         cycle = 2 * int(knob) - 1
         spec = GraphSpec(family="circulant", n=cycle, action_set=(1, cycle - 1))
     elif family == "de_bruijn":
-        m = max(1, round(math.sqrt(2.0 * knob)) - 1)
-        spec = GraphSpec(family="de_bruijn", k=2, m=m)
+        spec = GraphSpec(family="de_bruijn", k=2, m=_debruijn_order(knob))
     elif family == "hypercube":
         spec = GraphSpec(family="hypercube", dim=int(knob))
     else:
@@ -354,17 +363,13 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _uniform_weights(nx: int) -> np.ndarray:
-    return np.full(nx, 1.0 / nx)
-
-
 def _asymptotic_cell(cfg: ExperimentConfig, nx: int, knob, seed: int) -> list[dict]:
     lang = asymptotic_language(cfg.family, nx, knob, cfg.ngram, seed)
     report = spectrum_of_chain(lang.T)
     pair = exact_positional_unigrams(lang, L=cfg.L)
     rec = recover_pseudoinverse(pair)
     return [dict(distinct_nonzero=report.nonzero_distinct_count,
-                 per=phoneme_error_rate(rec.decoded, lang.O, _uniform_weights(nx)),
+                 per=phoneme_error_rate(rec.decoded, lang.O),
                  residual=rec.residual, rank_deficient=int(rec.rank_deficient),
                  _matrix=rec.O_hat)]
 
@@ -387,7 +392,6 @@ def _sampled_block(cfg: ExperimentConfig, nx: int, knob) -> list[dict]:
     """
     variants = VARIANTS[cfg.kind]
     rows: dict[tuple, dict] = {}
-    weights = _uniform_weights(nx)
     built = []  # (seed, true assignment, pair) of every seed whose data built
     for seed in cfg.seeds:
         found = {"seed": seed}  # the seed's values that every variant shares
@@ -396,8 +400,7 @@ def _sampled_block(cfg: ExperimentConfig, nx: int, knob) -> list[dict]:
             found["sigma_min"] = sigma_min(pair.PX)
             found["threshold"] = sample_size_threshold(cfg.n_sequences, cfg.n_sequences, pair.L,
                                                        lang.nx, lang.ny, delta=CONFIDENCE_DELTA)
-            found["erm_per"] = phoneme_error_rate(erm_least_squares(pair).decoded(), lang.O,
-                                                  weights)
+            found["erm_per"] = phoneme_error_rate(erm_least_squares(pair).decoded(), lang.O)
         except Exception as exc:
             found["error"] = _error_text(exc)
         else:
@@ -419,7 +422,7 @@ def _sampled_block(cfg: ExperimentConfig, nx: int, knob) -> list[dict]:
                 row["error"] = _error_text(res)
                 continue
             O_hat = res.generator.O
-            row.update(per=phoneme_error_rate(res.decoded(), O, weights),
+            row.update(per=phoneme_error_rate(res.decoded(), O),
                        residual=float(np.linalg.norm(pair.PX @ O_hat - pair.PY)),
                        _matrix=O_hat)
             if cfg.write_traces:

@@ -8,9 +8,11 @@ is s mod |X|.
 
 Positional unigram matrices stack, for block positions k = 0..L-1, the
 marginal distribution of the unit the block-sum selector extracts. Under the
-big-endian encoding that selector reads the FINAL unit of each block, i.e.
-sequence index k*N + N - 1. This offset is fixed here, once; empirical and
-exact unigrams must agree on it or nothing downstream lines up.
+big-endian encoding that selector reads the FINAL unit of each block, state
+mod |X|: the exact recursion bins states by blocks % |X|, and the sampler
+keeps paths % |X|, so a corpus holds only those L units of a sequence and
+their emissions. Empirical and exact unigrams must agree on the selector or
+nothing downstream lines up.
 
 Sampling is an exact inverse CDF. A uniform draw u in [0, 1) against a
 probability row with running sums cum picks #{j : cum[j] < u}, the number of
@@ -66,12 +68,12 @@ class HmmLanguage:
 
 @dataclass
 class Corpus:
-    """Sampled speech and text unit sequences, each of length L*N."""
+    """Sampled speech and text sequences of the selector unit of each of L
+    blocks: a state's final unit, and that unit's emission."""
 
-    speech: np.ndarray  # (n_speech, L*N) ints in [0, |X|)
-    text: np.ndarray  # (n_text, L*N) ints in [0, |Y|)
+    speech: np.ndarray  # (n_speech, L) ints in [0, |X|)
+    text: np.ndarray  # (n_text, L) ints in [0, |Y|)
     matched: bool
-    N: int
     L: int
     nx: int
     ny: int
@@ -80,8 +82,8 @@ class Corpus:
         self.speech = np.asarray(self.speech, dtype=np.int64)
         self.text = np.asarray(self.text, dtype=np.int64)
         for name, arr, size in (("speech", self.speech, self.nx), ("text", self.text, self.ny)):
-            if arr.ndim != 2 or arr.shape[1] != self.L * self.N:
-                raise ValueError(f"{name} sequences must all have length L*N = {self.L * self.N}")
+            if arr.ndim != 2 or arr.shape[1] != self.L:
+                raise ValueError(f"{name} sequences must all have length L = {self.L}")
             if arr.size and (arr.min() < 0 or arr.max() >= size):
                 raise ValueError(f"{name} units must lie in [0, {size})")
         if self.matched and self.speech.shape[0] != self.text.shape[0]:
@@ -224,26 +226,20 @@ def _sample_state_paths(
     return paths
 
 
-def _expand_states(paths: np.ndarray, nx: int, N: int) -> np.ndarray:
-    """Expand state indices into their N units, most significant digit first."""
-    n, L = paths.shape
-    units = np.empty((n, L, N), dtype=np.int64)
-    rem = paths.copy()
-    for d in range(N - 1, -1, -1):
-        units[:, :, d] = rem % nx
-        rem //= nx
-    return units.reshape(n, L * N)
-
-
-def _emit_text(speech: np.ndarray, O: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    flat = speech.reshape(-1)
-    return _RowSampler(O).draw(flat, rng.random(flat.shape[0])).reshape(speech.shape)
+def _emit_text(units: np.ndarray, O: np.ndarray, N: int, rng: np.random.Generator) -> np.ndarray:
+    """Text for each block's final unit. One uniform is drawn for each of a
+    sequence's L*N units, in order, and each block keeps its final unit's,
+    so the stream is that of emitting every unit of every N-gram."""
+    n, L = units.shape
+    u = rng.random((n, L * N))[:, N - 1 :: N]
+    return _RowSampler(O).draw(units.ravel(), u.ravel()).reshape(units.shape)
 
 
 def sample_corpus(
     lang: HmmLanguage, n_sequences: int, L: int, matched: bool, seed: int
 ) -> Corpus:
-    """Ancestral sampling of n_sequences state paths, expanded to unit strings.
+    """Ancestral sampling of n_sequences state paths, kept as the final unit
+    of each block (the selector's unit) with its emitted text.
 
     Matched mode runs emission on the sampled speech. Unmatched mode draws two
     independent corpora from child seeds (seed, seed + 2^31) and keeps the
@@ -256,30 +252,29 @@ def sample_corpus(
 
     def one_corpus(child_seed: int, emit: bool = True):
         rng = np.random.default_rng(child_seed)
-        paths = _sample_state_paths(lang, n_sequences, L, rng)
-        speech = _expand_states(paths, lang.nx, lang.N)
-        return speech, _emit_text(speech, lang.O, rng) if emit else None
+        speech = _sample_state_paths(lang, n_sequences, L, rng) % lang.nx
+        return speech, _emit_text(speech, lang.O, lang.N, rng) if emit else None
 
     if matched:
         speech, text = one_corpus(seed)
     else:
         speech, _ = one_corpus(seed, emit=False)
         _, text = one_corpus(seed + UNMATCHED_SEED_SPLIT)
-    return Corpus(speech=speech, text=text, matched=matched, N=lang.N, L=L, nx=lang.nx, ny=lang.ny)
+    return Corpus(speech=speech, text=text, matched=matched, L=L, nx=lang.nx, ny=lang.ny)
 
 
-def _positional_counts(seqs: np.ndarray, alphabet: int, N: int, L: int) -> np.ndarray:
+def _positional_counts(seqs: np.ndarray, alphabet: int, L: int) -> np.ndarray:
     # one bincount over all positions: position k's units land in bins
     # k*alphabet .. k*alphabet + alphabet - 1
-    keys = seqs[:, N - 1 :: N] + alphabet * np.arange(L)
+    keys = seqs + alphabet * np.arange(L)
     return np.bincount(keys.ravel(), minlength=L * alphabet).reshape(L, alphabet) / seqs.shape[0]
 
 
 def empirical_positional_unigrams(corpus: Corpus) -> PositionalUnigramPair:
-    """Relative frequencies of the selector unit (sequence index k*N + N - 1),
-    the same unit the analytic extraction reads."""
+    """Relative frequencies of the selector unit at each block position, the
+    same unit the analytic extraction reads."""
     if corpus.speech.shape[0] == 0 or corpus.text.shape[0] == 0:
         raise ValueError("corpus must contain sequences on both sides")
-    PX = _positional_counts(corpus.speech, corpus.nx, corpus.N, corpus.L)
-    PY = _positional_counts(corpus.text, corpus.ny, corpus.N, corpus.L)
+    PX = _positional_counts(corpus.speech, corpus.nx, corpus.L)
+    PY = _positional_counts(corpus.text, corpus.ny, corpus.L)
     return PositionalUnigramPair(PX=PX, PY=PY)

@@ -72,14 +72,10 @@ def brute_force_oracle(pair: PositionalUnigramPair, tol: float = 1e-8) -> list[n
     return hits
 
 
-def phoneme_error_rate(decoded: np.ndarray, true_O: np.ndarray, weights: np.ndarray) -> float:
-    """Weighted fraction of speech units whose decoded label differs from the
-    true assignment's argmax label."""
-    decoded = np.asarray(decoded)
-    weights = np.asarray(weights, dtype=float)
-    if abs(weights.sum() - 1.0) > 1e-9:
-        raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
-    if decoded.shape[0] != true_O.shape[0] or weights.shape[0] != true_O.shape[0]:
-        raise ValueError("decoded, true_O and weights must agree on the unit count")
+def phoneme_error_rate(decoded: np.ndarray, true_O: np.ndarray) -> float:
+    """Fraction of speech units whose decoded label differs from the true
+    assignment's argmax label."""
     truth = np.argmax(true_O, axis=1)
-    return float(np.sum(weights * (decoded != truth)))
+    if np.shape(decoded) != truth.shape:
+        raise ValueError("decoded and true_O must agree on the unit count")
+    return float(np.mean(decoded != truth))

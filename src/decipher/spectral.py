@@ -26,7 +26,6 @@ squares the condition number and buries singular values below about
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -158,37 +157,18 @@ def spectrum_of_chain(T: TransitionMatrix) -> SpectrumReport:
     )
 
 
-def stationary_weights(T_probs: np.ndarray) -> Optional[np.ndarray]:
-    """Recover symmetric edge weights diag(p) T of a reversible chain.
-
-    Solves for the stationary distribution and checks detailed balance;
-    returns None when the chain is not reversible (or not irreducible enough
-    for a clean stationary solve).
-    """
-    n = T_probs.shape[0]
-    A = np.vstack([T_probs.T - np.eye(n), np.ones((1, n))])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    p, *_ = np.linalg.lstsq(A, b, rcond=None)
-    if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
-        return None
-    W = p[:, None] * T_probs
-    if np.max(np.abs(W - W.T)) > SYMMETRY_TOL * max(1.0, np.max(np.abs(W))):
-        return None
-    return (W + W.T) / 2.0
-
-
 def right_eigensystem(T: TransitionMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues, right eigenvectors U (columns), and exact U^{-1} for a
-    reversible chain, via the symmetrized form.
+    reversible chain with symmetric weights W, via the symmetrized form;
+    raises NotApplicable for a chain without them.
 
     With S = D^{-1/2} W D^{-1/2} = V diag(w) V^T, the chain D^{-1} W equals
     D^{-1/2} S D^{1/2}, so U = D^{-1/2} V and U^{-1} = V^T D^{1/2} without a
     linear solve.
     """
-    W = T.weights if (T.reversible and T.weights is not None) else stationary_weights(T.probs)
-    if W is None:
-        raise NonReversibleNoClosedForm("eigenvector path requires a reversible chain")
+    W = T.weights
+    if not T.reversible or W is None:
+        raise NotApplicable("eigenvector path requires a reversible chain with symmetric weights")
     d = W.sum(axis=1)
     w, V = symmetric_eigen(symmetrized_form(W))
     U = (1.0 / np.sqrt(d))[:, None] * V

@@ -271,7 +271,7 @@ class TestTraining:
         assert res.trace[-1]["per"] == 0.0
         sq = np.array([r["frobenius_residual"] ** 2 for r in res.trace])
         assert np.max(np.diff(sq)) <= 1e-9
-        assert phoneme_error_rate(res.decoded(), lang.O, np.full(4, 0.25)) == 0.0
+        assert phoneme_error_rate(res.decoded(), lang.O) == 0.0
 
     def test_generator_rows_stay_stochastic_during_training(self):
         lang = cycle_language()
@@ -829,7 +829,7 @@ class TestErmLeastSquares:
         pair = exact_positional_unigrams(lang, L=8)
         sol = erm_least_squares(pair)
         assert np.linalg.norm(pair.PX @ sol.O_projected - pair.PY) < 1e-10
-        assert phoneme_error_rate(sol.decoded(), lang.O, np.full(4, 0.25)) == 0.0
+        assert phoneme_error_rate(sol.decoded(), lang.O) == 0.0
         assert np.all(sol.O_projected >= 0)
         assert np.allclose(sol.O_projected.sum(axis=1), 1.0, atol=1e-12)
 
@@ -841,7 +841,7 @@ class TestErmLeastSquares:
             corpus = sample_corpus(lang, n_sequences=10000, L=8, matched=False, seed=seed)
             pair = empirical_positional_unigrams(corpus)
             sol = erm_least_squares(pair)
-            failures += phoneme_error_rate(sol.decoded(), lang.O, np.full(4, 0.25)) > 0
+            failures += phoneme_error_rate(sol.decoded(), lang.O) > 0
         assert failures == 0
 
     def test_projection_properties(self):

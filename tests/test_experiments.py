@@ -83,7 +83,9 @@ class TestConfig:
         assert cfg.knob_values == tuple(range(2, 21))
         assert cfg.L == 20 and cfg.ngram == 2
         db = default_config("asymptotic_phase", "de_bruijn")
-        assert db.knob_values == tuple(range(2, 33, 2)) and db.ngram == 3
+        assert db.knob_values == (2, 4, 8, 12, 16, 22, 32) and db.ngram == 3
+        # one de Bruijn order m = 1..7 per knob, so no two knobs build one language
+        assert [experiments._debruijn_order(k) for k in db.knob_values] == list(range(1, 8))
         fin = default_config("finite_sample_phase", "circulant")
         assert fin.knob_values == tuple(range(2, 82, 8))
         assert fin.n_sequences == 2560 and fin.L == 80 and len(fin.seeds) == 10
@@ -170,6 +172,17 @@ class TestFiniteRunner:
         assert row["sigma_min"] > 0 and row["threshold"] > 0
         assert 0.0 <= row["per"] <= 1.0 and 0.0 <= row["erm_per"] <= 1.0
         assert row["residual"] >= 0
+
+    def test_row_per_equals_its_final_trace_row(self):
+        # one PER definition for rows and traces: seven misses in ten units are
+        # 0.7 in both, not 0.7000000000000001 from summing seven weights of 0.1
+        cfg = ExperimentConfig(kind="finite_sample_phase", family="circulant",
+                               nx_values=(10,), knob_values=(2,), ngram=2, L=40,
+                               n_sequences=200, seeds=tuple(range(10)),
+                               train=TrainConfig(objective="mmd", epochs=5), write_traces=True)
+        rows = run_experiment(cfg)
+        assert [r["per"] for r in rows] == [r["_trace"][-1]["per"] for r in rows]
+        assert 0.7 in [r["per"] for r in rows]
 
     def test_matched_training_recovers(self):
         cfg = ExperimentConfig(kind="finite_sample_phase", family="de_bruijn",
@@ -282,8 +295,7 @@ class TestSampledBlocks:
         assert len(calls) == 2
         for seed in cfg.seeds:
             lang, pair = experiments._sampled_pair(cfg, 10, 58, seed)
-            want = phoneme_error_rate(erm_least_squares(pair).decoded(), lang.O,
-                                      np.full(10, 0.1))
+            want = phoneme_error_rate(erm_least_squares(pair).decoded(), lang.O)
             pair_rows = [r for r in rows if r["seed"] == seed]
             assert {r["variant"] for r in pair_rows} == {"reset", "no_reset"}
             assert [r["erm_per"] for r in pair_rows] == [want, want]
@@ -648,8 +660,11 @@ class TestCli:
         (["finite"], {"knob_values": [2], "seeds": [0, 0, 1]}, "seeds repeats a value"),
         (["asymptotic"], {"knob_values": [3, 3], "seeds": [0, 0]},
          "knob_values repeats a value"),
+        (["asymptotic", "--family", "de_bruijn"],
+         {"nx_values": [9], "knob_values": [4, 6, 22, 28], "seeds": [0]},
+         "repeat a graph order: m = [2, 2, 6, 6]"),
     ], ids=["finite-fractional-d", "asymptotic-fractional-dim", "finite-repeated-seed",
-            "asymptotic-repeated-knob"])
+            "asymptotic-repeated-knob", "asymptotic-de-bruijn-repeated-order"])
     def test_mislabelled_or_collapsing_grid_exit_code(self, tmp_path, capsys, argv, overrides,
                                                       message):
         # each grid used to run: a truncated knob or a repeated cell under one label

@@ -24,7 +24,6 @@ from decipher.hmm import (
     random_permutation_emission,
     sample_corpus,
     _emit_text,
-    _expand_states,
     _positional_counts,
     _RowSampler,
     _sample_state_paths,
@@ -191,7 +190,7 @@ def test_sample_corpus_determinism_and_unmatched_split():
     b = sample_corpus(lang, 20, 6, matched=True, seed=77)
     npt.assert_array_equal(a.speech, b.speech)
     npt.assert_array_equal(a.text, b.text)
-    assert a.speech.shape == (20, 12)  # L*N columns
+    assert a.speech.shape == (20, 6)  # one selector unit per block
 
     u = sample_corpus(lang, 20, 6, matched=False, seed=77)
     assert not u.matched
@@ -212,8 +211,8 @@ def test_unmatched_corpus_equals_the_two_full_corpora_recipe():
 
     def full_corpus(child_seed):
         rng = np.random.default_rng(child_seed)
-        speech = _expand_states(_sample_state_paths(lang, 30, 7, rng), lang.nx, lang.N)
-        return speech, _emit_text(speech, lang.O, rng)
+        speech = _sample_state_paths(lang, 30, 7, rng) % lang.nx
+        return speech, _emit_text(speech, lang.O, lang.N, rng)
 
     for seed in (0, 77):
         speech, _ = full_corpus(seed)
@@ -238,7 +237,7 @@ def test_deterministic_cycle_paths_identical():
 def test_empirical_single_sequence_one_hot():
     speech = np.array([[3, 1, 0, 2]])
     text = np.array([[3, 1, 0, 2]])
-    corpus = Corpus(speech=speech, text=text, matched=True, N=1, L=4, nx=4, ny=4)
+    corpus = Corpus(speech=speech, text=text, matched=True, L=4, nx=4, ny=4)
     pair = empirical_positional_unigrams(corpus)
     npt.assert_array_equal(pair.PX[0], [0, 0, 0, 1])
     npt.assert_array_equal(pair.PX[2], [1, 0, 0, 0])
@@ -253,7 +252,7 @@ def test_corpus_rejects_units_outside_the_alphabet():
             sides = {"speech": good, "text": good}
             sides[bad_side] = np.array([[0, bad], [2, 1]])
             with pytest.raises(ValueError, match=bad_side):
-                Corpus(**sides, matched=True, N=1, L=2, nx=4, ny=4)
+                Corpus(**sides, matched=True, L=2, nx=4, ny=4)
 
 
 def test_empirical_identity_emission_matches():
@@ -278,9 +277,10 @@ def test_empirical_concentrates_to_exact():
 
 
 def test_empirical_block_position_matches_selector_convention():
-    # N=2: the extracted unit must be the block's final unit (sequence index
-    # k*N + N - 1), which is what the exact recursion computes. Extracting
-    # the block-leading unit instead would not concentrate to exact PX here.
+    # N=2: the extracted unit must be the block's final unit (state mod |X|),
+    # which is what the exact recursion computes. Extracting the
+    # block-leading unit of the full N-gram strings instead would not
+    # concentrate to exact PX here.
     T = assemble(GraphSpec(family="circulant", n=9, action_set=(-1, 1)), 9)
     pi = random_initial_vector(9, 4)
     lang = HmmLanguage(pi=pi, T=T, O=random_permutation_emission(3, 5), N=2, nx=3, ny=3)
@@ -290,9 +290,10 @@ def test_empirical_block_position_matches_selector_convention():
     exact = exact_positional_unigrams(lang, L)
     assert np.linalg.norm(emp.PX - exact.PX) <= 3.0 * np.sqrt(L * 3 / n)
 
+    full_speech, _ = full_expansion_corpus(lang, n, L, matched=True, seed=6)
     leading = np.zeros_like(exact.PX)
     for k in range(L):
-        col = corpus.speech[:, k * 2]
+        col = full_speech[:, k * 2]
         leading[k] = np.bincount(col, minlength=3) / n
     assert np.linalg.norm(leading - exact.PX) > 3.0 * np.sqrt(L * 3 / n)
 
@@ -415,7 +416,7 @@ def test_draws_above_a_short_cdf_take_the_last_positive_column():
     # pi's last positive column is 2; rows 2 and 3 of T both end at column 3
     paths = _sample_state_paths(lang, 3, 5, TopDraws())
     npt.assert_array_equal(paths, np.tile([2, 3, 3, 3, 3], (3, 1)))
-    text = _emit_text(np.array([[0, 1, 2, 3]]), O, TopDraws())
+    text = _emit_text(np.array([[0, 1, 2, 3]]), O, 1, TopDraws())
     npt.assert_array_equal(text, [[1, 2, 3, 0]])
 
 
@@ -435,12 +436,19 @@ def test_draws_of_zero_take_the_first_positive_column():
     lang = HmmLanguage(pi=pi, T=T, O=np.eye(10), N=1, nx=10, ny=10)
     npt.assert_array_equal(_sample_state_paths(lang, 2, 4, ZeroDraws()), [[3, 4, 5, 6]] * 2)
     O = np.array([[0.0, 0.0, 1.0], [0.0, 0.5, 0.5], [1.0, 0.0, 0.0]])
-    npt.assert_array_equal(_emit_text(np.array([[0, 1, 2]]), O, ZeroDraws()), [[2, 1, 0]])
+    npt.assert_array_equal(_emit_text(np.array([[0, 1, 2]]), O, 1, ZeroDraws()), [[2, 1, 0]])
 
 
-def oracle_corpus(lang: HmmLanguage, n: int, L: int, matched: bool, seed: int):
-    """Reference corpus recipe: a fresh generator call per chain step and
-    brute-force CDF comparisons throughout."""
+def expand_states(paths: np.ndarray, nx: int, N: int) -> np.ndarray:
+    """Each state's N units, most significant first: the full N-gram strings."""
+    digits = [paths // nx ** (N - 1 - d) % nx for d in range(N)]
+    return np.stack(digits, axis=-1).reshape(paths.shape[0], -1)
+
+
+def full_expansion_corpus(lang: HmmLanguage, n: int, L: int, matched: bool, seed: int):
+    """Reference corpus recipe: L*N unit strings with text emitted for every
+    unit, a fresh generator call per chain step and brute-force CDF
+    comparisons throughout."""
     cum_pi = np.cumsum(lang.pi)[None, :]
     cum_T = np.cumsum(lang.T.probs, axis=1)
     cum_O = np.cumsum(lang.O, axis=1)
@@ -451,7 +459,7 @@ def oracle_corpus(lang: HmmLanguage, n: int, L: int, matched: bool, seed: int):
         paths[:, 0] = brute_force_count(np.repeat(cum_pi, n, axis=0), rng.random(n))
         for k in range(1, L):
             paths[:, k] = brute_force_count(cum_T[paths[:, k - 1]], rng.random(n))
-        speech = _expand_states(paths, lang.nx, lang.N)
+        speech = expand_states(paths, lang.nx, lang.N)
         text = brute_force_count(cum_O[speech.ravel()], rng.random(speech.size))
         return speech, text.reshape(speech.shape)
 
@@ -476,16 +484,17 @@ def test_sample_corpus_equals_the_brute_force_recipe(family, N):
     for matched in (True, False):
         for seed in (0, 5):
             corpus = sample_corpus(lang, 40, 9, matched=matched, seed=seed)
-            speech, text = oracle_corpus(lang, 40, 9, matched, seed)
-            npt.assert_array_equal(corpus.speech, speech)
-            npt.assert_array_equal(corpus.text, text)
+            speech, text = full_expansion_corpus(lang, 40, 9, matched, seed)
+            assert speech.shape == text.shape == (40, 9 * N)
+            npt.assert_array_equal(corpus.speech, speech[:, N - 1 :: N])
+            npt.assert_array_equal(corpus.text, text[:, N - 1 :: N])
 
 
 def test_positional_counts_equal_the_per_position_loop():
     rng = np.random.default_rng(2)
-    for alphabet, N, L in ((3, 1, 5), (4, 2, 6), (7, 3, 4)):
-        seqs = rng.integers(0, alphabet, size=(25, L * N))
+    for alphabet, L in ((3, 5), (4, 6), (7, 4)):
+        seqs = rng.integers(0, alphabet, size=(25, L))
         loop = np.empty((L, alphabet))
         for k in range(L):
-            loop[k] = np.bincount(seqs[:, k * N + N - 1], minlength=alphabet) / seqs.shape[0]
-        npt.assert_array_equal(_positional_counts(seqs, alphabet, N, L), loop)
+            loop[k] = np.bincount(seqs[:, k], minlength=alphabet) / seqs.shape[0]
+        npt.assert_array_equal(_positional_counts(seqs, alphabet, L), loop)

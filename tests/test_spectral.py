@@ -11,6 +11,7 @@ from decipher.graphs import (
     build_circulant,
     build_debruijn,
     build_hypercube,
+    hamiltonian_cycle_matrix,
     interpolate_with_hamiltonian,
 )
 from decipher.experiments import default_config, finite_language
@@ -292,7 +293,10 @@ def test_decipherability_interpolated_flags_absent():
 
 
 def test_lower_bound_2state_example():
-    T = TransitionMatrix(np.array([[0.9, 0.1], [0.2, 0.8]]), reversible=False)
+    # every 2-state chain is reversible; its symmetric weights are diag(p) T
+    # for the stationary p = (2/3, 1/3)
+    probs = np.array([[0.9, 0.1], [0.2, 0.8]])
+    T = TransitionMatrix(probs, reversible=True, weights=np.diag([2 / 3, 1 / 3]) @ probs)
     rng = np.random.default_rng(1)
     for _ in range(5):
         pi = rng.uniform(0.05, 1.0, size=2)
@@ -301,6 +305,16 @@ def test_lower_bound_2state_example():
         bound = sigma_min_lower_bound(lang, 4)
         actual = sigma_min(exact_positional_unigrams(lang, 4).PX)
         assert 0.0 < bound <= actual + 1e-8
+
+
+def test_lower_bound_rejects_a_directed_chain():
+    # a lazy directed 3-cycle has distinct nonzero eigenvalues but no
+    # symmetric weights, so the bound's assumptions fail
+    probs = 0.5 * hamiltonian_cycle_matrix([1, 2, 0]) + 0.5 * np.eye(3)
+    lang = HmmLanguage(pi=random_initial_vector(3, 1),
+                       T=TransitionMatrix(probs, reversible=False), O=np.eye(3), N=1, nx=3, ny=3)
+    with pytest.raises(NotApplicable):
+        sigma_min_lower_bound(lang, 6)
 
 
 def test_lower_bound_rejects_duplicate_eigenvalues():
