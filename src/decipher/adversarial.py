@@ -451,7 +451,9 @@ def train(pair: PositionalUnigramPair | Sequence[PositionalUnigramPair], cfg: Tr
     and, each epoch, one reset: it is drawn one epoch ahead on one second
     thread per member, which is joined before the member's outcomes are
     kept. Either way each member of each variant ends with the bytes of its
-    own run.
+    own run. A diverged member keeps its slot in a linear stack, and its
+    steps go on unread; stacked matmul works member by member, so they do
+    not touch the others' bytes.
     """
     if isinstance(pair, PositionalUnigramPair):
         outcomes = train([pair], cfg, [true_O], rngs, keep_trace, variants)
@@ -512,73 +514,64 @@ def _train_members(PX, PY, U, shared, draws, discs, truths, cfgs, epochs: int,
             shared.reset(draws)
         for run in live:
             run.epoch(epoch, shared, truths, keep_trace or epoch == epochs - 1)
-        live = [run for run in live if run.members]
+        live = [run for run in live if None in run.outcomes]
     return [run.results() for run in runs]
 
 
 class _Run:
     """One variant's state in the epoch loop: its generator and Adam moments,
-    its discriminator, the members of its stack still training with their
-    data, and every member's trace and outcome."""
+    its discriminator, and every member's trace and outcome. The stack keeps
+    its shape: a member is live while its outcome is None."""
 
     def __init__(self, cfg: TrainConfig, gen: Generator, disc, PX, PY, count: int):
         self.cfg, self.gen, self.disc, self.PX, self.PY = cfg, gen, disc, PX, PY
         self.adam = _AdamState(m=np.zeros_like(gen.U), v=np.zeros_like(gen.U))
-        self.members = list(range(count))  # outcome index of each row of the stack
         self.outcomes: list = [None] * count
         self.traces: list[list[dict]] = [[] for _ in range(count)]
 
     def stacked(self, a: np.ndarray) -> np.ndarray:
-        return a.reshape((len(self.members),) + a.shape[-2:])
+        return a.reshape((len(self.outcomes),) + a.shape[-2:])
 
     def results(self) -> list:
         """Each member's error, or its TrainResult if it trained to the end."""
-        for i, b in enumerate(self.members):
-            self.outcomes[b] = TrainResult(generator=Generator(U=self.stacked(self.gen.U)[i]),
-                                           discriminator=self.disc.member(i),
-                                           trace=self.traces[b])
-        return self.outcomes
+        return [TrainResult(generator=Generator(U=self.stacked(self.gen.U)[i]),
+                            discriminator=self.disc.member(i), trace=self.traces[i])
+                if outcome is None else outcome for i, outcome in enumerate(self.outcomes)]
 
     def epoch(self, epoch: int, shared, truths, record: bool) -> None:
         """The discriminator's step, from shared's weights if this variant
-        resets, then the generator's. A member that diverges gets its error
-        and leaves the stack; the others go on unchanged. With record, each
-        member left appends its trace row."""
+        resets, then the generator's. A live member whose weights stop being
+        finite gets its error, once. With record, each live member appends
+        its trace row."""
         cfg, gen, disc = self.cfg, self.gen, self.disc
         start = shared if cfg.reset_discriminator else disc
         disc.step_from(start, discriminator_gradient(start, cfg.objective, self.PX, self.PY,
                                                      gen.O, cfg.averaging))
         gen.U += self.adam.step(generator_gradient(gen, disc, self.PX, cfg.objective,
                                                    cfg.averaging))
-        gen_ok = np.isfinite(gen.U).reshape(len(self.members), -1).all(axis=1)
+        count = len(self.outcomes)
+        gen_ok = np.isfinite(gen.U).reshape(count, -1).all(axis=1)
         disc_ok = np.logical_and.reduce(
-            [np.isfinite(p).reshape(len(self.members), -1).all(axis=1) for p in disc.params()])
-        if not (gen_ok.all() and disc_ok.all()):
-            for i in np.flatnonzero(~(gen_ok & disc_ok)):
+            [np.isfinite(p).reshape(count, -1).all(axis=1) for p in disc.params()])
+        for i in np.flatnonzero(~(gen_ok & disc_ok)):
+            if self.outcomes[i] is None:
                 part = "generator" if not gen_ok[i] else "discriminator"
-                self.outcomes[self.members[i]] = RuntimeError(
-                    f"{part} weights diverged at epoch {epoch}")
-            keep = gen_ok & disc_ok
-            self.members = [b for b, k in zip(self.members, keep) if k]
-            if not self.members:
-                return
-            # only a linear stack has several members, so only it gets here
-            self.PX, self.PY, gen.U, disc.w = self.PX[keep], self.PY[keep], gen.U[keep], disc.w[keep]
-            self.adam.m, self.adam.v = self.adam.m[keep], self.adam.v[keep]
+                self.outcomes[i] = RuntimeError(f"{part} weights diverged at epoch {epoch}")
         if record:
             O = gen.O
             for i, (PX_i, PY_i, O_i) in enumerate(
                     zip(self.stacked(self.PX), self.stacked(self.PY), self.stacked(O))):
-                b = self.members[i]
+                if self.outcomes[i] is not None:
+                    continue
                 row = {
                     "step": epoch,
                     "J": objective_value(disc.member(i), cfg.objective, PX_i, PY_i, O_i,
                                          cfg.averaging),
                     "frobenius_residual": float(np.linalg.norm(PX_i @ O_i - PY_i)),
                 }
-                if truths[b] is not None:
-                    row["per"] = phoneme_error_rate(np.argmax(O_i, axis=1), truths[b])
-                self.traces[b].append(row)
+                if truths[i] is not None:
+                    row["per"] = phoneme_error_rate(np.argmax(O_i, axis=1), truths[i])
+                self.traces[i].append(row)
 
 
 def project_row_to_simplex(v: np.ndarray) -> np.ndarray:

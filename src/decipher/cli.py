@@ -4,7 +4,8 @@ Each subcommand starts from the published default grid for its experiment
 kind and graph family (--family, else the config file's family), applies
 overrides from an optional JSON config object (ExperimentConfig fields the
 kind reads, others only at their published values; "train" holds
-TrainConfig fields), then the explicit flags, and writes results.csv /
+TrainConfig fields, those that the kind's variants set only at their
+published values), then the explicit flags, and writes results.csv /
 summary.json to the output directory. A subcommand takes --family and
 --seeds only when its kind reads that field.
 """
@@ -17,8 +18,8 @@ import sys
 from dataclasses import asdict, replace
 
 from .adversarial import TrainConfig
-from .experiments import (FAMILIES, READS, ExperimentConfig, default_config, run_experiment,
-                          summarize, write_outputs)
+from .experiments import (FAMILIES, READS, VARIANTS, ExperimentConfig, default_config,
+                          run_experiment, summarize, write_outputs)
 
 SUBCOMMANDS = {
     "asymptotic": "asymptotic_phase",
@@ -75,6 +76,10 @@ def config_from_args(args) -> ExperimentConfig:
     cfg = replace(cfg, **overrides)
     unread = [name for name in asdict(cfg) if name not in READS[kind] + ("kind", "write_traces")
               and getattr(cfg, name) != getattr(published, name)]
+    # the train fields a kind's variants set: each row takes its variant's value
+    varied = dict.fromkeys(name for change in VARIANTS.get(kind, {}).values() for name in change)
+    unread += [f"train.{name}" for name in varied
+               if getattr(cfg.train, name) != getattr(published.train, name)]
     if unread:
         raise ValueError(f"{kind} does not read config field(s) {', '.join(unread)}")
     if args.seeds is not None:

@@ -27,11 +27,12 @@ equal those of single-seed, single-variant runs.
 
 A task whose worker raises (for example on a subgraph larger than the state
 space) gets one error-tagged row at its coordinates, and the sweep goes on; a
-sampled block's error row has seed -1 and variant "". A sampled block tags
-only the rows of a seed whose data fails to build, or of a diverged member.
-An error text is the exception's type name and then its message. Types
-other than ValueError and RuntimeError are faults in the program, so their
-traceback also goes to stderr.
+sampled block's error row has seed -1 and variant "", also when its data
+fails to build, since that failure depends only on (family, nx, knob). Only a
+diverged member of a sampled block gets an error row of its own. An error
+text is the exception's type name and then its message. Types other than
+ValueError and RuntimeError are faults in the program, so their traceback
+also goes to stderr.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .graphs import (
 )
 from .hmm import (
     HmmLanguage,
+    PositionalUnigramPair,
     empirical_positional_unigrams,
     exact_positional_unigrams,
     random_initial_vector,
@@ -328,13 +330,14 @@ def finite_language(family: str, nx: int, knob, ngram: int, seed: int) -> HmmLan
     return HmmLanguage(pi=pi, T=T, O=O, N=ngram, nx=nx, ny=nx)
 
 
-def ntk_language(index: int, L: int) -> tuple[HmmLanguage, int]:
+def ntk_language(index: int, L: int) -> tuple[HmmLanguage, PositionalUnigramPair, int]:
     """Random decipherable language with an interior target emission.
 
     Resamples (chain, pi, permutation) until the exact positional matrix
     clears NTK_SIGMA_FLOOR; one-hot targets freeze the generator kernels
     quadratically, so the emission is a peaked mixture instead of the bare
-    permutation. Returns the language and how many draws were rejected.
+    permutation. Returns the language, its exact unigram pair and how many
+    draws were rejected.
     """
     nx = NTK_NX_CYCLE[index % len(NTK_NX_CYCLE)]
     for attempt in range(NTK_MAX_ATTEMPTS + 1):
@@ -346,7 +349,7 @@ def ntk_language(index: int, L: int) -> tuple[HmmLanguage, int]:
         lang = HmmLanguage(pi=pi, T=T, O=O, N=1, nx=nx, ny=nx)
         pair = exact_positional_unigrams(lang, L=L)
         if sigma_min(pair.PX) > NTK_SIGMA_FLOOR:
-            return lang, attempt
+            return lang, pair, attempt
     raise RuntimeError(f"no decipherable language within {NTK_MAX_ATTEMPTS} draws at index {index}")
 
 
@@ -387,37 +390,32 @@ def _sampled_block(cfg: ExperimentConfig, nx: int, knob) -> list[dict]:
 
     Each seed's pair is built and solved by ERM once and shared by the
     variants, and one train call runs every seed and variant of the block.
-    A seed whose data fails to build, and a member that diverges, get error
-    rows of their own.
+    A member that diverges gets an error row of its own. Whatever else
+    fails, data that does not build included, fails the whole block: every
+    such failure depends only on (family, nx, knob), not on the seed.
     """
     variants = VARIANTS[cfg.kind]
-    rows: dict[tuple, dict] = {}
-    built = []  # (seed, true assignment, pair) of every seed whose data built
+    shared, Os, pairs = [], [], []  # per seed: the values every variant shares, O, pair
     for seed in cfg.seeds:
-        found = {"seed": seed}  # the seed's values that every variant shares
-        try:
-            lang, pair = _sampled_pair(cfg, nx, knob, seed)
-            found["sigma_min"] = sigma_min(pair.PX)
-            found["threshold"] = sample_size_threshold(cfg.n_sequences, cfg.n_sequences, pair.L,
-                                                       lang.nx, lang.ny, delta=CONFIDENCE_DELTA)
-            found["erm_per"] = phoneme_error_rate(erm_least_squares(pair).decoded(), lang.O)
-        except Exception as exc:
-            found["error"] = _error_text(exc)
-        else:
-            built.append((seed, lang.O, pair))
-        for variant in variants:  # finite_sample_phase's one variant, None, is no column
-            rows[seed, variant] = dict(found, variant=variant) if variant else dict(found)
-    if not built:
-        return list(rows.values())
-    # per variant, per built seed: a TrainResult or the RuntimeError of a divergence
-    outcomes = train([pair for _, _, pair in built], cfg.train,
-                     true_O=[O for _, O, _ in built],
-                     rngs=[np.random.default_rng(seed) for seed, _, _ in built],
+        lang, pair = _sampled_pair(cfg, nx, knob, seed)
+        shared.append(dict(
+            seed=seed, sigma_min=sigma_min(pair.PX),
+            threshold=sample_size_threshold(cfg.n_sequences, cfg.n_sequences, pair.L,
+                                            lang.nx, lang.ny, delta=CONFIDENCE_DELTA),
+            erm_per=phoneme_error_rate(erm_least_squares(pair).decoded(), lang.O)))
+        Os.append(lang.O)
+        pairs.append(pair)
+    # per variant, per seed: a TrainResult or the RuntimeError of a divergence
+    outcomes = train(pairs, cfg.train, true_O=Os,
+                     rngs=[np.random.default_rng(seed) for seed in cfg.seeds],
                      keep_trace=cfg.write_traces,
                      variants=[replace(cfg.train, **change) for change in variants.values()])
+    rows = []
     for variant, results in zip(variants, outcomes):
-        for (seed, O, pair), res in zip(built, results):
-            row = rows[seed, variant]
+        for found, O, pair, res in zip(shared, Os, pairs, results):
+            # finite_sample_phase's one variant, None, is no column
+            row = dict(found, variant=variant) if variant else dict(found)
+            rows.append(row)
             if isinstance(res, RuntimeError):
                 row["error"] = _error_text(res)
                 continue
@@ -427,13 +425,12 @@ def _sampled_block(cfg: ExperimentConfig, nx: int, knob) -> list[dict]:
                        _matrix=O_hat)
             if cfg.write_traces:
                 row["_trace"] = res.trace
-    return list(rows.values())
+    return rows
 
 
 def _ntk_cell(cfg: ExperimentConfig, language_index: int, seed: int) -> list[dict]:
     """One convergence run; its seed coordinate is language_index."""
-    lang, attempts = ntk_language(language_index, cfg.L)
-    pair = exact_positional_unigrams(lang, L=cfg.L)
+    lang, pair, attempts = ntk_language(language_index, cfg.L)
     traj = integrate_dynamics(pair, t_end=cfg.t_end, stop_residual=cfg.stop_residual)
     slope, r2 = log_linear_tail_fit(traj)
     rates = traj.rate_estimates

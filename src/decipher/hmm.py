@@ -11,7 +11,8 @@ marginal distribution of the unit the block-sum selector extracts. Under the
 big-endian encoding that selector reads the FINAL unit of each block, state
 mod |X|: the exact recursion bins states by blocks % |X|, and the sampler
 keeps paths % |X|, so a corpus holds only those L units of a sequence and
-their emissions. Empirical and exact unigrams must agree on the selector or
+their emissions; spectral's sigma_min bound bins its eigenvector rows the
+same way. Empirical and exact unigrams must agree on the selector or
 nothing downstream lines up.
 
 Sampling is an exact inverse CDF. A uniform draw u in [0, 1) against a
@@ -128,15 +129,6 @@ def random_permutation_emission(size: int, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     perm = rng.permutation(size)
     return np.eye(size)[perm]
-
-
-def final_unit_selector(dist: np.ndarray, base: int) -> np.ndarray:
-    """Marginalize a state distribution down to its final N-gram unit.
-
-    With big-endian state encoding the map s -> s mod base groups states into
-    contiguous blocks, so the selector is a reshape-and-sum.
-    """
-    return dist.reshape(-1, base).sum(axis=0)
 
 
 def exact_positional_unigrams(lang: HmmLanguage, L: int) -> PositionalUnigramPair:

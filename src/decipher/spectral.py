@@ -16,11 +16,11 @@ largest singular value. These constants are shared by every consumer in the
 package.
 
 Conditioning. sigma_min of PX, both factors of its lower bound and the NTK
-step-size estimate take their singular values from one SVD route,
-singular_values; recovery solves by SVD-based least squares with the same
-RANK_RTOL cut. Nothing eigendecomposes a Gram matrix A^T A for them: that
-squares the condition number and buries singular values below about
-1e-8 * sigma_max in roundoff.
+flow's rate estimate lambda_X (sigma_min(PX)^2) take their singular values
+from one SVD route, singular_values; recovery solves by SVD-based least
+squares with the same RANK_RTOL cut. Nothing eigendecomposes a Gram matrix
+A^T A for them: that squares the condition number and buries singular values
+below about 1e-8 * sigma_max in roundoff.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 # perfbench's tracer patches spectral.build_subgraph by name, so the name stays
 from .graphs import TransitionMatrix, build_subgraph  # noqa: F401
-from .hmm import HmmLanguage, exact_positional_unigrams, final_unit_selector
+from .hmm import HmmLanguage, exact_positional_unigrams
 
 EPS_EIG = 1e-7
 RANK_RTOL = 1e-8
@@ -225,11 +225,12 @@ def sigma_min_lower_bound(lang: HmmLanguage, L: int) -> float:
             f"found {len(reps)} distinct of which {nonzero} nonzero"
         )
 
-    # One collapsed row per eigenspace: (pi^T U_j) (U^{-1}_j projected to units).
+    # One collapsed row per eigenspace: (pi^T U_j) (U^{-1}_j binned by final unit).
+    units = np.arange(len(lang.pi)) % lang.nx
     M = np.zeros((K, lang.nx))
     for row, g in enumerate(groups):
         coeff = lang.pi @ U[:, g]
-        selected = np.stack([final_unit_selector(r, lang.nx) for r in U_inv[g]])
+        selected = np.stack([np.bincount(units, weights=r, minlength=lang.nx) for r in U_inv[g]])
         M[row] = coeff @ selected
     sigma_M = sigma_min(M)
 

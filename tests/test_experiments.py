@@ -343,25 +343,6 @@ class TestSampledBlocks:
         assert by_seed[1]["sigma_min"] == alone["sigma_min"] > 0
         assert_same_rows([by_seed[0], by_seed[2]], [r for r in clean if r["seed"] != 1])
 
-    def test_failed_language_gives_error_rows_for_its_seed_only(self, monkeypatch):
-        cfg = small_sampled("reset_ablation", objective="jsd")
-        clean = per_seed_rows(cfg)
-        build = experiments.finite_language
-
-        def failing(family, nx, knob, ngram, seed):
-            if seed == 2:
-                raise ValueError("no language at seed 2")
-            return build(family, nx, knob, ngram, seed)
-
-        monkeypatch.setattr(experiments, "finite_language", failing)
-        rows = run_experiment(cfg)
-        failed = [r for r in rows if r["seed"] == 2]
-        assert len(failed) == 2 and {r["variant"] for r in failed} == {"reset", "no_reset"}
-        assert all(r["error"] == "ValueError: no language at seed 2" and np.isnan(r["sigma_min"])
-                   for r in failed)
-        assert_same_rows([r for r in rows if r["seed"] != 2],
-                         [r for r in clean if r["seed"] != 2])
-
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_unexpected_exception_costs_only_its_cell(monkeypatch, tmp_path, jobs):
@@ -386,25 +367,36 @@ def test_unexpected_exception_costs_only_its_cell(monkeypatch, tmp_path, jobs):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_fault_in_a_sampled_block_costs_one_error_row(monkeypatch, tmp_path, jobs):
+@pytest.mark.parametrize("site", ["train", "finite_language"])
+def test_fault_in_a_sampled_block_costs_one_error_row(monkeypatch, tmp_path, site, jobs):
+    # the block at knob 74 fails in train, or its data fails to build at seed 1
     cfg = replace(small_sampled("reset_ablation", objective="jsd"), knob_values=(58, 74),
                   seeds=(0, 1))
     clean = (write_outputs(cfg, run_experiment(cfg), tmp_path / "clean") / "results.csv")
-    _, bad = experiments._sampled_pair(cfg, 10, 74, 0)
-    real_train = experiments.train
+    real = getattr(experiments, site)
+    if site == "train":
+        _, bad = experiments._sampled_pair(cfg, 10, 74, 0)
+        error = "KeyError: 'no such block'"
 
-    def failing(pairs, *args, **kwargs):
-        if np.array_equal(pairs[0].PX, bad.PX):
-            raise KeyError("no such block")
-        return real_train(pairs, *args, **kwargs)
+        def failing(pairs, *args, **kwargs):
+            if np.array_equal(pairs[0].PX, bad.PX):
+                raise KeyError("no such block")
+            return real(pairs, *args, **kwargs)
+    else:
+        error = "ValueError: no language at seed 1"
 
-    monkeypatch.setattr(experiments, "train", failing)
+        def failing(family, nx, knob, ngram, seed):
+            if (knob, seed) == (74, 1):
+                raise ValueError("no language at seed 1")
+            return real(family, nx, knob, ngram, seed)
+
+    monkeypatch.setattr(experiments, site, failing)
     rows = run_experiment(cfg, jobs=jobs)
     got = (write_outputs(cfg, rows, tmp_path / "failed") / "results.csv").read_text()
     header, *want = clean.read_text().splitlines()
     assert got.splitlines() == [
         header, *[line for line in want if line.split(",")[3] != "74"],
-        "reset_ablation,circulant,10,74,,-1,nan,nan,nan,nan,nan,KeyError: 'no such block'"]
+        f"reset_ablation,circulant,10,74,,-1,nan,nan,nan,nan,nan,{error}"]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -758,14 +750,33 @@ class TestCli:
         ("asymptotic", {"nx_values": [10], "knob_values": [2], "n_sequences": 10}),
         ("finite", {"knob_values": [2], "t_end": 5.0}),
         ("ablate-averaging", {"family": "de_bruijn"}),
+        # every row takes its variant's value of the field
+        ("ablate-reset", {"train": {"reset_discriminator": False}}),
+        ("ablate-averaging", {"train": {"averaging": "outside_cost"}}),
     ], ids=["ntk-seeds-family", "ntk-train", "smrm-L", "asymptotic-n_sequences", "finite-t_end",
-            "ablate-averaging-family"])
+            "ablate-averaging-family", "ablate-reset-train.reset_discriminator",
+            "ablate-averaging-train.averaging"])
     def test_unread_config_field_exit_code(self, tmp_path, capsys, command, overrides):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(overrides))
         assert cli.main([command, "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
-        assert "does not read config field" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "does not read config field" in err
+        named = err.split("config field(s) ")[1].strip().split(", ")
+        assert len(named) == len(set(named))
         assert not (tmp_path / "results.csv").exists()
+
+    def test_unbuildable_knob_costs_one_error_row(self, tmp_path):
+        # the offsets {1..100} of C_100 include 0 mod 100, whatever the seed
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"knob_values": [2, 100], "seeds": [0, 1],
+                                        "train": {"epochs": 5}}))
+        assert cli.main(["ablate-reset", "--config", str(cfg_file), "--out", str(tmp_path)]) == 0
+        header, *lines = (tmp_path / "results.csv").read_text().splitlines()
+        assert len(lines) == 5
+        assert [line for line in lines if ",100," in line] == [
+            "reset_ablation,circulant,10,100,,-1,nan,nan,nan,nan,nan,"
+            "ValueError: action set offsets must be nonzero mod n"]
 
     def test_unread_config_field_at_its_published_value_runs(self, tmp_path):
         # the benchmark's ntk configs spell out the published seeds

@@ -204,8 +204,7 @@ class TestDynamics:
 
     def test_rejected_steps_keep_the_accuracy(self, monkeypatch):
         # NTK language 4: the controller rejects two steps on its own by t = 1000
-        lang, _ = ntk_language(4, L=10)
-        pair = exact_positional_unigrams(lang, L=10)
+        _, pair, _ = ntk_language(4, L=10)
         traj = integrate_dynamics(pair, t_end=1000.0)
         assert traj.halvings == 2
         assert np.all(traj.min_entries >= -1e-9)
@@ -221,8 +220,7 @@ class TestDynamics:
     def test_overshoot_guard_keeps_loose_runs_in_bounds(self, monkeypatch):
         # at loose tolerances the controller accepts steps that leave the
         # simplex; only the overshoot guard's retries keep NTK language 1 inside
-        lang, _ = ntk_language(1, L=10)
-        pair = exact_positional_unigrams(lang, L=10)
+        _, pair, _ = ntk_language(1, L=10)
         monkeypatch.setattr(ntk, "RTOL", 0.1)
         monkeypatch.setattr(ntk, "ATOL", 0.01)
         with np.errstate(all="ignore"):  # rejected trial steps may overflow
