@@ -85,7 +85,7 @@ def softmax_jacobian(prob_row: np.ndarray) -> np.ndarray:
 def apply_softmax_jacobian(P: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Row x is H(P_x) G_x for every row at once: H(p) g = p * (g - <p, g>)
     needs no |Y| x |Y| Jacobian per row."""
-    return P * (G - np.sum(P * G, axis=-1, keepdims=True))
+    return P * (G - (P * G).sum(axis=-1, keepdims=True))
 
 
 def _mT(a: np.ndarray) -> np.ndarray:

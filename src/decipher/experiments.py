@@ -537,10 +537,14 @@ def _cell_label(row: dict) -> str:
 
 
 def summarize(cfg: ExperimentConfig, rows: Sequence[dict]) -> dict:
-    """Per-cell aggregates over seeds, plus the config echo."""
+    """Per-cell aggregates over seeds, plus the config echo. A sampled
+    block's error row, whose variant is "", counts in every variant's cell."""
     cells: dict[str, list[dict]] = {}
     for row in rows:
-        cells.setdefault(_cell_label(row), []).append(row)
+        variants = VARIANTS[cfg.kind] if row.get("variant") == "" else [None]
+        for variant in variants:
+            labelled = {**row, "variant": variant} if variant else row
+            cells.setdefault(_cell_label(labelled), []).append(row)
     cell_stats = {}
     for label, group in sorted(cells.items()):
         good = [r for r in group if not r["error"]]

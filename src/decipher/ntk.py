@@ -13,6 +13,13 @@ accepted step. A PI controller sets each step from the embedded error
 estimate (rtol 1e-8, atol 1e-12); a step is also rejected and retried at
 half the size whenever it would push O outside [-eps, 1+eps]. A run with a
 stopping residual ends where the residual crosses it, inside the last step.
+
+The seven stage slopes of a step live in one (7, |X| |Y|) array, so a
+stage's state, the error estimate and the continuous extension are each one
+product of a tableau row with it. Stiffness sets the step count: late steps
+sit where h |lambda_max| is about 3.3, the edge of the method's stability
+interval, whatever the tolerance. Numpy's per-call dispatch sets the cost of
+a step, since the state has at most 36 entries.
 """
 
 from __future__ import annotations
@@ -28,19 +35,21 @@ from .spectral import singular_values
 
 OVERSHOOT_EPS = 1e-9
 
-# Dormand-Prince 5(4) pair (Dormand & Prince 1980). Row i gives stage i + 2
-# from stages 1..i + 1; the last row is the fifth-order solution. The flow is
-# autonomous, so the stage nodes are not needed.
-_DP_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
+# Dormand-Prince 5(4) pair (Dormand & Prince 1980), padded to the seven
+# stages. Row i gives stage i + 2 from stages 1..i + 1; the last row is the
+# fifth-order solution. The flow is autonomous, so the stage nodes are not
+# needed.
+_DP_A = np.array([
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
 # fifth- minus fourth-order weights of stages 1..7: the local error estimate
-_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
+                  -1 / 40])
 # Dormand-Prince's continuous extension (Shampine 1986; Hairer, Norsett &
 # Wanner II.6): row i weights stage i + 1 by theta, theta^2, theta^3, theta^4,
 # for a fourth-order solution at theta in [0, 1] of an accepted step
@@ -100,14 +109,25 @@ class NtkTrajectory:
 
 
 def _rms(x: np.ndarray, scale: np.ndarray) -> float:
-    return float(np.sqrt(np.mean((x / scale) ** 2)))
+    return float(np.sqrt(((x / scale) ** 2).mean()))
 
 
-def _dense_output(O: np.ndarray, k: list[np.ndarray], h: float, theta: float) -> np.ndarray:
-    """The state at theta in [0, 1] of the step of size h from O with stages
-    k. Its rows keep O's sums, since every stage's rows sum to 0."""
+def _stages(rhs, O: np.ndarray, K: np.ndarray, h: float) -> np.ndarray:
+    """The step of size h from O, whose slope is K[0]: fills K[1:] with the
+    other stages' slopes, one flattened row each, and returns the fifth-order
+    state. The last stage's slope, K[6], is the one at that state."""
+    hA = h * _DP_A
+    for i in range(6):
+        state = O + (hA[i, :i + 1] @ K[:i + 1]).reshape(O.shape)
+        K[i + 1] = rhs(state).ravel()
+    return state
+
+
+def _dense_output(O: np.ndarray, K: np.ndarray, h: float, theta: float) -> np.ndarray:
+    """The state at theta in [0, 1] of the step of size h from O with stage
+    slopes K. Its rows keep O's sums, since every stage's rows sum to 0."""
     weights = _DP_DENSE @ theta ** np.arange(1, 5)
-    return O + h * sum(w * kj for w, kj in zip(weights, k) if w)
+    return O + h * (weights @ K).reshape(O.shape)
 
 
 def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = None,
@@ -151,15 +171,17 @@ def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = 
     t = 0.0
     halvings = 0
 
-    def record():
-        R = PY - PX @ O
+    def record(R):
         times.append(t)
         Cs.append(float(np.einsum("ly,yz,lz->", R, K_D, R)))
         resids.append(float(np.linalg.norm(R)))
-        mins.append(float(np.min(O)))
+        mins.append(float(O.min()))
 
-    record()
+    record(PY - PX @ O)
+    # the stages' slopes; the first is the last accepted step's last (FSAL)
+    K = np.empty((7, nx * ny))
     f = rhs(O)
+    K[0] = f.ravel()
     scale = ATOL + RTOL * np.abs(O)
     d0, d1 = _rms(O, scale), _rms(f, scale)
     h = float(0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6)
@@ -168,16 +190,11 @@ def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = 
     while t < t_end and not (stop_residual > 0 and resids[-1] <= stop_residual):
         last = h >= t_end - t
         h_try = t_end - t if last else h
-        k = [f]
-        for a in _DP_A:
-            # the last stage is the fifth-order solution, and its slope is
-            # the next step's first stage
-            candidate = O + h_try * sum(aj * kj for aj, kj in zip(a, k) if aj)
-            k.append(rhs(candidate))
-        if not np.all(np.isfinite(candidate)):
+        candidate = _stages(rhs, O, K, h_try)
+        if not np.isfinite(candidate).all():
             raise RuntimeError(f"non-finite state at t = {t:.6g}")
         scale = ATOL + RTOL * np.maximum(np.abs(O), np.abs(candidate))
-        err = _rms(h_try * sum(ej * kj for ej, kj in zip(_DP_E, k) if ej), scale)
+        err = _rms((h_try * _DP_E) @ K, scale.ravel())
         overshoot = candidate.min() < -OVERSHOOT_EPS or candidate.max() > 1.0 + OVERSHOOT_EPS
         if err > 1.0 or overshoot:
             halvings += 1
@@ -187,25 +204,28 @@ def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = 
                 raise RuntimeError(f"step size {h:.3g} underflows at t = {t:.6g}")
             continue
         O_prev, t_prev = O, t
-        O, f = candidate, k[-1]
+        O = candidate
         t = t_end if last else t + h_try
-        drift = np.max(np.abs(O.sum(axis=1) - 1.0))
+        drift = abs(O.sum(axis=1) - 1.0).max()
         if drift > 1e-9:
             raise RuntimeError(f"row-sum drift {drift:.3g} exceeds 1e-9 at t = {t:.6g}")
-        if stop_residual > 0 and np.linalg.norm(PY - PX @ O) <= stop_residual:
+        R = PY - PX @ O
+        if stop_residual > 0 and np.linalg.norm(R) <= stop_residual:
             # the residual falls to stop_residual inside this step: the run
             # ends where it does on the step's dense output, with theta
             # bisected to a double's resolution
             lo, hi = 0.0, 1.0
             for _ in range(53):
                 mid = 0.5 * (lo + hi)
-                if np.linalg.norm(PY - PX @ _dense_output(O_prev, k, h_try, mid)) <= stop_residual:
+                if np.linalg.norm(PY - PX @ _dense_output(O_prev, K, h_try, mid)) <= stop_residual:
                     hi = mid
                 else:
                     lo = mid
             if hi < 1.0:
-                O, t = _dense_output(O_prev, k, h_try, hi), t_prev + hi * h_try
-        record()
+                O, t = _dense_output(O_prev, K, h_try, hi), t_prev + hi * h_try
+                R = PY - PX @ O
+        record(R)
+        K[0] = K[6]
         # PI control; no growth right after a rejection
         grow = _MAX_FACTOR if err == 0.0 else min(
             _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_old**_BETA / err**_ALPHA))

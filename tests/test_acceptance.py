@@ -258,7 +258,8 @@ def test_criterion_6_matched_mmd_universality():
 
 
 def test_criterion_7_kernel_flow_convergence():
-    # Constant-kernel gradient flow on 20 random decipherable languages:
+    # Kernel gradient flow, under the generator kernel H(O_t)^2 that moves
+    # with O, on 20 random decipherable languages:
     # the Frobenius residual must fall below 1e-4 with a monotone squared
     # distance-to-target and a log-linear tail, one minute per trajectory.
     cfg = default_config("ntk_convergence")

@@ -777,6 +777,11 @@ class TestCli:
         assert [line for line in lines if ",100," in line] == [
             "reset_ablation,circulant,10,100,,-1,nan,nan,nan,nan,nan,"
             "ValueError: action set offsets must be nonzero mod n"]
+        # the block's error row counts in each variant's cell, not one of its own
+        cells = json.loads((tmp_path / "summary.json").read_text())["cells"]
+        assert {label: stat["errors"] for label, stat in cells.items() if "knob=100" in label} == {
+            "family=circulant nx=10 knob=100 variant=no_reset": 1,
+            "family=circulant nx=10 knob=100 variant=reset": 1}
 
     def test_unread_config_field_at_its_published_value_runs(self, tmp_path):
         # the benchmark's ntk configs spell out the published seeds

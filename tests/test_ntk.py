@@ -217,6 +217,32 @@ class TestDynamics:
         assert len(reference.times) > len(traj.times)
         assert np.max(np.abs(traj.O_final - reference.O_final)) <= 2e-9
 
+    @pytest.mark.parametrize("index, steps, rejected", [(0, 1083, 1), (1, 220, 0), (2, 844, 1)])
+    def test_controller_work_on_published_languages(self, index, steps, rejected):
+        # the step counts of the benchmark's three languages, pinned so that a
+        # cheaper step cannot hide a change in what the controller does
+        _, pair, _ = ntk_language(index, L=10)
+        traj = integrate_dynamics(pair, t_end=600000.0, stop_residual=1e-5)
+        assert (len(traj.times) - 1, traj.halvings) == (steps, rejected)
+
+    def test_dense_output_spans_the_step(self):
+        _, pair = soft_cycle_language(peak=0.6)
+        PX, PY = pair.PX, pair.PY
+        K_D = discriminator_ntk(4)
+
+        def rhs(O):
+            return apply_generator_ntk(O, PX.T @ ((PY - PX @ O) @ K_D))
+
+        O, h = np.full((4, 4), 0.25), 0.5
+        K = np.empty((7, 16))
+        K[0] = rhs(O).ravel()
+        fifth = ntk._stages(rhs, O, K, h)
+        assert np.array_equal(ntk._dense_output(O, K, h, 0.0), O)
+        assert np.max(np.abs(ntk._dense_output(O, K, h, 1.0) - fifth)) <= 1e-15
+        for theta in np.linspace(0.0, 1.0, 11):
+            dense = ntk._dense_output(O, K, h, theta)
+            assert np.max(np.abs(dense.sum(axis=1) - 1.0)) <= 1e-15
+
     def test_overshoot_guard_keeps_loose_runs_in_bounds(self, monkeypatch):
         # at loose tolerances the controller accepts steps that leave the
         # simplex; only the overshoot guard's retries keep NTK language 1 inside
