@@ -1,5 +1,6 @@
-"""Every name a decipher module imports is used in that module, and every
-module-level private name is read somewhere in the package.
+"""Every name a decipher module imports is used in that module, every
+module-level private name is read somewhere in the package, and the package
+imports nothing beyond the standard library and numpy.
 
 A deletion that leaves an import or a private helper behind fails here. An
 import kept for a reader outside the module, such as the benchmark's tracer,
@@ -9,6 +10,7 @@ is marked ``# noqa: F401`` on its line.
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,3 +92,34 @@ def test_checker_flags_a_dead_private_name():
               "def f(x):\n"
               "    return helpers._double(x)\n")
     assert dead_private_names([helpers, caller]) == ["_OLD_TOL", "_orphan", "_Box"]
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Top-level packages imported from outside the standard library, numpy
+    and decipher, as ast.walk meets them. Relative imports are decipher's own."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "decipher"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module.split(".")[0])
+    return [name for name in found if name not in allowed]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_numpy_beyond_the_standard_library(path):
+    # numpy is the package's one dependency (pyproject.toml); scipy may be
+    # installed beside it, but is not one
+    assert foreign_imports(path.read_text()) == []
+
+
+def test_checker_flags_a_foreign_import():
+    source = ("from __future__ import annotations\n"
+              "import os.path\n"
+              "import numpy as np\n"
+              "from scipy.integrate import solve_ivp\n"
+              "from .graphs import build_subgraph\n"
+              "def f():\n"
+              "    import numba\n")
+    assert foreign_imports(source) == ["scipy", "numba"]
