@@ -595,6 +595,7 @@ class ErmSolution:
 
 
 def erm_least_squares(pair: PositionalUnigramPair) -> ErmSolution:
-    """Least-squares fit of PX @ O ~ PY followed by row-wise simplex projection."""
+    """Pseudo-inverse fit of PX @ O ~ PY, its rows projected onto the simplex. The
+    projection keeps each row's argmax, so this decodes as recover_pseudoinverse."""
     O_hat = recover_pseudoinverse(pair).O_hat
     return ErmSolution(O_projected=np.array([project_row_to_simplex(row) for row in O_hat]))

@@ -15,6 +15,11 @@ for the kind's other columns (KIND_COLUMNS), and with the block's wall time
 per row, which stays out of the CSV. The rows are then sorted by the grid
 coordinates in COORDS, so the results.csv bytes do not depend on scheduling.
 
+Workers compute their rows from layer calls made through this module's
+names, which perfbench's tracer patches: a smrm block runs one gap trial per
+row, and an ntk cell reads its predicted decay rate of C_t, 2 lambda_D
+lambda_G sigma_min^2, off the flow's final rows.
+
 The sampled kinds (finite_sample_phase and the two ablations) run one block
 per (nx, knob): it samples each seed's corpus once, keeps only its unigram
 pair, solves the least-squares (ERM) route on that pair once, and trains
@@ -51,7 +56,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .adversarial import TrainConfig, erm_least_squares, train
+from .adversarial import TrainConfig, erm_least_squares, softmax_jacobian, train
 from .graphs import (
     GraphSpec,
     assemble,
@@ -69,7 +74,7 @@ from .hmm import (
     sample_corpus,
 )
 from .ntk import integrate_dynamics, log_linear_tail_fit
-from .random_chains import gap_statistics, random_reversible_chain
+from .random_chains import random_reversible_chain
 from .recovery import phoneme_error_rate, recover_pseudoinverse
 from .spectral import sample_size_threshold, sigma_min, spectrum_of_chain
 
@@ -433,11 +438,12 @@ def _ntk_cell(cfg: ExperimentConfig, language_index: int, seed: int) -> list[dic
     lang, pair, attempts = ntk_language(language_index, cfg.L)
     traj = integrate_dynamics(pair, t_end=cfg.t_end, stop_residual=cfg.stop_residual)
     slope, r2 = log_linear_tail_fit(traj)
-    rates = traj.rate_estimates
-    found = dict(nx=lang.nx, attempts=attempts, sigma_min=sigma_min(pair.PX),
+    sigma = sigma_min(pair.PX)
+    # lambda_D is 1 - 1/(2 pi); H(p)^2 kills the all-ones vector, so take its second
+    lambda_G = min(np.linalg.eigvalsh(H @ H)[1] for H in map(softmax_jacobian, traj.O_final))
+    found = dict(nx=lang.nx, attempts=attempts, sigma_min=sigma,
                  residual=float(traj.residuals[-1]), slope=slope,
-                 # the decay rate of C_t that the smallest kernel eigenvalues bound
-                 predicted_rate=2.0 * rates["lambda_D"] * rates["lambda_G"] * rates["lambda_X"],
+                 predicted_rate=2.0 * (1.0 - 1.0 / (2.0 * np.pi)) * float(lambda_G) * sigma**2,
                  r_squared=r2, monotone=int(bool(np.all(np.diff(traj.C) <= 1e-10))),
                  t_stop=float(traj.times[-1]), steps=len(traj.times) - 1,
                  rejected_steps=traj.halvings)
@@ -447,11 +453,14 @@ def _ntk_cell(cfg: ExperimentConfig, language_index: int, seed: int) -> list[dic
 
 
 def _smrm_block(cfg: ExperimentConfig, size: int, seed: int) -> list[dict]:
-    stats = gap_statistics(size, cfg.trials, seed=seed)
-    return [dict(trial=t, min_gap=float(stats.min_gaps[t]),
-                 distinct_count=int(stats.distinct_counts[t]),
-                 simple_at_1e12=int(stats.min_gaps[t] > 1e-12))
-            for t in range(cfg.trials)]
+    """One row per gap trial, on the chain drawn from [seed, trial]."""
+    rows = []
+    for trial in range(cfg.trials):
+        report = spectrum_of_chain(random_reversible_chain(size, [seed, trial]))
+        min_gap = float(np.diff(report.eigenvalues).min())
+        rows.append(dict(trial=trial, min_gap=min_gap, distinct_count=report.distinct_count,
+                         simple_at_1e12=int(min_gap > 1e-12)))
+    return rows
 
 
 # ---------------------------------------------------------------------------

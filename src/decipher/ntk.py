@@ -4,14 +4,16 @@ The discriminator's per-position kernel has entries fixed by standard
 Gaussian half moments: 1 on the diagonal, 1/(2 pi) off it, so the all-ones
 vector is always an eigenvector. The generator kernel at a posterior row p
 is the squared softmax Jacobian H(p)^2, taken at the flow's current rows.
-Both kernels kill the all-ones direction, which is what conserves row sums
-along the flow.
+H(p) kills the all-ones direction, which is what conserves row sums along
+the flow (K_D only scales it). The flow applies H(p)^2 to every row at once
+(apply_generator_ntk); generator_ntk forms one row's, the tests' reference.
 
 integrate_dynamics runs the coupled per-unit ODEs with the Radau IIA
 collocation method of order 5 and records the kernel-weighted squared
-mismatch C_t at each accepted step. The flow is stiff: late in a run, the
-steps that the accuracy allows times the Jacobian's largest |lambda| lie far
-outside any explicit method's stability interval, and Radau IIA, being
+mismatch C_t at each accepted step; the ntk_convergence rows read their
+predicted decay rate off its final state. The flow is stiff: late in a run,
+the steps that the accuracy allows times the Jacobian's largest |lambda| lie
+far outside any explicit method's stability interval, and Radau IIA, being
 L-stable, takes them. Gustafsson's predictive controller sets each step from
 the embedded error estimate (rtol 1e-8, atol 1e-12); a step is also rejected
 and retried at half the size when its Newton iteration does not converge or
@@ -30,14 +32,13 @@ has at most 36 entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .adversarial import apply_softmax_jacobian, softmax_jacobian
 from .hmm import PositionalUnigramPair
-from .spectral import singular_values
 
 OVERSHOOT_EPS = 1e-9
 
@@ -112,7 +113,6 @@ class NtkTrajectory:
     residuals: np.ndarray
     min_entries: np.ndarray
     O_final: np.ndarray
-    rate_estimates: dict = field(default_factory=dict)
     halvings: int = 0  # rejected steps
 
 
@@ -204,8 +204,8 @@ def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = 
 
     Records C_t = Tr(R K_D R^T) with R the per-position mismatch, the
     Frobenius residual and the smallest O entry at every accepted step. Row
-    sums are conserved analytically (both kernels kill the all-ones
-    direction); integration drift beyond 1e-9 raises.
+    sums are conserved analytically (H(p) kills the all-ones direction);
+    integration drift beyond 1e-9 raises.
 
     Each step solves the collocation equations by simplified Newton, from a
     guess that extrapolates the last step's collocation polynomial. The
@@ -367,15 +367,9 @@ def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = 
             J, h_inverted = _jacobian(rhs, y, f), None
         h = h_try if not fresh and 1.0 <= factor < 1.2 else h_try * factor
 
-    O = y.reshape(nx, ny)
-    rates = {
-        "lambda_D": float(np.min(np.linalg.eigvalsh(K_D))),
-        "lambda_G": float(min(np.linalg.eigvalsh(generator_ntk(row))[1] for row in O)),
-        "lambda_X": float(singular_values(PX)[-1] ** 2),
-    }
     return NtkTrajectory(
         times=np.array(times), C=np.array(Cs), residuals=np.array(resids),
-        min_entries=np.array(mins), O_final=O, rate_estimates=rates, halvings=halvings,
+        min_entries=np.array(mins), O_final=y.reshape(nx, ny), halvings=halvings,
     )
 
 

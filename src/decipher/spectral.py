@@ -15,12 +15,12 @@ distinct_eigenvalues. Numerical column rank uses RANK_RTOL relative to the
 largest singular value. These constants are shared by every consumer in the
 package.
 
-Conditioning. sigma_min of PX, both factors of its lower bound and the NTK
-flow's rate estimate lambda_X (sigma_min(PX)^2) take their singular values
-from one SVD route, singular_values; recovery solves by SVD-based least
-squares with the same RANK_RTOL cut. Nothing eigendecomposes a Gram matrix
-A^T A for them: that squares the condition number and buries singular values
-below about 1e-8 * sigma_max in roundoff.
+Conditioning. sigma_min of PX, which the NTK rows also square for their
+predicted rate, and both factors of its lower bound take their singular
+values from one SVD route, singular_values; recovery solves by SVD-based
+least squares with the same RANK_RTOL cut. Nothing eigendecomposes a Gram
+matrix A^T A for them: that squares the condition number and buries
+singular values below about 1e-8 * sigma_max in roundoff.
 """
 
 from __future__ import annotations

@@ -858,6 +858,13 @@ class TestErmLeastSquares:
                 u = rng.dirichlet(np.ones(dim))
                 assert np.linalg.norm(v - p) <= np.linalg.norm(v - u) + 1e-12
 
+    def test_projection_keeps_the_argmax(self):
+        # so erm_least_squares decodes exactly as the pseudo-inverse does
+        rng = np.random.default_rng(43)
+        for _ in range(2000):
+            v = rng.normal(0, 2, size=rng.integers(2, 15))
+            assert np.argmax(project_row_to_simplex(v)) == np.argmax(v)
+
     def test_projection_known_points(self):
         assert np.allclose(project_row_to_simplex(np.array([2.0, 0.0])), [1.0, 0.0])
         assert np.allclose(project_row_to_simplex(np.array([1.0, 1.0])), [0.5, 0.5])

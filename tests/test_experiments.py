@@ -16,11 +16,13 @@ from decipher.experiments import (
     ExperimentConfig,
     default_config,
     finite_language,
+    ntk_language,
     run_experiment,
     summarize,
     write_outputs,
 )
 from decipher.hmm import exact_positional_unigrams, sample_corpus, empirical_positional_unigrams
+from decipher.ntk import discriminator_ntk, generator_ntk, integrate_dynamics
 from decipher.recovery import phoneme_error_rate
 from decipher.spectral import sigma_min
 from decipher import cli
@@ -459,7 +461,7 @@ def test_failed_cells_write_their_defaults(monkeypatch, tmp_path):
         raise ValueError("boom")
 
     monkeypatch.setattr(experiments, "ntk_language", boom)
-    monkeypatch.setattr(experiments, "gap_statistics", boom)
+    monkeypatch.setattr(experiments, "random_reversible_chain", boom)
     cases = [(ExperimentConfig(kind="ntk_convergence", n_languages=1, seeds=(0,)),
               "ntk_convergence,0,-1,0,-1,nan,nan,nan,nan,nan,0,nan,-1,-1,ValueError: boom"),
              (ExperimentConfig(kind="smrm_gaps", sizes=(16,), trials=3, seeds=(4,)),
@@ -496,6 +498,22 @@ class TestNtkRunner:
         for r in ntk_rows:
             assert r["predicted_rate"] > 0
             assert abs(r["slope"]) >= r["predicted_rate"]
+
+    def test_rate_estimates_reported(self, ntk_rows):
+        # predicted_rate is 2 lambda_D lambda_G sigma_min^2: lambda_D is the
+        # smallest eigenvalue of K_D, and lambda_G the least over the final
+        # rows of each generator kernel's second-smallest, by the reference
+        # kernel on a run of its own
+        lambda_D = 1.0 - 1.0 / (2.0 * np.pi)
+        for r in ntk_rows:
+            _, pair, _ = ntk_language(r["language_index"], NTK_TWO.L)
+            assert abs(np.linalg.eigvalsh(discriminator_ntk(r["nx"]))[0] - lambda_D) < 1e-12
+            traj = integrate_dynamics(pair, t_end=NTK_TWO.t_end,
+                                      stop_residual=NTK_TWO.stop_residual)
+            lambda_G = min(np.linalg.eigvalsh(generator_ntk(row))[1] for row in traj.O_final)
+            assert lambda_G > 0
+            expected = 2.0 * lambda_D * lambda_G * r["sigma_min"] ** 2
+            assert r["predicted_rate"] == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_results_bytes_match_across_jobs(self, ntk_rows, tmp_path):
         serial = write_outputs(NTK_TWO, ntk_rows, tmp_path / "serial")
@@ -734,7 +752,7 @@ class TestCli:
         assert cli.main(["smrm", "--config", str(cfg_file), "--out", str(tmp_path)]) == 0
         with open(tmp_path / "results.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        # one gap_statistics block per seed, each equal to a one-seed run
+        # one smrm block per seed, each equal to a one-seed run
         assert [(r["seed"], r["trial"]) for r in rows] == [
             ("3", "0"), ("3", "1"), ("4", "0"), ("4", "1")]
         for seed in (3, 4):

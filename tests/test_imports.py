@@ -1,6 +1,6 @@
-"""Every name a decipher module imports is used in that module, every
-module-level private name is read somewhere in the package, and the package
-imports nothing beyond the standard library and numpy.
+"""Every name a decipher module or a test module imports is used in that
+module, every module-level private name is read somewhere in the package,
+and the package imports nothing beyond the standard library and numpy.
 
 A deletion that leaves an import or a private helper behind fails here. An
 import kept for a reader outside the module, such as the benchmark's tracer,
@@ -18,6 +18,7 @@ import pytest
 import decipher
 
 MODULES = sorted(Path(decipher.__file__).parent.glob("*.py"))
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,7 +37,8 @@ def unused_imports(source: str) -> list[str]:
     return [name for _, name in sorted(imported) if name not in read]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES,
+                         ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TEST_MODULES])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 

@@ -4,11 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from decipher.random_chains import (
-    WEIGHT_HIGH,
-    gap_statistics,
-    random_reversible_chain,
-)
+from decipher.experiments import ExperimentConfig, run_experiment
+from decipher.random_chains import WEIGHT_HIGH, random_reversible_chain
 from decipher.spectral import symmetric_eigen, symmetrized_form
 
 
@@ -55,27 +52,30 @@ def test_chain_determinism_and_validation():
         random_reversible_chain(1, seed=0)
 
 
+def gap_rows(size, trials, seed):
+    """The smrm sweep's rows for one size and seed, in trial order."""
+    return run_experiment(ExperimentConfig(kind="smrm_gaps", sizes=(size,), trials=trials,
+                                           seeds=(seed,)))
+
+
 def test_gap_statistics_n2():
-    stats = gap_statistics(2, trials=50, seed=1)
-    assert stats.min_gaps.shape == (50,)
-    assert np.all(stats.min_gaps >= 0.0)
-    assert np.all(stats.distinct_counts <= 2)
+    rows = gap_rows(2, trials=50, seed=1)
+    assert [r["trial"] for r in rows] == list(range(50))
+    assert all(r["error"] == "" for r in rows)
+    assert all(r["min_gap"] >= 0.0 for r in rows)
+    assert all(r["distinct_count"] <= 2 for r in rows)
 
 
 def test_gap_statistics_simple_spectrum_n32():
-    stats = gap_statistics(32, trials=200, seed=5)
-    npt.assert_array_equal(stats.distinct_counts, np.full(200, 32))
-    assert np.all(stats.min_gaps > 1e-12)
+    rows = gap_rows(32, trials=200, seed=5)
+    assert [r["distinct_count"] for r in rows] == [32] * 200
+    assert all(r["min_gap"] > 1e-12 and r["simple_at_1e12"] == 1 for r in rows)
 
 
 def test_trial_seeding_is_order_insensitive():
-    # the aggregate equals the union of two disjoint reruns of the same seeds
-    full = gap_statistics(12, trials=20, seed=42)
-    again = gap_statistics(12, trials=20, seed=42)
-    npt.assert_array_equal(full.min_gaps, again.min_gaps)
+    rows = gap_rows(12, trials=20, seed=42)
+    assert [r["min_gap"] for r in rows] == [r["min_gap"] for r in gap_rows(12, trials=20, seed=42)]
     # per-trial chains depend only on (seed, trial), not on how many ran before
-    from decipher.random_chains import random_reversible_chain as rc
-
-    solo = rc(12, [42, 13])
+    solo = random_reversible_chain(12, [42, 13])
     w, _ = symmetric_eigen(symmetrized_form(solo.weights))
-    assert np.diff(w).min() == pytest.approx(full.min_gaps[13])
+    assert np.diff(w).min() == pytest.approx(rows[13]["min_gap"])

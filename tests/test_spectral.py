@@ -105,6 +105,17 @@ def test_c5_spectrum_closed_form():
         assert np.min(np.abs(rep.eigenvalues - v)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [3, 5, 12, 39, 100])
+def test_circulant_closed_form_matches_numeric(n):
+    rng = np.random.default_rng(n)
+    for size in range(1, n // 2 + 1, max(1, n // 8)):
+        half = rng.choice(np.arange(1, n // 2 + 1), size=size, replace=False)
+        action_set = sorted({int(a) for a in half} | {n - int(a) for a in half})
+        w, _ = symmetric_eigen(symmetrized_form(build_circulant(n, action_set).weights))
+        closed = np.sort(circulant_eigenvalues(n, action_set))
+        assert np.max(np.abs(closed - np.sort(w))) <= 1e-12
+
+
 def test_q2_spectrum_counts_and_gap():
     rep = spectrum_of_chain(build_hypercube(2))
     assert rep.distinct_count == 3
