@@ -20,24 +20,35 @@ every input row at every position come from one (rows x |Y|) @ (|Y| x
 L*hidden) product, laid out rows x L x hidden so that elementwise work runs
 along the hidden axis; the output layer is one small product per position,
 and the generator's dF/dO is one (|X| x L*hidden) @ (L*hidden x |Y|) product.
-The soft_input fake side is differentiated before the real side, and its
-activations are overwritten by their back-propagated values, so a step holds
-few large temporaries at once. Under mmd and wasserstein every score
-derivative is the constant 1, and the scores that would feed it are skipped.
+Under mmd and wasserstein every score derivative is the constant 1: the
+scores that would feed it are skipped, and the generator step takes its
+activity mask from the pre-activations, with no ReLU pass.
+
+An MLP epoch makes no temporary as large as W or as the hidden layer of all
+input rows. Each member's training owns work arrays (_MlpWork) that its
+variants share, and every such array is written into one of them with out=:
+the hidden pre-activations, which are then overwritten by their
+back-propagated values, their activity mask, the soft_input fake side's W
+gradient, relu(W) and W > 0 of weights that are not a fresh reset, and the
+finiteness mask. A discriminator step writes its W gradient into the work
+arrays' spare W, adds the start's W into it in place and takes that array as
+its own W, so its old W is the next spare. The work arrays belong to one
+train call, and the discriminators it returns do not hold them.
 
 An MLP reset draws L x hidden x (|Y| + 1) standard normals, which take about
 as long as the rest of the epoch, and the draws depend only on the member's
 generator. So the variants of a member (configs that differ only in
 objective, averaging or reset, such as the two averaging modes) train in
-lockstep on one reset stream: each epoch the member's reset is drawn and
-scaled once, and every variant that resets takes its step from those
-weights into its own arrays. The resets are drawn one epoch ahead on a
-second thread: while one epoch trains, the thread draws the next reset into
-a spare pair of weight arrays, which that reset swaps in and scales. Each
-variant keeps the bytes of its own run with resets drawn in turn. The thread
-belongs to a one-worker executor that lives for one member's training, so a
-member's variants share one drawer thread; under --jobs N each worker
-process adds one such thread.
+lockstep on one reset stream: each epoch the member's reset is drawn once,
+and every variant that resets takes its step from those weights into its
+own arrays. The resets are drawn one epoch ahead on a second thread: while
+one epoch trains, the thread draws the next reset into spare weight arrays,
+scales them and forms the terms that depend only on the reset, relu(W) and
+W > 0, which every resetting variant's step reads; the reset swaps them all
+in. Each variant keeps the bytes of its own run with resets drawn in turn.
+The thread belongs to a one-worker executor that lives for one member's
+training, so a member's variants share one drawer thread; under --jobs N
+each worker process adds one such thread.
 
 The generator, the linear discriminator and their gradients also accept a
 leading member axis, so one call trains several independent runs in the same
@@ -166,6 +177,10 @@ class LinearPositionalDiscriminator:
     def params(self) -> list[np.ndarray]:
         return [self.w]
 
+    def finite(self, count: int) -> np.ndarray:
+        """Per member: are all its weights finite?"""
+        return np.isfinite(self.w).reshape(count, -1).all(axis=1)
+
     def step_from(self, start: "LinearPositionalDiscriminator", grads: list[np.ndarray]) -> None:
         """The weights become start's weights plus the step grads; start may be self."""
         np.add(start.w, grads[0], out=self.w)
@@ -175,6 +190,9 @@ class PerStepMlpDiscriminator:
     """Per-position 2-layer ReLU perceptron |Y| -> hidden -> 1, no biases.
 
     W is L x hidden x |Y| and v is L x hidden; a reset draws them in that order.
+    While a train call owns it, work holds that call's work arrays; fresh
+    holds relu(W) and W > 0 while W is a reset that a _ResetDraws formed them
+    for.
     """
 
     kind = "mlp"
@@ -185,48 +203,108 @@ class PerStepMlpDiscriminator:
         self.L = L
         self.W = np.empty((L, hidden, ny))
         self.v = np.empty((L, hidden))
+        self.work: Optional[_MlpWork] = None
+        self.fresh: Optional[tuple[np.ndarray, np.ndarray]] = None
         self.reset(rng)
 
     def reset(self, rng: Optional[np.random.Generator | _ResetDraws] = None) -> None:
-        """Fresh weights from the standard normals of a generator, or from the
-        ones a _ResetDraws drew ahead for this reset."""
+        """Fresh weights from the standard normals of a generator, or the
+        scaled ones, with their reset-only terms, that a _ResetDraws drew
+        ahead for this reset."""
         if rng is None:
             raise ValueError("mlp reset needs a generator for fresh weights")
         if isinstance(rng, _ResetDraws):
-            self.W, self.v = rng.swap(self.W, self.v)
+            self.W, self.v, self.fresh = rng.swap(self.W, self.v, self.fresh)
         else:
             rng.standard_normal(out=self.W)
             rng.standard_normal(out=self.v)
-        # normal(0, s) returns 0 + s * z for the same standard draws z, so
-        # scaling the draws in place keeps its bytes without a copy
-        self.W *= np.sqrt(2.0 / (self.ny + self.hidden))
-        self.v *= np.sqrt(2.0 / (self.hidden + 1))
+            _scale_draws(self.W, self.v)
+            self.fresh = None
 
     def member(self, i: int) -> "PerStepMlpDiscriminator":
         # an MLP discriminator is never stacked: it trains one member
         return self
 
+    def work_for(self, rows: int) -> "_MlpWork":
+        """The owning train call's work arrays, or new ones for one call outside training."""
+        return self.work if self.work is not None else _MlpWork(self.W, rows)
+
+    # relu(W) and W > 0: a fresh reset's, or else formed into the work arrays
+    def relu_W(self) -> np.ndarray:
+        if self.fresh is not None:
+            return self.fresh[0]
+        return np.maximum(self.W, 0.0, out=None if self.work is None else self.work.relu_W)
+
+    def active_W(self) -> np.ndarray:
+        if self.fresh is not None:
+            return self.fresh[1]
+        return np.greater(self.W, 0.0, out=None if self.work is None else self.work.active_W)
+
     def symbol_scores(self) -> np.ndarray:
         # one-hot input selects a column of W: t[l, y] = v_l . relu(W_l[:, y])
-        return (self.v[:, None, :] @ np.maximum(self.W, 0.0))[:, 0, :]
+        return (self.v[:, None, :] @ self.relu_W())[:, 0, :]
 
     def params(self) -> list[np.ndarray]:
         return [self.W, self.v]
 
+    def finite(self, count: int) -> np.ndarray:
+        """Per member (there is one): are all its weights finite?"""
+        out = None if self.work is None else self.work.finite
+        return np.array([np.isfinite(self.W, out=out).all() and np.isfinite(self.v).all()])
+
     def step_from(self, start: "PerStepMlpDiscriminator", grads: list[np.ndarray]) -> None:
-        """The weights become start's weights plus the step grads; start may be self."""
-        np.add(start.W, grads[0], out=self.W)
-        np.add(start.v, grads[1], out=self.v)
+        """The weights become start's weights plus the step grads; start may be self.
+
+        A W gradient in the work arrays' grad_W takes start's W in place and
+        becomes this discriminator's W; the old W is the next grad_W.
+        """
+        gW, gv = grads
+        if self.work is not None and gW is self.work.grad_W:
+            np.add(start.W, gW, out=gW)
+            self.W, self.work.grad_W = gW, self.W
+        else:
+            np.add(start.W, gW, out=self.W)
+        np.add(start.v, gv, out=self.v)
+        self.fresh = None
+
+
+def _scale_draws(W: np.ndarray, v: np.ndarray) -> None:
+    """Standard normal draws to a reset's weights. normal(0, s) returns 0 + s * z
+    for the same standard draws z, so scaling in place keeps its bytes without a copy."""
+    _, hidden, ny = W.shape
+    W *= np.sqrt(2.0 / (ny + hidden))
+    v *= np.sqrt(2.0 / (hidden + 1))
+
+
+class _MlpWork:
+    """The work arrays of one MLP member's training, which its variants share.
+
+    Every array of an epoch that is as large as W, or as the hidden layer of
+    all |X| input rows, is written into one of these with out=. They belong to
+    one train call: the discriminators drop them when the member's training ends.
+    """
+
+    def __init__(self, W: np.ndarray, rows: int):
+        L, hidden, _ = W.shape
+        # hidden pre-activations of the input rows, then their back-propagated values
+        self.pre = np.empty((rows, L * hidden))
+        self.active = np.empty((rows, L, hidden), dtype=bool)
+        self.fake_W = np.empty_like(W)  # the soft_input fake side's W gradient
+        self.grad_W = np.empty_like(W)  # the next W gradient, which a step takes as its W
+        self.relu_W = np.empty_like(W)  # relu(W) and W > 0 of weights that are no fresh reset
+        self.active_W = np.empty(W.shape, dtype=bool)
+        self.finite = np.empty(W.shape, dtype=bool)
 
 
 class _ResetDraws:
-    """The standard normals of an MLP member's per-epoch resets, drawn one
-    epoch ahead by a one-worker executor.
+    """The weights of an MLP member's per-epoch resets, drawn one epoch ahead
+    by a one-worker executor, with their reset-only terms.
 
     At most one draw is pending, and only it uses the member's generator. It
-    fills a spare W, v pair with the next reset's draws, W then v as reset
-    draws them; swap hands that pair to the discriminator and submits the old
-    weights as the spare for the draw after. Exactly count draws are
+    fills a spare W, v pair with the next reset's standard draws, W then v as
+    reset draws them, scales them and forms relu(W) and W > 0 into a spare
+    pair of term arrays. swap hands those to the discriminator and submits
+    the old ones as the spares for the draw after. Exactly count draws are
     submitted, so the stream ends where resets drawn in turn would leave it.
     The block shuts the executor down on exit, also when training raises.
     """
@@ -242,21 +320,25 @@ class _ResetDraws:
         self._left = count  # swaps still to come
         if count:
             self._pending = self._pool.submit(self._draw, np.empty_like(disc.W),
-                                              np.empty_like(disc.v))
+                                              np.empty_like(disc.v), _term_arrays(disc.W))
 
-    def _draw(self, W: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # only the generator's fill runs here: it releases the GIL, and it
-        # opens no span of perfbench's tracer, whose open-span stack is one thread's
+    def _draw(self, W: np.ndarray, v: np.ndarray, terms: tuple[np.ndarray, np.ndarray]):
+        # only array fills run here: they release the GIL, and they open no
+        # span of perfbench's tracer, whose open-span stack is one thread's
         self._rng.standard_normal(out=W)
         self._rng.standard_normal(out=v)
-        return W, v
+        _scale_draws(W, v)
+        np.maximum(W, 0.0, out=terms[0])
+        np.greater(W, 0.0, out=terms[1])
+        return W, v, terms
 
-    def swap(self, W: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The next reset's standard draws; W and v become the next spare."""
+    def swap(self, W: np.ndarray, v: np.ndarray, terms: Optional[tuple[np.ndarray, np.ndarray]]):
+        """The next reset's weights and their relu(W) and W > 0; W, v and
+        terms (None before the first swap) become the next spares."""
         drawn = self._pending.result()
         self._left -= 1
         if self._left:
-            self._pending = self._pool.submit(self._draw, W, v)
+            self._pending = self._pool.submit(self._draw, W, v, terms or _term_arrays(W))
         return drawn
 
     def __enter__(self) -> "_ResetDraws":
@@ -266,12 +348,16 @@ class _ResetDraws:
         self._pool.shutdown(wait=True)
 
 
-def _mlp_hidden(disc: PerStepMlpDiscriminator, rows: np.ndarray) -> np.ndarray:
-    """relu[r, l, h]: hidden activations of input row r at every position l,
-    from one (r x |Y|) @ (|Y| x L*hidden) product."""
+def _term_arrays(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.empty_like(W), np.empty(W.shape, dtype=bool)
+
+
+def _mlp_pre(disc: PerStepMlpDiscriminator, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """pre[r, l, h]: hidden pre-activations of input row r at every position l,
+    from one (r x |Y|) @ (|Y| x L*hidden) product into out."""
     L, hidden, ny = disc.W.shape
-    pre = rows @ disc.W.reshape(L * hidden, ny).T
-    return np.maximum(pre, 0.0, out=pre).reshape(len(rows), L, hidden)
+    np.matmul(rows, disc.W.reshape(L * hidden, ny).T, out=out)
+    return out.reshape(len(rows), L, hidden)
 
 
 def _mlp_scores(disc: PerStepMlpDiscriminator, relu: np.ndarray) -> np.ndarray:
@@ -279,14 +365,13 @@ def _mlp_scores(disc: PerStepMlpDiscriminator, relu: np.ndarray) -> np.ndarray:
     return (relu.transpose(1, 0, 2) @ disc.v[:, :, None])[:, :, 0]
 
 
-def _mlp_backprop(disc: PerStepMlpDiscriminator, relu: np.ndarray,
+def _mlp_backprop(disc: PerStepMlpDiscriminator, hidden: np.ndarray, active: np.ndarray,
                   coeff: np.ndarray) -> np.ndarray:
-    """D[r, l, h] = coeff[l, r] v[l, h] [relu[r, l, h] > 0], the derivative of
-    sum coeff[l, r] m[l, r] in the hidden pre-activations, written over relu."""
-    active = relu > 0.0
-    np.multiply(coeff.T[:, :, None], disc.v, out=relu)
-    relu *= active
-    return relu
+    """D[r, l, h] = coeff[l, r] v[l, h] active[r, l, h], the derivative of
+    sum coeff[l, r] m[l, r] in the hidden pre-activations, written over hidden."""
+    np.multiply(coeff.T[:, :, None], disc.v, out=hidden)
+    hidden *= active
+    return hidden
 
 
 def _check_averaging(averaging: str) -> None:
@@ -313,7 +398,8 @@ def _soft_unit_scores(disc, O: np.ndarray) -> np.ndarray:
     """m[l, x]: position-l score of the posterior row of unit x."""
     if disc.kind == "linear":
         return disc.w @ O.T
-    return _mlp_scores(disc, _mlp_hidden(disc, O))
+    pre = _mlp_pre(disc, O, disc.work_for(len(O)).pre)
+    return _mlp_scores(disc, np.maximum(pre, 0.0, out=pre))
 
 
 def discriminator_gradient(disc, objective: str, PX: np.ndarray, PY: np.ndarray,
@@ -334,26 +420,31 @@ def discriminator_gradient(disc, objective: str, PX: np.ndarray, PY: np.ndarray,
 def _mlp_discriminator_gradient(disc: PerStepMlpDiscriminator, ap, bp, PX: np.ndarray,
                                 PY: np.ndarray, O: np.ndarray,
                                 averaging: str) -> list[np.ndarray]:
+    work = disc.work_for(len(O))
     if averaging == "soft_input":
-        # the fake side sees the posterior rows of O; it goes first, so that
-        # its activations are freed before the real side is laid out
-        relu = _mlp_hidden(disc, O)
+        # the fake side sees the posterior rows of O
+        relu = _mlp_pre(disc, O, work.pre)
+        np.maximum(relu, 0.0, out=relu)
         c = PX if bp is None else PX * bp(_mlp_scores(disc, relu))  # L x nx
         fake_v = (c[:, None, :] @ relu.transpose(1, 0, 2))[:, 0, :]
-        fake_W = (_mlp_backprop(disc, relu, c).reshape(len(O), -1).T @ O).reshape(disc.W.shape)
-        del relu
+        active = np.greater(relu, 0.0, out=work.active)
+        back = _mlp_backprop(disc, relu, active, c).reshape(len(O), -1)
+        np.matmul(back.T, O, out=work.fake_W.reshape(back.shape[1], -1))
     # the real side, and the fake side under outside_cost, sees one-hot inputs
     t = None if ap is None else disc.symbol_scores()
     coeff = PY if ap is None else PY * ap(t)  # L x ny, d J / d t[l,y]
     if averaging == "outside_cost":
         fake = PX @ O
         coeff = coeff - (fake if bp is None else fake * bp(t))
-    gv = (np.maximum(disc.W, 0.0) @ coeff[:, :, None])[:, :, 0]
-    gW = np.multiply(disc.v[:, :, None], coeff[:, None, :])
-    gW *= disc.W > 0.0
+    gv = (disc.relu_W() @ coeff[:, :, None])[:, :, 0]
+    # v (x) coeff by einsum, twice as fast as the broadcast product. Where that
+    # product is -0 the einsum writes +0; a step adds the entry to weights that
+    # are not zero, so the weights keep their bytes
+    gW = np.einsum("lh,ly->lhy", disc.v, coeff, out=work.grad_W)
+    gW *= disc.active_W()
     if averaging == "outside_cost":
         return [gW, gv]
-    return [np.subtract(gW, fake_W, out=fake_W), gv - fake_v]
+    return [np.subtract(gW, work.fake_W, out=gW), gv - fake_v]
 
 
 def generator_gradient(gen: Generator, disc, PX: np.ndarray, objective: str,
@@ -373,10 +464,18 @@ def generator_gradient(gen: Generator, disc, PX: np.ndarray, objective: str,
         c = PX if bp is None else PX * bp(disc.w @ _mT(O))
         dF_dO = _mT(c) @ disc.w
     else:
-        relu = _mlp_hidden(disc, O)
-        c = PX if bp is None else PX * bp(_mlp_scores(disc, relu))
+        work = disc.work_for(len(O))
+        hidden = _mlp_pre(disc, O, work.pre)
+        if bp is None:
+            # no scores to read, and relu > 0 is pre > 0: the ReLU pass is skipped
+            c = PX
+        else:
+            np.maximum(hidden, 0.0, out=hidden)
+            c = PX * bp(_mlp_scores(disc, hidden))
+        active = np.greater(hidden, 0.0, out=work.active)
         # every position's back-propagated rows at once: (x x L*h) @ (L*h x y)
-        dF_dO = _mlp_backprop(disc, relu, c).reshape(len(O), -1) @ disc.W.reshape(-1, disc.ny)
+        back = _mlp_backprop(disc, hidden, active, c).reshape(len(O), -1)
+        dF_dO = back @ disc.W.reshape(-1, disc.ny)
     return apply_softmax_jacobian(O, dF_dO)
 
 
@@ -481,17 +580,31 @@ def train(pair: PositionalUnigramPair | Sequence[PositionalUnigramPair], cfg: Tr
                                   truths, cfgs, cfg.epochs, keep_trace)
     else:
         outcomes = [[] for _ in cfgs]
-        resets = cfg.epochs if any(c.reset_discriminator for c in cfgs) else 0
         for b, rng in enumerate(rngs):
-            U = Generator.initialize(nx, ny, rng).U
-            shared = PerStepMlpDiscriminator(L, ny, rng)
-            discs = [copy.deepcopy(shared) for _ in cfgs]
-            with _ResetDraws(rng, shared, resets) as draws:
-                member = _train_members(PX[b], PY[b], U, shared, draws, discs, [truths[b]], cfgs,
-                                        cfg.epochs, keep_trace)
+            member = _train_mlp_member(PX[b], PY[b], rng, truths[b], cfgs, keep_trace)
             for kept, [outcome] in zip(outcomes, member):
                 kept.append(outcome)
     return outcomes if variants is not None else outcomes[0]
+
+
+def _train_mlp_member(PX, PY, rng, truth, cfgs, keep_trace: bool) -> list[list]:
+    """One MLP member's variants in lockstep. Its work arrays and its reset
+    draws belong to this call: the returned discriminators hold neither."""
+    (L, nx), ny = PX.shape, PY.shape[1]
+    epochs = cfgs[0].epochs
+    resets = epochs if any(c.reset_discriminator for c in cfgs) else 0
+    U = Generator.initialize(nx, ny, rng).U
+    shared = PerStepMlpDiscriminator(L, ny, rng)
+    discs = [copy.deepcopy(shared) for _ in cfgs]
+    work = _MlpWork(shared.W, nx)
+    for disc in [shared, *discs]:
+        disc.work = work
+    with _ResetDraws(rng, shared, resets) as draws:
+        member = _train_members(PX, PY, U, shared, draws, discs, [truth], cfgs, epochs,
+                                keep_trace)
+    for disc in discs:
+        disc.work = None
+    return member
 
 
 def _train_members(PX, PY, U, shared, draws, discs, truths, cfgs, epochs: int,
@@ -551,8 +664,7 @@ class _Run:
                                                    cfg.averaging))
         count = len(self.outcomes)
         gen_ok = np.isfinite(gen.U).reshape(count, -1).all(axis=1)
-        disc_ok = np.logical_and.reduce(
-            [np.isfinite(p).reshape(count, -1).all(axis=1) for p in disc.params()])
+        disc_ok = disc.finite(count)
         for i in np.flatnonzero(~(gen_ok & disc_ok)):
             if self.outcomes[i] is None:
                 part = "generator" if not gen_ok[i] else "discriminator"

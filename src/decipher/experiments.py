@@ -545,9 +545,34 @@ def _cell_label(row: dict) -> str:
                     if key in row and key not in ("trial", "seed"))
 
 
+def _paired_differences(cfg: ExperimentConfig, rows: Sequence[dict]) -> dict:
+    """Per (nx, knob) cell of a two-variant ablation, over the seeds where
+    both variants trained: the mean of the first variant's PER minus the
+    second's, its standard error (sample deviation over root seed count) and
+    the seed count."""
+    first, second = VARIANTS[cfg.kind]
+    cells: dict[str, dict[int, dict[str, float]]] = {}
+    for row in rows:
+        cell = {key: value for key, value in row.items() if key != "variant"}
+        seeds = cells.setdefault(_cell_label(cell), {})
+        if not row["error"]:
+            seeds.setdefault(row["seed"], {})[row["variant"]] = row["per"]
+    paired = {}
+    for label, seeds in sorted(cells.items()):
+        diffs = [pers[first] - pers[second] for pers in seeds.values() if len(pers) == 2]
+        stat = {"difference": f"{first} - {second}", "seeds": len(diffs)}
+        if diffs:
+            stat["mean_per_difference"] = float(np.mean(diffs))
+        if len(diffs) > 1:
+            stat["se_per_difference"] = float(np.std(diffs, ddof=1) / math.sqrt(len(diffs)))
+        paired[label] = stat
+    return paired
+
+
 def summarize(cfg: ExperimentConfig, rows: Sequence[dict]) -> dict:
     """Per-cell aggregates over seeds, plus the config echo. A sampled
-    block's error row, whose variant is "", counts in every variant's cell."""
+    block's error row, whose variant is "", counts in every variant's cell.
+    The two-variant ablations add their paired PER differences per (nx, knob)."""
     cells: dict[str, list[dict]] = {}
     for row in rows:
         variants = VARIANTS[cfg.kind] if row.get("variant") == "" else [None]
@@ -566,9 +591,11 @@ def summarize(cfg: ExperimentConfig, rows: Sequence[dict]) -> dict:
                 stat[f"min_{metric}"] = float(np.min(values))
                 stat[f"max_{metric}"] = float(np.max(values))
         cell_stats[label] = stat
-    config = asdict(cfg)
-    return {"config": config, "cells": cell_stats,
-            "total_rows": len(rows), "total_errors": sum(1 for r in rows if r["error"])}
+    summary = {"config": asdict(cfg), "cells": cell_stats,
+               "total_rows": len(rows), "total_errors": sum(1 for r in rows if r["error"])}
+    if len(VARIANTS.get(cfg.kind, ())) == 2:
+        summary["paired"] = _paired_differences(cfg, rows)
+    return summary
 
 
 def _artifact_stem(row: dict) -> str:

@@ -2,10 +2,12 @@
 
 import csv
 import itertools
+import json
 import sys
 import threading
 import time
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -694,6 +696,94 @@ class TestVariantsInLockstep:
             assert rng.bit_generator.state == ref.bit_generator.state
             assert together[0][b].generator.U.tobytes() == U.tobytes()
             assert together[0][b].trace == trace
+
+
+GOLDEN = Path(__file__).with_name("golden_mlp_lockstep.json")
+
+
+def golden_runs():
+    """Small MLP lockstep runs by name: the member of member_pairs each
+    trains, and its variants."""
+    def variants(objective, changes):
+        return [TrainConfig(discriminator="mlp", objective=objective, epochs=30, **change)
+                for change in changes]
+
+    averagings = [dict(averaging=averaging) for averaging in AVERAGING_MODES]
+    resets = [dict(reset_discriminator=True), dict(reset_discriminator=False)]
+    return {"mmd_averaging": (0, variants("mmd", averagings)),
+            "jsd_averaging": (1, variants("jsd", averagings)),
+            "jsd_reset_pair": (2, variants("jsd", resets))}
+
+
+def golden_fingerprints(name: str) -> list[dict]:
+    """Per variant of golden run name: its final U, its W and v summed over
+    the hidden axis (plainly and weighted by a ramp) and its trace, at 12
+    significant digits."""
+    b, cfgs = golden_runs()[name]
+    pairs, Os = member_pairs()
+    outcomes = train(pairs[b], cfgs[0], true_O=Os[b], rngs=[np.random.default_rng(SEEDS[b])],
+                     variants=cfgs)
+    prints = []
+    for [res] in outcomes:
+        W, v = res.discriminator.W, res.discriminator.v
+        ramp = np.linspace(0.0, 1.0, W.shape[1])
+        values = {"U": res.generator.U, "W_sum": W.sum(axis=1),
+                  "W_ramp": np.einsum("lhy,h->ly", W, ramp), "v_sum": v.sum(axis=1),
+                  "v_ramp": v @ ramp,
+                  "trace": [[row["J"], row["frobenius_residual"], row["per"]] for row in res.trace]}
+        prints.append({key: [float(f"{x:.12g}") for x in np.ravel(a)] for key, a in values.items()})
+    return prints
+
+
+class TestMlpLockstepGolden:
+    """The runs of golden_runs against golden_mlp_lockstep.json, which holds
+    golden_fingerprints as computed before the MLP epoch wrote into
+    preallocated work arrays. reference_train calls the same gradient
+    functions as train, so only stored values pin their arithmetic. At 12
+    significant digits they catch a changed term, not a reordered sum whose
+    last-bit change does not grow within 30 epochs."""
+
+    @pytest.mark.parametrize("name", sorted(golden_runs()))
+    def test_final_weights_and_trace(self, name):
+        want = json.loads(GOLDEN.read_text())[name]
+        got = golden_fingerprints(name)
+        assert len(got) == len(want) == 2
+        for variant_got, variant_want in zip(got, want):
+            assert variant_got.keys() == variant_want.keys()
+            for key, values in variant_want.items():
+                np.testing.assert_allclose(variant_got[key], values, rtol=1e-11, atol=0,
+                                           err_msg=f"{name}: {key}")
+
+
+class TestMlpTrainingOwnsItsWork:
+    def test_results_keep_their_bytes_and_share_no_work_array(self, monkeypatch):
+        pairs, Os = member_pairs()
+        cfgs = lockstep_variants("mlp", "jsd")
+        works, spares = [], []
+        init, draw = adversarial._MlpWork.__init__, adversarial._ResetDraws._draw
+
+        def recording_init(work, *args):
+            init(work, *args)
+            works.append(work)
+
+        def recording_draw(draws, W, v, terms):
+            spares.append((W, v, *terms))
+            return draw(draws, W, v, terms)
+
+        monkeypatch.setattr(adversarial._MlpWork, "__init__", recording_init)
+        monkeypatch.setattr(adversarial._ResetDraws, "_draw", recording_draw)
+        first = [res for runs in train(pairs, cfgs[0], true_O=Os, rngs=rngs(), variants=cfgs)
+                 for res in runs]
+        returned = [a for res in first for a in (res.generator.U, *res.discriminator.params())]
+        # every member's work arrays as its training ended, and every spare its drawer filled
+        worked = [a for work in works for a in vars(work).values()]
+        worked += [a for spare in spares for a in spare]
+        assert len(works) == len(SEEDS) and len(spares) == len(SEEDS) * cfgs[0].epochs
+        assert not any(np.shares_memory(a, b) for a in returned for b in worked)
+        assert all(res.discriminator.work is None for res in first)
+        kept = [a.copy() for a in returned]
+        train(pairs, cfgs[0], true_O=Os, rngs=rngs(), variants=cfgs)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(returned, kept, strict=True))
 
 
 class TestMlpDiscriminator:

@@ -589,6 +589,32 @@ class TestOutputs:
         assert cell["mean_per"] > 0
         assert json.dumps(summary)  # json-serializable end to end
 
+    def test_paired_per_differences_count_seeds_where_both_variants_trained(self):
+        cfg = small_sampled("reset_ablation")
+
+        def row(knob, variant, seed, per, error=""):
+            return {"kind": cfg.kind, "family": "circulant", "nx": 10, "knob": knob,
+                    "variant": variant, "seed": seed, "per": per, "error": error}
+
+        rows = [row(2, "reset", 0, 0.5), row(2, "no_reset", 0, 0.2),
+                row(2, "reset", 1, 0.1), row(2, "no_reset", 1, 0.1),
+                row(2, "reset", 2, 0.3), row(2, "no_reset", 2, 0.0),
+                # seed 3's second variant diverged: the seed does not count
+                row(2, "reset", 3, 0.9), row(2, "no_reset", 3, float("nan"), "RuntimeError: x"),
+                row(4, "reset", 0, 0.25), row(4, "no_reset", 0, 0.5),
+                # a block that failed as a whole
+                row(6, "", -1, float("nan"), "ValueError: y")]
+        paired = summarize(cfg, rows)["paired"]
+        assert sorted(paired) == [f"family=circulant nx=10 knob={k}" for k in (2, 4, 6)]
+        two, four, six = (paired[f"family=circulant nx=10 knob={k}"] for k in (2, 4, 6))
+        assert all(p["difference"] == "reset - no_reset" for p in (two, four, six))
+        # differences 0.3, 0.0, 0.3: sample deviation sqrt(0.03), over sqrt(3)
+        assert two["seeds"] == 3 and two["mean_per_difference"] == pytest.approx(0.2)
+        assert two["se_per_difference"] == pytest.approx(0.1)
+        assert four == {"difference": "reset - no_reset", "seeds": 1, "mean_per_difference": -0.25}
+        assert six == {"difference": "reset - no_reset", "seeds": 0}
+        assert "paired" not in summarize(small_sampled("finite_sample_phase"), [])
+
 
 class TestCli:
     def test_end_to_end(self, tmp_path):
