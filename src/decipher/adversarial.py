@@ -24,16 +24,16 @@ Under mmd and wasserstein every score derivative is the constant 1: the
 scores that would feed it are skipped, and the generator step takes its
 activity mask from the pre-activations, with no ReLU pass.
 
-An MLP epoch makes no temporary as large as W or as the hidden layer of all
-input rows. Each member's training owns work arrays (_MlpWork) that its
+An MLP epoch makes no float temporary as large as W or as the hidden layer
+of all input rows. Each member's training owns work arrays (_MlpWork) that its
 variants share, and every such array is written into one of them with out=:
 the hidden pre-activations, which are then overwritten by their
 back-propagated values, their activity mask, the soft_input fake side's W
-gradient, relu(W) and W > 0 of weights that are not a fresh reset, and the
-finiteness mask. A discriminator step writes its W gradient into the work
-arrays' spare W, adds the start's W into it in place and takes that array as
-its own W, so its old W is the next spare. The work arrays belong to one
-train call, and the discriminators it returns do not hold them.
+gradient, and relu(W) and W > 0 of weights that are not a fresh reset. A
+discriminator step writes its W gradient into the work arrays' spare W, adds
+the start's W into it in place and takes that array as its own W, so its old
+W is the next spare. The work arrays belong to one train call, and the
+discriminators it returns do not hold them.
 
 An MLP reset draws L x hidden x (|Y| + 1) standard normals, which take about
 as long as the rest of the epoch, and the draws depend only on the member's
@@ -177,10 +177,6 @@ class LinearPositionalDiscriminator:
     def params(self) -> list[np.ndarray]:
         return [self.w]
 
-    def finite(self, count: int) -> np.ndarray:
-        """Per member: are all its weights finite?"""
-        return np.isfinite(self.w).reshape(count, -1).all(axis=1)
-
     def step_from(self, start: "LinearPositionalDiscriminator", grads: list[np.ndarray]) -> None:
         """The weights become start's weights plus the step grads; start may be self."""
         np.add(start.w, grads[0], out=self.w)
@@ -247,11 +243,6 @@ class PerStepMlpDiscriminator:
     def params(self) -> list[np.ndarray]:
         return [self.W, self.v]
 
-    def finite(self, count: int) -> np.ndarray:
-        """Per member (there is one): are all its weights finite?"""
-        out = None if self.work is None else self.work.finite
-        return np.array([np.isfinite(self.W, out=out).all() and np.isfinite(self.v).all()])
-
     def step_from(self, start: "PerStepMlpDiscriminator", grads: list[np.ndarray]) -> None:
         """The weights become start's weights plus the step grads; start may be self.
 
@@ -279,9 +270,9 @@ def _scale_draws(W: np.ndarray, v: np.ndarray) -> None:
 class _MlpWork:
     """The work arrays of one MLP member's training, which its variants share.
 
-    Every array of an epoch that is as large as W, or as the hidden layer of
-    all |X| input rows, is written into one of these with out=. They belong to
-    one train call: the discriminators drop them when the member's training ends.
+    Every float array of an epoch that is as large as W, or as the hidden layer
+    of all |X| input rows, is written into one of these with out=. They belong
+    to one train call: the discriminators drop them when the member's training ends.
     """
 
     def __init__(self, W: np.ndarray, rows: int):
@@ -293,7 +284,6 @@ class _MlpWork:
         self.grad_W = np.empty_like(W)  # the next W gradient, which a step takes as its W
         self.relu_W = np.empty_like(W)  # relu(W) and W > 0 of weights that are no fresh reset
         self.active_W = np.empty(W.shape, dtype=bool)
-        self.finite = np.empty(W.shape, dtype=bool)
 
 
 class _ResetDraws:
@@ -430,13 +420,15 @@ def _mlp_discriminator_gradient(disc: PerStepMlpDiscriminator, ap, bp, PX: np.nd
         active = np.greater(relu, 0.0, out=work.active)
         back = _mlp_backprop(disc, relu, active, c).reshape(len(O), -1)
         np.matmul(back.T, O, out=work.fake_W.reshape(back.shape[1], -1))
-    # the real side, and the fake side under outside_cost, sees one-hot inputs
-    t = None if ap is None else disc.symbol_scores()
+    # the real side, and the fake side under outside_cost, sees one-hot inputs;
+    # t is disc.symbol_scores(), from the one relu(W) that gv also reads
+    relu_W = disc.relu_W()
+    t = None if ap is None else (disc.v[:, None, :] @ relu_W)[:, 0, :]
     coeff = PY if ap is None else PY * ap(t)  # L x ny, d J / d t[l,y]
     if averaging == "outside_cost":
         fake = PX @ O
         coeff = coeff - (fake if bp is None else fake * bp(t))
-    gv = (disc.relu_W() @ coeff[:, :, None])[:, :, 0]
+    gv = (relu_W @ coeff[:, :, None])[:, :, 0]
     # v (x) coeff by einsum, twice as fast as the broadcast product. Where that
     # product is -0 the einsum writes +0; a step adds the entry to weights that
     # are not zero, so the weights keep their bytes
@@ -663,8 +655,9 @@ class _Run:
         gen.U += self.adam.step(generator_gradient(gen, disc, self.PX, cfg.objective,
                                                    cfg.averaging))
         count = len(self.outcomes)
-        gen_ok = np.isfinite(gen.U).reshape(count, -1).all(axis=1)
-        disc_ok = disc.finite(count)
+        # per member and array: are all its entries finite?
+        ok = [np.isfinite(a).reshape(count, -1).all(axis=1) for a in [gen.U, *disc.params()]]
+        gen_ok, disc_ok = ok[0], np.logical_and.reduce(ok[1:])
         for i in np.flatnonzero(~(gen_ok & disc_ok)):
             if self.outcomes[i] is None:
                 part = "generator" if not gen_ok[i] else "discriminator"

@@ -8,12 +8,13 @@ run_experiment, one loop over the tasks that TASKS gives for it, each a dict
 of grid coordinates. On each task, serially or on a process pool, _run_task
 calls the kind's worker as worker(cfg, **coords). A worker returns one dict
 per row with only what it computed: column values, _-prefixed artifacts
-(_matrix, _trace, _ntk_traj) and, in a block of several rows, the row's own
-coordinate (trial, or seed and variant). _run_task alone makes rows: through
-_blank_row, which adds the task's coordinates and the sentinels in DEFAULTS
-for the kind's other columns (KIND_COLUMNS), and with the block's wall time
-per row, which stays out of the CSV. The rows are then sorted by the grid
-coordinates in COORDS, so the results.csv bytes do not depend on scheduling.
+(_matrix, and _trace, its trace CSV's rows as dicts) and, in a block of
+several rows, the row's own coordinate (trial, or seed and variant).
+_run_task alone makes rows: through _blank_row, which adds the task's
+coordinates and the sentinels in DEFAULTS for the kind's other columns
+(KIND_COLUMNS), and with the block's wall time per row, which stays out of
+the CSV. The rows are then sorted by the grid coordinates in COORDS, so the
+results.csv bytes do not depend on scheduling.
 
 Workers compute their rows from layer calls made through this module's
 names, which perfbench's tracer patches: a smrm block runs one gap trial per
@@ -355,7 +356,7 @@ def ntk_language(index: int, L: int) -> tuple[HmmLanguage, PositionalUnigramPair
         pair = exact_positional_unigrams(lang, L=L)
         if sigma_min(pair.PX) > NTK_SIGMA_FLOOR:
             return lang, pair, attempt
-    raise RuntimeError(f"no decipherable language within {NTK_MAX_ATTEMPTS} draws at index {index}")
+    raise RuntimeError(f"no decipherable language in {NTK_MAX_ATTEMPTS + 1} draws at index {index}")
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +448,10 @@ def _ntk_cell(cfg: ExperimentConfig, language_index: int, seed: int) -> list[dic
                  r_squared=r2, monotone=int(bool(np.all(np.diff(traj.C) <= 1e-10))),
                  t_stop=float(traj.times[-1]), steps=len(traj.times) - 1,
                  rejected_steps=traj.halvings)
-    if cfg.write_traces:
-        found["_ntk_traj"] = traj
+    if cfg.write_traces:  # one row per accepted step
+        columns = (traj.times, traj.C, traj.residuals, traj.min_entries)
+        found["_trace"] = [dict(t=t, C_t=C, frobenius_residual=r, min_O_entry=m)
+                           for t, C, r, m in zip(*(a.tolist() for a in columns))]
     return [found]
 
 
@@ -615,17 +618,11 @@ def write_outputs(cfg: ExperimentConfig, rows: Sequence[dict], out_dir) -> Path:
     if cfg.write_traces:
         for row in rows:
             stem = _artifact_stem(row)
-            if "_trace" in row:  # one row per training epoch
+            if "_trace" in row:  # one row per training epoch or accepted step
                 trace = row["_trace"]
-                per = ["per"] if trace and "per" in trace[0] else []
-                write_results_csv(trace, out / f"trace_{stem}.csv",
-                                  ["step", "J", "frobenius_residual"] + per)
-            if "_ntk_traj" in row:
-                # one row per accepted step, formed only as it is written
-                traj, cols = row["_ntk_traj"], ["t", "C_t", "frobenius_residual", "min_O_entry"]
-                steps = zip(traj.times, traj.C, traj.residuals, traj.min_entries)
-                write_results_csv((dict(zip(cols, step)) for step in steps),
-                                  out / f"trace_{stem}.csv", cols)
+                # a run of 0 epochs keeps the GAN header
+                columns = list(trace[0]) if trace else ["step", "J", "frobenius_residual"]
+                write_results_csv(trace, out / f"trace_{stem}.csv", columns)
             if "_matrix" in row:
                 np.savetxt(out / f"assign_{stem}.csv", row["_matrix"], fmt="%.12g",
                            delimiter=",", newline="\r\n")

@@ -905,6 +905,18 @@ class TestMlpKernels:
         want_u = _reference_generator_gradient(gen, disc, PX, objective, averaging)
         assert _relative_error(got_u, want_u) <= self.TOL
 
+    @pytest.mark.parametrize("averaging", adversarial.AVERAGING_MODES)
+    def test_jsd_step_forms_relu_W_once(self, monkeypatch, averaging):
+        # weights that are no fresh reset: the scores t and the v gradient
+        # read one relu(W)
+        PX, PY, gen, disc = self.setting()
+        assert disc.fresh is None
+        relu_W, calls = PerStepMlpDiscriminator.relu_W, []
+        monkeypatch.setattr(PerStepMlpDiscriminator, "relu_W",
+                            lambda self: calls.append(self) or relu_W(self))
+        discriminator_gradient(disc, "jsd", PX, PY, gen.O, averaging)
+        assert calls == [disc]
+
     def test_scores_match_einsum_forms(self):
         PX, PY, gen, disc = self.setting()
         t = np.einsum("lh,lhy->ly", disc.v, np.maximum(disc.W, 0.0))

@@ -401,6 +401,22 @@ def test_fault_in_a_sampled_block_costs_one_error_row(monkeypatch, tmp_path, sit
         f"reset_ablation,circulant,10,74,,-1,nan,nan,nan,nan,nan,{error}"]
 
 
+def traced_config_of_every_kind():
+    """One small config of each kind, one seed each, that writes traces."""
+    one_seed = dict(seeds=(0,), write_traces=True)
+    configs = [
+        tiny_asymptotic(**one_seed),
+        replace(small_sampled("finite_sample_phase"), **one_seed),
+        ExperimentConfig(kind="smrm_gaps", sizes=(8,), trials=2, seeds=(0,)),
+        ExperimentConfig(kind="ntk_convergence", n_languages=1, L=10, t_end=20.0,
+                         **one_seed),
+        replace(small_sampled("reset_ablation", objective="jsd"), **one_seed),
+        replace(small_sampled("averaging_ablation", discriminator="mlp"), **one_seed),
+    ]
+    assert {cfg.kind for cfg in configs} == set(KIND_COLUMNS)
+    return configs
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_workers_return_only_columns_and_artifacts(monkeypatch, jobs):
     # _blank_row drops a key that is no column of the kind, so a misspelt
@@ -414,26 +430,26 @@ def test_workers_return_only_columns_and_artifacts(monkeypatch, jobs):
         return blank_row(cfg, **values)
 
     monkeypatch.setattr(experiments, "_blank_row", checked)
-    one_seed = dict(seeds=(0,), write_traces=True)
-    configs = [
-        tiny_asymptotic(**one_seed),
-        replace(small_sampled("finite_sample_phase"), **one_seed),
-        ExperimentConfig(kind="smrm_gaps", sizes=(8,), trials=2, seeds=(0,)),
-        ExperimentConfig(kind="ntk_convergence", n_languages=1, L=10, t_end=20.0,
-                         **one_seed),
-        replace(small_sampled("reset_ablation", objective="jsd"), **one_seed),
-        replace(small_sampled("averaging_ablation", discriminator="mlp"), **one_seed),
-    ]
-    assert {cfg.kind for cfg in configs} == set(KIND_COLUMNS)
     artifacts = {"asymptotic_phase": {"_matrix"}, "finite_sample_phase": {"_matrix", "_trace"},
-                 "smrm_gaps": set(), "ntk_convergence": {"_ntk_traj"},
+                 "smrm_gaps": set(), "ntk_convergence": {"_trace"},
                  "reset_ablation": {"_matrix", "_trace"},
                  "averaging_ablation": {"_matrix", "_trace"}}
-    for cfg in configs:
+    for cfg in traced_config_of_every_kind():
         rows = run_experiment(cfg, jobs=jobs)
         assert rows and all(r["error"] == "" for r in rows), cfg.kind
         for r in rows:
             assert {key for key in r if key.startswith("_")} == artifacts[cfg.kind]
+
+
+def test_rows_are_plain_data():
+    # lists, dicts, numbers and strings, and the _matrix array: json writes
+    # every row once its matrix is a nested list (it raises on any other
+    # object), and reads back the same text
+    for cfg in traced_config_of_every_kind():
+        for row in run_experiment(cfg):
+            plain = {**row, "_matrix": row["_matrix"].tolist()} if "_matrix" in row else row
+            text = json.dumps(plain)
+            assert json.dumps(json.loads(text)) == text, cfg.kind
 
 
 def test_value_and_runtime_errors_keep_their_text(capsys):
@@ -522,6 +538,20 @@ class TestNtkRunner:
         header = read_csv(serial / "results.csv")[0]
         assert header == KIND_COLUMNS["ntk_convergence"]
 
+    def test_cli_traces_match_across_jobs(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"n_languages": NTK_TWO.n_languages}))
+        traces = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert cli.main(["ntk", "--config", str(cfg_file), "--traces", "--jobs", jobs,
+                             "--out", str(out)]) == 0
+            traces.append({p.name: p.read_bytes() for p in out.glob("trace_*.csv")})
+        assert len(traces[0]) == NTK_TWO.n_languages and traces[0] == traces[1]
+        for text in traces[0].values():
+            header, *lines = text.decode().splitlines()
+            assert header == "t,C_t,frobenius_residual,min_O_entry" and len(lines) > 2
+
 
 class TestOutputs:
     def test_csv_bytes_deterministic(self, tmp_path):
@@ -570,12 +600,11 @@ class TestOutputs:
         [trace] = list(out.glob("trace_*.csv"))
         header, *lines = read_csv(trace)
         assert header == ["t", "C_t", "frobenius_residual", "min_O_entry"]
-        traj = row["_ntk_traj"]
-        assert len(lines) == len(traj.times) > 1
+        steps = row["_trace"]
+        assert len(lines) == len(steps) > 1
         assert float(lines[0][0]) == 0.0
-        first = (traj.times[0], traj.C[0], traj.residuals[0], traj.min_entries[0])
-        for value, ref in zip(lines[0], first):
-            assert abs(float(value) - ref) < 1e-8
+        for value, key in zip(lines[0], header):
+            assert abs(float(value) - steps[0][key]) < 1e-8
         # one writer for every CSV: the csv module's CRLF line endings throughout
         assert trace.read_bytes().count(b"\r\n") == len(lines) + 1
 

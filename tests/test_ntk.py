@@ -320,8 +320,10 @@ class TestDynamics:
         _, pair = soft_cycle_language(peak=0.6)
         traj = integrate_dynamics(pair, t_end=1.0)
         cfg = ExperimentConfig(kind="ntk_convergence", write_traces=True)
-        row = {"kind": cfg.kind, "language_index": 0, "seed": 0, "error": "",
-               "_ntk_traj": traj}
+        steps = zip(traj.times.tolist(), traj.C.tolist(), traj.residuals.tolist(),
+                    traj.min_entries.tolist())
+        trace = [dict(t=t, C_t=C, frobenius_residual=r, min_O_entry=m) for t, C, r, m in steps]
+        row = {"kind": cfg.kind, "language_index": 0, "seed": 0, "error": "", "_trace": trace}
         [path] = write_outputs(cfg, [row], tmp_path).glob("trace_*.csv")
         with open(path, newline="") as fh:
             lines = list(csv.reader(fh))
