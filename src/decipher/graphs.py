@@ -9,8 +9,11 @@ interpolated toward a deterministic Hamiltonian cycle.
 All constructors return a TransitionMatrix carrying the row-stochastic
 probabilities plus enough provenance (undirected edge weights, originating
 GraphSpec, and for a tiled union its Tiling) for downstream spectral analysis
-and exact unigrams. A tiled union's dense probabilities and weights are laid
-out from its Tiling only when first read.
+and exact unigrams. Two kinds of chain are made without dense arrays: a tiled
+union, laid out from its Tiling, and a hypercube Q_n, laid out from its
+dimension, each only when its probabilities or weights are first read. Exact
+unigrams step a chain through TransitionMatrix.step, which moves Q_n by its n
+bit flips, so the asymptotic sweeps lay out no hypercube.
 """
 
 from __future__ import annotations
@@ -20,12 +23,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# Hard cap on the side of a dense S x S array. An untiled chain holds a dense
-# probs (and weights when reversible), 16 * S^2 bytes for the pair. A tiled
-# chain is validated and propagated through its subgraph and lays that pair
-# out only when something reads it (row sampling, interpolation), so the cap
-# applies to its state count only then, and the asymptotic sweeps make no
-# S x S array. The largest grid in the experiment sweeps is 8^4 = 4096 states.
+# Hard cap on the side of a dense S x S array, checked wherever one is laid
+# out: probs (and weights when reversible) take 16 * S^2 bytes for the pair.
+# A circulant or De Bruijn graph is built dense. A tiled union and a
+# hypercube are validated and stepped through their structure and lay that
+# pair out only when something reads it (row sampling, interpolation), so the
+# cap applies to their state count only then. The asymptotic sweeps make no
+# S x S array, and no 2^knob x 2^knob one for a Q_knob subgraph, at any size.
 STATE_COUNT_CAP = 8192
 
 ROW_SUM_TOL = 1e-12
@@ -65,13 +69,19 @@ class TransitionMatrix:
     tiling: for a tiled union (see assemble), the subgraph and where each
     copy sits, else None.
 
-    An untiled matrix is validated densely: entries in [0, 1], rows summing
-    to 1 within ROW_SUM_TOL, symmetric weights. A tiled one is made without
-    dense arrays (probs None) and validated through its tiling, in O(S);
-    probs and weights are laid out from the tiling on first read, and kept.
-    They hold only the validated subgraph's entries and the fillers' 1.0, so
-    their ranges, symmetry and row sums follow from the subgraph's (a row
-    holds a subgraph row's nonzeros, so it sums to 1 within about 1e-15).
+    A matrix given its probs is validated densely: entries in [0, 1], rows
+    summing to 1 within ROW_SUM_TOL, symmetric weights. Two kinds are made
+    without dense arrays (probs None), and probs and weights are laid out on
+    first read, and kept:
+    - a tiled one, validated through its tiling in O(S). Its layout holds
+      only the validated subgraph's entries and the fillers' 1.0, so its
+      ranges, symmetry and row sums follow from the subgraph's (a row holds
+      a subgraph row's nonzeros, so it sums to 1 within about 1e-15);
+    - a hypercube (spec family "hypercube", no tiling), validated by its
+      structure in O(S * dim): dim >= 1, and the step on a row of ones
+      (column sums, equal to the row sums of the symmetric 1/dim pattern)
+      gives ones. Its layout is build_hypercube's dense construction.
+    step moves a distribution through the chain without laying it out.
     """
 
     def __init__(self, probs: Optional[np.ndarray], reversible: bool,
@@ -82,6 +92,8 @@ class TransitionMatrix:
         self._weights = weights
         self.spec = spec
         self.tiling = tiling
+        # stepped by its bit flips: a hypercube made without dense arrays
+        self._bit_flips = probs is None and tiling is None
         # a method of its own, looked up on the class, so the benchmark's
         # tracer (perfbench/spans.py) can time validation under this name
         self.__post_init__()
@@ -91,6 +103,15 @@ class TransitionMatrix:
             if self._probs is not None or self._weights is not None:
                 raise ValueError("a tiled chain is made without dense probs or weights")
             self.tiling.check()
+            return
+        if self._bit_flips:
+            if self.spec is None or self.spec.family != "hypercube" or self._weights is not None:
+                raise ValueError("a chain without dense probs needs a tiling or a hypercube spec")
+            if self.spec.dim < 1:
+                raise ValueError("hypercube dimension must be >= 1")
+            row_err = np.max(np.abs(self.step(np.ones(self.n_states)) - 1.0))
+            if row_err > ROW_SUM_TOL:
+                raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}, max error {row_err:.3e}")
             return
         P = np.asarray(self._probs, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -111,18 +132,39 @@ class TransitionMatrix:
     @property
     def probs(self) -> np.ndarray:
         if self._probs is None:
-            self._probs = self.tiling.lay_out(self.tiling.sub.probs)
+            self._probs = (_hypercube_weights(self.spec.dim) / self.spec.dim if self._bit_flips
+                           else self.tiling.lay_out(self.tiling.sub.probs))
         return self._probs
 
     @property
     def weights(self) -> Optional[np.ndarray]:
-        if self._weights is None and self.reversible and self.tiling is not None:
+        if self._weights is None and self._bit_flips:
+            self._weights = _hypercube_weights(self.spec.dim)
+        elif self._weights is None and self.reversible and self.tiling is not None:
             self._weights = self.tiling.lay_out(self.tiling.sub.weights)
         return self._weights
 
     @property
     def n_states(self) -> int:
-        return self.probs.shape[0] if self.tiling is None else self.tiling.n_states
+        if self.tiling is not None:
+            return self.tiling.n_states
+        return 2**self.spec.dim if self._bit_flips else self.probs.shape[0]
+
+    def step(self, D: np.ndarray) -> np.ndarray:
+        """One step of the distributions along D's last axis: D @ probs.
+
+        A hypercube made without dense arrays takes the mean of its dim bit
+        flips, D[..., i ^ (1 << b)] over b, which equals D @ probs up to
+        roundoff and lays nothing out. Any other chain multiplies by its
+        (for a tiled one, laid out) probs.
+        """
+        if not self._bit_flips:
+            return D @ self.probs
+        idx = np.arange(self.n_states)
+        out = D[..., idx ^ 1]
+        for bit in range(1, self.spec.dim):
+            out += D[..., idx ^ (1 << bit)]
+        return out / self.spec.dim
 
 
 @dataclass(frozen=True)
@@ -222,19 +264,25 @@ def build_debruijn(k: int, m: int) -> TransitionMatrix:
     return TransitionMatrix(P, reversible=True, weights=W, spec=spec)
 
 
-def build_hypercube(n: int) -> TransitionMatrix:
-    """Hypercube graph Q_n: 2^n nodes, uniform steps across Hamming-1 neighbors."""
-    if n < 1:
-        raise ValueError("hypercube dimension must be >= 1")
+def _hypercube_weights(n: int) -> np.ndarray:
+    """Dense 0/1 adjacency of Q_n: node i joins i ^ (1 << bit) for each bit."""
     size = 2**n
     _check_cap(size)
     W = np.zeros((size, size))
     idx = np.arange(size)
     for bit in range(n):
         W[idx, idx ^ (1 << bit)] = 1.0
-    P = W / n
-    spec = GraphSpec("hypercube", dim=n)
-    return TransitionMatrix(P, reversible=True, weights=W, spec=spec)
+    return W
+
+
+def build_hypercube(n: int) -> TransitionMatrix:
+    """Hypercube graph Q_n: 2^n nodes, uniform steps across Hamming-1 neighbors.
+
+    Made without dense arrays at any n: it is checked and stepped through its
+    bit flips (TransitionMatrix.step), and its probs W / n and weights W are
+    laid out on first read, under the state-count cap.
+    """
+    return TransitionMatrix(None, reversible=True, spec=GraphSpec("hypercube", dim=n))
 
 
 def build_subgraph(spec: GraphSpec) -> TransitionMatrix:

@@ -134,18 +134,20 @@ def random_permutation_emission(size: int, seed) -> np.ndarray:
 def exact_positional_unigrams(lang: HmmLanguage, L: int) -> PositionalUnigramPair:
     """Analytic positional unigrams: row k of PX marginalizes pi T^k.
 
-    pi evolves copy by copy: D = pi[blocks] steps as D @ step (never matrix
-    powers), and row k bins D by each position's final unit, plus the
-    fillers' mass, which never moves. A tiled T (see graphs.assemble) steps
-    by its subgraph; any other T is one copy of itself with no fillers,
-    stepped by its dense probs. PY = PX @ O holds by construction.
+    pi evolves copy by copy: D = pi[blocks] takes one TransitionMatrix.step
+    per position (never matrix powers), and row k bins D by each position's
+    final unit, plus the fillers' mass, which never moves. A tiled T (see
+    graphs.assemble) steps by its subgraph; any other T is one copy of itself
+    with no fillers. A dense chain steps as D @ probs; a Q_n from
+    graphs.build_hypercube, tiled or not, as the mean of its n bit flips, so
+    it is laid out at no size. PY = PX @ O holds by construction.
     """
     if L < 1:
         raise ValueError("need at least one block position")
     tiling = lang.T.tiling
     blocks, fillers, step = (
-        (np.arange(lang.pi.size)[None], np.arange(0), lang.T.probs) if tiling is None
-        else (tiling.blocks, tiling.fillers, tiling.sub.probs))
+        (np.arange(lang.pi.size)[None], np.arange(0), lang.T.step) if tiling is None
+        else (tiling.blocks, tiling.fillers, tiling.sub.step))
     # the selector reads position p's final unit, p mod |X|
     units = (blocks % lang.nx).ravel()
     resting = np.bincount(fillers % lang.nx, weights=lang.pi[fillers], minlength=lang.nx)
@@ -154,7 +156,7 @@ def exact_positional_unigrams(lang: HmmLanguage, L: int) -> PositionalUnigramPai
     for k in range(L):
         PX[k] = np.bincount(units, weights=dist.ravel(), minlength=lang.nx) + resting
         if k + 1 < L:
-            dist = dist @ step
+            dist = step(dist)
     return PositionalUnigramPair(PX=PX, PY=PX @ lang.O)
 
 

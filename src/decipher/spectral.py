@@ -101,9 +101,10 @@ def circulant_eigenvalues(n: int, action_set) -> np.ndarray:
 
 
 def hypercube_eigenvalues(dim: int) -> np.ndarray:
-    """1 - 2k/dim with multiplicity C(dim, k), k = 0..dim."""
+    """1 - 2k/dim with multiplicity C(dim, k), k = 0..dim: one value per node,
+    with k the node's count of set bits."""
     ks = np.arange(2**dim)
-    popcount = np.array([bin(k).count("1") for k in ks])
+    popcount = sum((ks >> b) & 1 for b in range(dim))
     return 1.0 - 2.0 * popcount / dim
 
 

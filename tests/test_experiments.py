@@ -158,6 +158,22 @@ class TestAsymptoticRunner:
         assert row["error"] == ""
         assert row["distinct_nonzero"] == 10 and row["rank_deficient"] == 0 and row["per"] == 0.0
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hypercube_knob_past_the_dense_subgraph_runs(self, seed):
+        # one Q_13 copy (8,192 nodes) and 1,808 fillers: a dense Q_13 pair is 1 GB
+        cfg = replace(default_config("asymptotic_phase", family="hypercube"),
+                      nx_values=(10,), knob_values=(13,), seeds=(seed,))
+        assert cfg.ngram == 4 and cfg.L == 10
+        tracemalloc.start()
+        try:
+            [row] = experiments._asymptotic_cell(cfg, 10, 13, seed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert row["distinct_nonzero"] == 14 and row["rank_deficient"] == 0
+        assert row["per"] == 0.0
+        assert peak < 16 * 2**20
+
     def test_rerun_identical(self):
         cfg = tiny_asymptotic(seeds=(3,))
         assert strip_volatile(run_experiment(cfg)) == strip_volatile(run_experiment(cfg))

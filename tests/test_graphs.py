@@ -114,8 +114,58 @@ def test_hypercube_rows_and_flags():
     T1 = build_hypercube(1)
     npt.assert_array_equal(T1.probs, [[0.0, 1.0], [1.0, 0.0]])
 
-    with pytest.raises(ValueError):
-        build_hypercube(14)
+    with pytest.raises(ValueError, match="dimension"):
+        build_hypercube(0)
+    # Q_14 is built without dense arrays; its 2^14 x 2^14 layout is over the cap
+    T14 = build_hypercube(14)
+    assert T14.n_states == 2**14
+    with pytest.raises(ValueError, match="state-count cap"):
+        T14.probs
+
+
+def _dense_hypercube(dim):
+    """The dense construction: 1 across each bit flip, divided by dim."""
+    size = 2**dim
+    W = np.zeros((size, size))
+    idx = np.arange(size)
+    for bit in range(dim):
+        W[idx, idx ^ (1 << bit)] = 1.0
+    return W / dim, W
+
+
+@pytest.mark.parametrize("dim", range(1, 10))
+def test_hypercube_layout_is_the_dense_construction(dim):
+    T = build_hypercube(dim)
+    P, W = _dense_hypercube(dim)
+    assert T.probs.tobytes() == P.tobytes() and T.weights.tobytes() == W.tobytes()
+    dense = TransitionMatrix(T.probs, reversible=True, weights=T.weights)
+    assert dense.n_states == 2**dim
+
+
+@pytest.mark.parametrize("dim", range(1, 10))
+def test_hypercube_step_is_the_dense_product(dim):
+    D = np.random.default_rng(dim).random((3, 2**dim))
+    T = build_hypercube(dim)
+    stepped = T.step(D)
+    assert T._probs is None and T._weights is None  # stepping lays nothing out
+    npt.assert_allclose(stepped, D @ _dense_hypercube(dim)[0], rtol=0, atol=1e-15)
+
+
+def test_hypercube_is_built_and_checked_without_dense_arrays():
+    tracemalloc.start()
+    try:
+        T = build_hypercube(16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a row of 2^16 floats is 512 KB; the dense pair would be 64 GB
+    assert T.n_states == 2**16 and peak < 4 * 2**20
+    # node 5 = 0b101 steps to each of its 16 bit flips, 1, 4 and 7 among the first 8
+    D = np.zeros(2**16)
+    D[5] = 1.0
+    stepped = T.step(D)
+    npt.assert_array_equal(stepped[:8], [0, 1 / 16, 0, 0, 1 / 16, 0, 0, 1 / 16])
+    assert np.count_nonzero(stepped) == 16
 
 
 def test_assemble_two_c5_into_12():

@@ -87,6 +87,12 @@ def test_symmetric_eigen_hypercube_q3():
     npt.assert_array_equal(counts, [1, 3, 3, 1])
 
 
+@pytest.mark.parametrize("dim", range(1, 17))
+def test_hypercube_eigenvalues_count_set_bits(dim):
+    loop = 1.0 - 2.0 * np.array([bin(k).count("1") for k in range(2**dim)]) / dim
+    assert hypercube_eigenvalues(dim).tobytes() == loop.tobytes()
+
+
 def test_cluster_eigenvalues_merges():
     groups, reps, tol = distinct_eigenvalues(np.array([0.0, 1e-9, 0.5, 1.0, 1.0 - 1e-9]))
     assert tol == 1e-7  # the shared tolerance at radius 1
