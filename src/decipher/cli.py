@@ -98,8 +98,8 @@ def main(argv=None) -> int:
         return 2
     rows = run_experiment(cfg, jobs=args.jobs)
     out_dir = args.out or f"decipher_out/{cfg.kind}"
-    write_outputs(cfg, rows, out_dir)
     summary = summarize(cfg, rows)
+    write_outputs(cfg, rows, out_dir, summary)
     pers = [s["mean_per"] for s in summary["cells"].values() if "mean_per" in s]
     line = f"{cfg.kind}: {summary['total_rows']} rows, {summary['total_errors']} errors"
     if pers:

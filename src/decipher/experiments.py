@@ -47,7 +47,6 @@ import csv
 import functools
 import json
 import math
-import multiprocessing
 import sys
 import traceback
 from dataclasses import asdict, dataclass, field, replace
@@ -520,6 +519,10 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
     if jobs <= 1:
         blocks = [run(coords) for coords in tasks(cfg)]
     else:
+        # imported here: about 6 ms of the CLI's import that a serial run
+        # never uses
+        import multiprocessing
+
         with multiprocessing.Pool(jobs) as pool:
             blocks = pool.map(run, tasks(cfg))
     return sorted((row for block in blocks for row in block), key=_sort_key)
@@ -607,13 +610,17 @@ def _artifact_stem(row: dict) -> str:
     return "_".join(parts)
 
 
-def write_outputs(cfg: ExperimentConfig, rows: Sequence[dict], out_dir) -> Path:
-    """results.csv + summary.json (+ per-run traces and recovered matrices)."""
+def write_outputs(cfg: ExperimentConfig, rows: Sequence[dict], out_dir,
+                  summary: dict | None = None) -> Path:
+    """results.csv + summary.json (+ per-run traces and recovered matrices).
+    summary is summarize(cfg, rows), formed here unless the caller has it."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_results_csv(rows, out / "results.csv", KIND_COLUMNS[cfg.kind])
+    if summary is None:
+        summary = summarize(cfg, rows)
     with open(out / "summary.json", "w") as fh:
-        json.dump(summarize(cfg, rows), fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if cfg.write_traces:
         for row in rows:

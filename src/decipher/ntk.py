@@ -9,7 +9,7 @@ the flow (K_D only scales it). The flow applies H(p)^2 to every row at once
 (apply_generator_ntk); generator_ntk forms one row's, the tests' reference.
 
 integrate_dynamics runs the coupled per-unit ODEs with the Radau IIA
-collocation method of order 5 and records the kernel-weighted squared
+collocation method of order 5 and reports the kernel-weighted squared
 mismatch C_t at each accepted step; the ntk_convergence rows read their
 predicted decay rate off its final state. The flow is stiff: late in a run,
 the steps that the accuracy allows times the Jacobian's largest |lambda| lie
@@ -26,7 +26,11 @@ one complex |X| |Y| system, whose inverses it reuses while h and the
 Jacobian stay put. Each Newton iteration evaluates the right-hand side at
 all three nodes in one batched call, and a step usually takes two. Numpy's
 per-call dispatch, not arithmetic, sets the cost of a step, since the state
-has at most 36 entries.
+has at most 36 entries. So a step forms nothing twice: the Newton constants
+once per solve, |O| once per state for its Newton and error scales, the
+residual norm once per accepted step, and the finiteness check and the
+overshoot guard from one min/max pair. C_t is formed after the run, in one
+call over the kept residuals.
 """
 
 from __future__ import annotations
@@ -65,8 +69,8 @@ _T = np.array([[0.094438762488975241, -0.14125529502095421, 0.030029194105147424
 _TI = np.array([[4.1787185915519047, 0.32768282076106239, 0.52337644549944955],
                 [-4.1787185915519047, -0.32768282076106239, 0.47662355450055045],
                 [0.50287263494578688, -2.5719269498556054, 0.59603920482822492]])
-_TI_CPLX = _TI[1] + 1j * _TI[2]
-_T_CPLX = (_T[:, 1] - 1j * _T[:, 2])[:, None]
+_TI_REAL, _TI_CPLX = _TI[0], _TI[1] + 1j * _TI[2]
+_T_REAL, _T_CPLX = _T[:, :1], (_T[:, 1] - 1j * _T[:, 2])[:, None]
 # gamma, and alpha - i beta
 _GAMMA = 3 + 3 ** (2 / 3) - 3 ** (1 / 3)
 _MU = 3 + (3 ** (1 / 3) - 3 ** (2 / 3)) / 2 - 0.5j * (3 ** (5 / 6) + 3 ** (7 / 6))
@@ -117,7 +121,9 @@ class NtkTrajectory:
 
 
 def _rms(x: np.ndarray, scale: np.ndarray) -> float:
-    return float(np.sqrt(((x / scale) ** 2).mean()))
+    """sqrt(mean((x / scale)^2)), by .mean()'s own pairwise sum and division."""
+    q = x / scale
+    return math.sqrt(np.add.reduce(q * q) / q.size)
 
 
 def _jacobian(rhs, y: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -154,15 +160,16 @@ def _newton(rhs, y: np.ndarray, h: float, Z: np.ndarray, inverses, scale: np.nda
     one iteration). Gives up once the contraction predicts no convergence
     within the iteration limit (Hairer & Wanner IV.8)."""
     inv_real, inv_cplx = inverses
+    gamma, mu, size = _GAMMA / h, _MU / h, 3 * y.size
     W = _TI @ Z
     W_real, W_cplx = W[0], W[1] + 1j * W[2]
     norm_old = rate = None
     for k in range(_NEWTON_ITERATIONS):
         F = rhs(y + Z)
-        d_real = inv_real @ (_TI[0] @ F - _GAMMA / h * W_real)
-        d_cplx = inv_cplx @ (_TI_CPLX @ F - _MU / h * W_cplx)
+        d_real = inv_real @ (_TI_REAL @ F - gamma * W_real)
+        d_cplx = inv_cplx @ (_TI_CPLX @ F - mu * W_cplx)
         r, c = d_real / scale, d_cplx / scale
-        norm = math.sqrt((r @ r + np.vdot(c, c).real) / (3 * y.size))
+        norm = math.sqrt((r @ r + np.vdot(c, c).real) / size)
         if not math.isfinite(norm):
             break
         if norm_old is not None:
@@ -170,7 +177,7 @@ def _newton(rhs, y: np.ndarray, h: float, Z: np.ndarray, inverses, scale: np.nda
             if rate >= 1.0 or rate ** (_NEWTON_ITERATIONS - k) / (1.0 - rate) * norm > tol:
                 break
         W_real, W_cplx = W_real + d_real, W_cplx + d_cplx
-        Z = _T[:, :1] * W_real + (_T_CPLX * W_cplx).real
+        Z = _T_REAL * W_real + (_T_CPLX * W_cplx).real
         if norm == 0.0 or rate is not None and rate / (1.0 - rate) * norm < tol:
             return True, k + 1, Z, rate
         norm_old = norm
@@ -202,8 +209,9 @@ def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = 
                        t_end: float = 100.0, stop_residual: float = 0.0) -> NtkTrajectory:
     """Radau IIA (order 5) on dO_x/dt = K_Ox K_D (PY - PX O)^T PX[:, x].
 
-    Records C_t = Tr(R K_D R^T) with R the per-position mismatch, the
-    Frobenius residual and the smallest O entry at every accepted step. Row
+    Records the per-position mismatch R, its Frobenius norm and the smallest
+    O entry at every accepted step; C_t = Tr(R K_D R^T) is formed from the
+    kept R after the run, for every step in one einsum. Row
     sums are conserved analytically (H(p) kills the all-ones direction);
     integration drift beyond 1e-9 raises.
 
@@ -246,24 +254,30 @@ def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = 
     K_D = discriminator_ntk(ny)
     n = nx * ny
     P = _row_sum_projection(nx, ny)
+    PXT = PX.T
 
     def rhs(Y):
         """Slopes at a stack of flattened states, one per row."""
         O = Y.reshape(-1, nx, ny)
-        return apply_generator_ntk(O, PX.T @ ((PY - PX @ O) @ K_D)).reshape(-1, n)
+        return apply_generator_ntk(O, PXT @ ((PY - PX @ O) @ K_D)).reshape(-1, n)
 
     def residual(y):
         return PY - PX @ y.reshape(nx, ny)
 
-    times, Cs, resids, mins = [], [], [], []
+    def frobenius(R):
+        """np.linalg.norm(R): its ravel, dot and sqrt, without its checks."""
+        r = R.ravel()
+        return math.sqrt(r.dot(r))
+
+    times, Rs, resids, mins = [], [], [], []
     t, y = 0.0, O.ravel()
     halvings = 0
 
-    def record(R):
+    def record(R, resid, low):
         times.append(t)
-        Cs.append(float(np.einsum("ly,yz,lz->", R, K_D, R)))
-        resids.append(float(np.linalg.norm(R)))
-        mins.append(float(y.min()))
+        Rs.append(R)
+        resids.append(resid)
+        mins.append(float(low))
 
     def crossing(y0, Z):
         """theta in [0, 1] of the step from y0 with increments Z at which the
@@ -271,16 +285,19 @@ def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = 
         lo, hi = 0.0, 1.0
         for _ in range(53):
             mid = 0.5 * (lo + hi)
-            if np.linalg.norm(residual(_collocation_polynomial(y0, Z, mid))) <= stop_residual:
+            if frobenius(residual(_collocation_polynomial(y0, Z, mid))) <= stop_residual:
                 hi = mid
             else:
                 lo = mid
         return hi
 
-    record(residual(y))
+    R = residual(y)
+    record(R, frobenius(R), y.min())
     f = rhs(y)[0]
-    scale = ATOL + RTOL * np.abs(y)
-    d0, d1 = _rms(y, scale), _rms(f, scale)
+    # |y| enters the Newton scale of every try from y and the error scale
+    abs_y = np.abs(y)
+    newton_scale = ATOL + RTOL * abs_y
+    d0, d1 = _rms(y, newton_scale), _rms(f, newton_scale)
     h = float(0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6)
     # Newton stops once its predicted distance to the solution, in units of
     # the error scale, is below this (RADAU5's choice)
@@ -303,8 +320,8 @@ def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = 
             t0, h0, y0, Z0 = poly
             # projected like every Newton correction (see _inverses)
             Z = (_collocation_polynomial(y0, Z0, (t + _C * h_try - t0) / h0) - y) @ P
-        converged, iterations, Z, rate = _newton(rhs, y, h_try, Z, inverses,
-                                                 ATOL + RTOL * np.abs(y), newton_tol)
+        converged, iterations, Z, rate = _newton(rhs, y, h_try, Z, inverses, newton_scale,
+                                                 newton_tol)
         if not converged and not fresh:
             # a Jacobian from an earlier state: refresh it and try again
             J, fresh, h_inverted = _jacobian(rhs, y, f), True, None
@@ -314,18 +331,22 @@ def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = 
         h_next = h_try / 2.0
         if converged:
             candidate = y + Z[2]
-            if not np.isfinite(candidate).all():
+            # NaN propagates through min and max, so one pair serves both
+            # the finiteness check and the overshoot guard
+            low, high = candidate.min(), candidate.max()
+            if not (math.isfinite(low) and math.isfinite(high)):
                 raise RuntimeError(f"non-finite state at t = {t:.6g}")
             ZE = _E @ Z / h_try
             error = inverses[0] @ (f + ZE)
-            scale = ATOL + RTOL * np.maximum(np.abs(y), np.abs(candidate))
+            abs_candidate = np.abs(candidate)
+            scale = ATOL + RTOL * np.maximum(abs_y, abs_candidate)
             err = _rms(error, scale)
             if rejected and err > 1.0:
                 # a second estimate, which damps the stiff components
                 err = _rms(inverses[0] @ (rhs(y + error)[0] + ZE), scale)
             if err > 1.0:
                 h_next = h_try * _step_factor(h_try, err, h_old, err_old, iterations)
-            elif candidate.min() >= -OVERSHOOT_EPS and candidate.max() <= 1.0 + OVERSHOOT_EPS:
+            elif low >= -OVERSHOOT_EPS and high <= 1.0 + OVERSHOOT_EPS:
                 h_next = None
         if h_next is not None:
             halvings += 1
@@ -341,7 +362,8 @@ def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = 
         if drift > 1e-9:
             raise RuntimeError(f"row-sum drift {drift:.3g} exceeds 1e-9 at t = {t:.6g}")
         R = residual(y)
-        if stop_residual > 0 and np.linalg.norm(R) <= stop_residual:
+        resid = frobenius(R)
+        if stop_residual > 0 and resid <= stop_residual:
             theta = crossing(y_prev, Z)
             if not retaken:
                 # take the step again, shortened to end at the crossing that
@@ -352,7 +374,10 @@ def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = 
                 continue
             y, t = _collocation_polynomial(y_prev, Z, theta), t_prev + theta * h_try
             R = residual(y)
-        record(R)
+            resid, low, abs_candidate = frobenius(R), y.min(), np.abs(y)
+        record(R, resid, low)
+        abs_y = abs_candidate
+        newton_scale = ATOL + RTOL * abs_y
         poly = (t_prev, h_try, y_prev, Z)
         f = rhs(y)[0]
         factor = _step_factor(h_try, err, h_old, err_old, iterations)
@@ -367,9 +392,11 @@ def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = 
             J, h_inverted = _jacobian(rhs, y, f), None
         h = h_try if not fresh and 1.0 <= factor < 1.2 else h_try * factor
 
+    R = np.array(Rs)
     return NtkTrajectory(
-        times=np.array(times), C=np.array(Cs), residuals=np.array(resids),
-        min_entries=np.array(mins), O_final=y.reshape(nx, ny), halvings=halvings,
+        times=np.array(times), C=np.einsum("sly,yz,slz->s", R, K_D, R),
+        residuals=np.array(resids), min_entries=np.array(mins), O_final=y.reshape(nx, ny),
+        halvings=halvings,
     )
 
 

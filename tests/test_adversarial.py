@@ -84,6 +84,16 @@ class TestSoftmaxPieces:
             closed = apply_softmax_jacobian(p[None, :], g[None, :])[0]
             assert np.max(np.abs(closed - g @ H)) < 1e-15
 
+    @pytest.mark.parametrize("shape", [(1, 3, 3), (5, 4, 6), (36, 5, 5)])
+    def test_closed_form_keeps_the_bytes_of_its_sum_form(self, shape):
+        # the kernel reduces by np.add.reduce; .sum, its reference here, is
+        # the same reduction behind a Python layer
+        rng = np.random.default_rng(7)
+        P = softmax(rng.normal(0, 2, size=shape), axis=-1)
+        G = rng.normal(0, 1, size=shape)
+        want = P * (G - (P * G).sum(axis=-1, keepdims=True))
+        assert apply_softmax_jacobian(P, G).tobytes() == want.tobytes()
+
     def test_softmax_rows_are_distributions(self):
         rng = np.random.default_rng(0)
         U = rng.normal(0, 3, size=(5, 7))

@@ -11,6 +11,8 @@ is marked ``# noqa: F401`` on its line.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -135,3 +137,14 @@ def test_checker_flags_a_foreign_import():
               "def f():\n"
               "    import numba\n")
     assert foreign_imports(source) == ["scipy", "numba"]
+
+
+def test_cli_import_starts_no_pool_machinery():
+    # a serial run never starts a process pool or the MLP drawer thread, so
+    # a fresh import of the CLI leaves their modules unloaded
+    code = ("import sys, decipher.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(decipher.__file__).parent.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

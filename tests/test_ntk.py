@@ -1,6 +1,8 @@
 """Tangent kernels: closed forms, Monte-Carlo validation, and the kernel flow."""
 
 import csv
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,6 +334,26 @@ class TestDynamics:
         first = [float(v) for v in lines[1]]
         assert first[0] == 0.0
         assert abs(first[1] - traj.C[0]) < 1e-8
+
+
+GOLDEN = Path(__file__).with_name("golden_ntk_flow.json")
+
+
+class TestPublishedFlowGolden:
+    """The benchmark's three languages against golden_ntk_flow.json: the
+    float.hex of t_stop, the last C_t and residual, and O_final, as computed
+    before the Radau step lost its redundant numpy calls. It pins the bytes
+    that the generating machine's numpy and BLAS give, as the step-count pin
+    pins its counts, so that a reordered sum cannot pass as a faster step."""
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_final_state_keeps_its_bytes(self, index):
+        want = json.loads(GOLDEN.read_text())[str(index)]
+        _, pair, _ = ntk_language(index, L=10)
+        traj = integrate_dynamics(pair, t_end=600000.0, stop_residual=1e-5)
+        got = {"t_stop": traj.times[-1], "C_last": traj.C[-1],
+               "residual_last": traj.residuals[-1], "O_final": traj.O_final}
+        assert {key: np.vectorize(float.hex)(value).tolist() for key, value in got.items()} == want
 
 
 class TestTailFit:
