@@ -13,6 +13,7 @@ summary.json to the output directory. A subcommand takes --family and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, replace
@@ -31,7 +32,10 @@ SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parse_args leaves it as
+    it was, and each call to main would otherwise rebuild it."""
     parser = argparse.ArgumentParser(
         prog="decipher",
         description="Phase-transition sweeps, gap statistics, kernel dynamics, and ablations.",

@@ -24,6 +24,11 @@ index outside the alphabet, and takes the row's last column with positive
 probability instead. Likewise a draw of exactly 0 would count no entry and
 pick column 0 even where that column has probability 0; it takes the row's
 first column with positive probability.
+
+A row of O that puts all its mass on one column returns that column for every
+u, so when every row does, emission reads the text off O and draws nothing.
+Emission is the last draw of its stream, so the skipped uniforms change no
+other byte: every corpus is the one that drawing them would give.
 """
 
 from __future__ import annotations
@@ -167,14 +172,15 @@ class _RowSampler:
     docstring promises, through a guide table (Chen & Asau 1974): the unit
     interval is cut into M = 2^m buckets, so b = floor(u * M) and b / M are
     exact. pick[r, b] = #{j : cum[r, j] < b / M} is the answer for every u in
-    bucket b unless a CDF value of row r lies inside the bucket; only draws
-    that land in such a bucket compare u with the whole row. The count is
-    then clipped to the row's first and last columns with positive
+    bucket b unless a CDF value of row r lies inside the bucket (mixed[r, b]);
+    only draws that land in such a bucket compare u with the whole row. The
+    count is then clipped to the row's first and last columns with positive
     probability: a count above the last one is S (u above the row's last CDF
     value), and a count below the first one needs u = 0 against a leading
     zero. Only slow draws can reach either: a row that sums to within 1/M of
     1 has its last CDF value in the top bucket or above it, and a leading
-    zero puts a CDF value 0 in bucket 0.
+    zero puts a CDF value 0 in bucket 0. Both tables are kept flat, so a
+    draw reads each through one index r * M + b.
     """
 
     def __init__(self, probs: np.ndarray):
@@ -192,14 +198,15 @@ class _RowSampler:
         hits = np.bincount(
             (bucket + (M + 1) * np.arange(rows)[:, None]).ravel(), minlength=rows * (M + 1)
         ).reshape(rows, M + 1)[:, :M]
-        self.mixed = hits > 0
-        self.pick = (np.cumsum(hits, axis=1) - hits).astype(np.int32)
+        self.mixed = (hits > 0).ravel()
+        self.pick = (np.cumsum(hits, axis=1) - hits).astype(np.int32).ravel()
 
     def draw(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         """One draw per entry: u[i] against the CDF row rows[i]."""
-        b = (u * self.M).astype(np.int64)
-        out = self.pick[rows, b].astype(np.int64)
-        slow = np.flatnonzero(self.mixed[rows, b])
+        at = (u * self.M).astype(np.int64)
+        at += rows * self.M
+        out = self.pick.take(at).astype(np.int64)
+        slow = np.flatnonzero(self.mixed.take(at))
         if slow.size:
             r = rows[slow]
             count = (self.cum[r] < u[slow, None]).sum(axis=1)
@@ -223,7 +230,12 @@ def _sample_state_paths(
 def _emit_text(units: np.ndarray, O: np.ndarray, N: int, rng: np.random.Generator) -> np.ndarray:
     """Text for each block's final unit. One uniform is drawn for each of a
     sequence's L*N units, in order, and each block keeps its final unit's,
-    so the stream is that of emitting every unit of every N-gram."""
+    so the stream is that of emitting every unit of every N-gram. When every
+    row of O has one positive column, such as a permutation's, each draw
+    would return it whatever its uniform, so the text is looked up and no
+    uniform is drawn; the caller draws nothing after emission."""
+    if np.all(np.count_nonzero(O > 0, axis=1) == 1):
+        return O.argmax(axis=1)[units]
     n, L = units.shape
     u = rng.random((n, L * N))[:, N - 1 :: N]
     return _RowSampler(O).draw(units.ravel(), u.ravel()).reshape(units.shape)
@@ -239,14 +251,16 @@ def sample_corpus(
     independent corpora from child seeds (seed, seed + 2^31) and keeps the
     speech side of the first and the text side of the second. The first
     corpus's text is never emitted: emission is the last draw from its
-    stream, so skipping it leaves the speech side unchanged.
+    stream, so skipping it leaves the speech side unchanged. For the same
+    reason a one-hot O's text costs no draws (see _emit_text).
     """
     if n_sequences < 1:
         raise ValueError("need at least one sequence")
 
     def one_corpus(child_seed: int, emit: bool = True):
         rng = np.random.default_rng(child_seed)
-        speech = _sample_state_paths(lang, n_sequences, L, rng) % lang.nx
+        speech = _sample_state_paths(lang, n_sequences, L, rng)
+        speech %= lang.nx
         return speech, _emit_text(speech, lang.O, lang.N, rng) if emit else None
 
     if matched:

@@ -291,6 +291,9 @@ def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = 
                 lo = mid
         return hi
 
+    def finished(resid):
+        return t >= t_end or (stop_residual > 0 and resid <= stop_residual)
+
     R = residual(y)
     record(R, frobenius(R), y.min())
     f = rhs(y)[0]
@@ -309,7 +312,7 @@ def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = 
     poly = None
     h_old = err_old = None
     rejected = retaken = False
-    while t < t_end and not (stop_residual > 0 and resids[-1] <= stop_residual):
+    while not finished(resids[-1]):
         last = h >= t_end - t
         h_try = t_end - t if last else h
         if h_try != h_inverted:
@@ -376,6 +379,8 @@ def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = 
             R = residual(y)
             resid, low, abs_candidate = frobenius(R), y.min(), np.abs(y)
         record(R, resid, low)
+        if finished(resid):
+            break  # no slope, step size or Jacobian for a step never taken
         abs_y = abs_candidate
         newton_scale = ATOL + RTOL * abs_y
         poly = (t_prev, h_try, y_prev, Z)

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from decipher.experiments import finite_language
 from decipher.graphs import (
     STATE_COUNT_CAP,
     GraphSpec,
@@ -493,6 +498,58 @@ def test_sample_corpus_equals_the_brute_force_recipe(family, N):
             assert speech.shape == text.shape == (40, 9 * N)
             npt.assert_array_equal(corpus.speech, speech[:, N - 1 :: N])
             npt.assert_array_equal(corpus.text, text[:, N - 1 :: N])
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("family", ["circulant", "de_bruijn"])
+def test_one_hot_emission_equals_the_brute_force_recipe(family, N):
+    # a bare permutation O: the text is looked up, no uniform is drawn, and
+    # the recipe that draws one for every unit gives the same bytes
+    nx = 4
+    states = nx**N
+    if family == "circulant":
+        T = build_circulant(states, (1, 2, states - 1))
+    else:
+        T = interpolate_with_hamiltonian(build_debruijn(2, 2 * N), w=0.3)
+    O = random_permutation_emission(nx, N + 10)
+    lang = HmmLanguage(pi=random_initial_vector(states, N), T=T, O=O, N=N, nx=nx, ny=nx)
+    for matched in (True, False):
+        for seed in (0, 5):
+            corpus = sample_corpus(lang, 40, 9, matched=matched, seed=seed)
+            speech, text = full_expansion_corpus(lang, 40, 9, matched, seed)
+            npt.assert_array_equal(corpus.speech, speech[:, N - 1 :: N])
+            npt.assert_array_equal(corpus.text, text[:, N - 1 :: N])
+
+
+GOLDEN_CORPUS = Path(__file__).with_name("golden_corpus.json")
+# family -> (nx, two knobs) of finite_language at ngram 2
+GOLDEN_CORPUS_GRID = {"circulant": (10, (2, 74)), "de_bruijn": (8, (0.0, 0.5)),
+                      "hypercube": (8, (0.98, 0.99))}
+
+
+def golden_corpus_hashes() -> dict:
+    """sha256 of the int64 speech and text bytes of finite_language corpora,
+    2560 sequences of 80 blocks, per family, knob, seed and mode."""
+    hashes = {}
+    for family, (nx, knobs) in GOLDEN_CORPUS_GRID.items():
+        for knob in knobs:
+            for seed in (0, 1):
+                lang = finite_language(family, nx, knob, 2, seed)
+                for matched in (True, False):
+                    corpus = sample_corpus(lang, 2560, 80, matched=matched, seed=seed)
+                    mode = "matched" if matched else "unmatched"
+                    hashes[f"{family} knob={knob!r} seed={seed} {mode}"] = {
+                        side: hashlib.sha256(getattr(corpus, side).tobytes()).hexdigest()
+                        for side in ("speech", "text")}
+    return hashes
+
+
+def test_finite_corpora_keep_their_bytes():
+    """The corpora of golden_corpus_hashes against golden_corpus.json, as
+    sampled before emission skipped the draws of a one-hot O. It pins numpy's
+    PCG64 streams and the generating numpy's bytes, so that a sampler which
+    draws or reads its stream differently cannot pass as a faster one."""
+    assert golden_corpus_hashes() == json.loads(GOLDEN_CORPUS.read_text())
 
 
 def test_positional_counts_equal_the_per_position_loop():
