@@ -76,7 +76,7 @@ from .hmm import (
 from .ntk import integrate_dynamics, log_linear_tail_fit
 from .random_chains import random_reversible_chain
 from .recovery import phoneme_error_rate, recover_pseudoinverse
-from .spectral import sample_size_threshold, sigma_min, spectrum_of_chain
+from .spectral import sample_size_threshold, sigma_min, spectrum_of_chain, subgraph_spectrum_memo
 
 FAMILIES = ("circulant", "de_bruijn", "hypercube")
 
@@ -513,18 +513,24 @@ def _sort_key(row: dict) -> tuple:
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
-    """Every row of cfg's sweep, sorted by grid coordinates."""
+    """Every row of cfg's sweep, sorted by grid coordinates.
+
+    The cells of one call share a subgraph spectrum memo, which starts empty
+    (spectral.subgraph_spectrum_memo): a tiled subgraph is diagonalised once
+    per call, or once per pool worker, and again in the next call.
+    """
     worker, tasks = TASKS[cfg.kind]
     run = functools.partial(_run_task, worker, cfg)
-    if jobs <= 1:
-        blocks = [run(coords) for coords in tasks(cfg)]
-    else:
-        # imported here: about 6 ms of the CLI's import that a serial run
-        # never uses
-        import multiprocessing
+    with subgraph_spectrum_memo():
+        if jobs <= 1:
+            blocks = [run(coords) for coords in tasks(cfg)]
+        else:
+            # imported here: about 6 ms of the CLI's import that a serial run
+            # never uses
+            import multiprocessing
 
-        with multiprocessing.Pool(jobs) as pool:
-            blocks = pool.map(run, tasks(cfg))
+            with multiprocessing.Pool(jobs) as pool:
+                blocks = pool.map(run, tasks(cfg))
     return sorted((row for block in blocks for row in block), key=_sort_key)
 
 
@@ -619,9 +625,8 @@ def write_outputs(cfg: ExperimentConfig, rows: Sequence[dict], out_dir,
     write_results_csv(rows, out / "results.csv", KIND_COLUMNS[cfg.kind])
     if summary is None:
         summary = summarize(cfg, rows)
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # one write: json.dump would write once per token
+    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     if cfg.write_traces:
         for row in rows:
             stem = _artifact_stem(row)

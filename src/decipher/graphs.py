@@ -110,22 +110,23 @@ class TransitionMatrix:
             if self.spec.dim < 1:
                 raise ValueError("hypercube dimension must be >= 1")
             row_err = np.max(np.abs(self.step(np.ones(self.n_states)) - 1.0))
-            if row_err > ROW_SUM_TOL:
+            if not row_err <= ROW_SUM_TOL:
                 raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}, max error {row_err:.3e}")
             return
         P = np.asarray(self._probs, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError(f"transition matrix must be square, got {P.shape}")
-        if np.any(P < -ROW_SUM_TOL) or np.any(P > 1 + ROW_SUM_TOL):
+        # each check is written to fail on NaN, for which every comparison is False
+        if not (np.all(P >= -ROW_SUM_TOL) and np.all(P <= 1 + ROW_SUM_TOL)):
             raise ValueError("transition probabilities must lie in [0, 1]")
         row_err = np.max(np.abs(P.sum(axis=1) - 1.0))
-        if row_err > ROW_SUM_TOL:
+        if not row_err <= ROW_SUM_TOL:
             raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}, max error {row_err:.3e}")
         if self.reversible and self._weights is not None:
             W = np.asarray(self._weights, dtype=float)
             if W.shape != P.shape:
                 raise ValueError("weights shape must match probs")
-            if np.max(np.abs(W - W.T)) > 1e-10:
+            if not np.max(np.abs(W - W.T)) <= 1e-10:
                 raise ValueError("edge weights must be symmetric")
         self._probs = P
 
@@ -155,16 +156,23 @@ class TransitionMatrix:
 
         A hypercube made without dense arrays takes the mean of its dim bit
         flips, D[..., i ^ (1 << b)] over b, which equals D @ probs up to
-        roundoff and lays nothing out. Any other chain multiplies by its
-        (for a tiled one, laid out) probs.
+        roundoff and lays nothing out. Each flip XORs its mask into one
+        reused S-long index buffer and gathers with take, along the first
+        axis of a C-ordered copy of D.T, so a stack of many short rows (a
+        tiled union's copies) is gathered a whole row of copies at a time.
+        The flips are summed from bit 0 up and divided by dim last.
+        Any other chain multiplies by its (for a tiled one, laid out) probs.
         """
         if not self._bit_flips:
             return D @ self.probs
+        states_first = np.ascontiguousarray(D.T)
         idx = np.arange(self.n_states)
-        out = D[..., idx ^ 1]
+        flip = np.bitwise_xor(idx, 1)
+        out = states_first.take(flip, axis=0)
         for bit in range(1, self.spec.dim):
-            out += D[..., idx ^ (1 << bit)]
-        return out / self.spec.dim
+            out += states_first.take(np.bitwise_xor(idx, 1 << bit, out=flip), axis=0)
+        out /= self.spec.dim
+        return np.ascontiguousarray(out.T)
 
 
 @dataclass(frozen=True)
@@ -294,6 +302,21 @@ def build_subgraph(spec: GraphSpec) -> TransitionMatrix:
     return build_hypercube(spec.dim)
 
 
+def inverse_permutation(order: Sequence[int], size: int) -> np.ndarray:
+    """position with position[order[i]] = i for a permutation order of
+    range(size), equal to np.argsort(order), in O(size): one bincount checks
+    that order holds size integers, none negative, each of range(size) once
+    (an entry past the range lengthens the count), and one scatter inverts
+    it. Raises ValueError for anything else."""
+    order = np.asarray(order)
+    if (order.shape != (size,) or order.dtype.kind not in "iu" or np.any(order < 0)
+            or not np.all(np.bincount(order, minlength=size) == 1)):
+        raise ValueError(f"relabel must be a permutation of range({size})")
+    position = np.empty(size, dtype=np.intp)
+    position[order] = np.arange(size)
+    return position
+
+
 def assemble(spec: GraphSpec, target_states: int,
              relabel: Optional[Sequence[int]] = None) -> TransitionMatrix:
     """Tile target_states // s copies of the s-node subgraph block-diagonally;
@@ -302,21 +325,21 @@ def assemble(spec: GraphSpec, target_states: int,
     The consecutive layout puts copy c on nodes c*s .. (c+1)*s - 1 and the
     fillers last. Node i of the result is node relabel[i] of that layout, so
     the result equals the consecutive layout indexed with np.ix_(relabel,
-    relabel). The result carries no dense arrays: its tiling records the
-    subgraph and each copy's positions, validation and exact unigrams go
-    through it, and probs and weights are laid out from it on first read
-    (by row sampling, for one). The distinct-eigenvalue set of the union is
-    the subgraph's, plus eigenvalue 1 for the fillers.
+    relabel). The relabel must be an integer permutation of
+    range(target_states), checked and inverted in O(target_states) by
+    inverse_permutation. The result carries no dense arrays: its tiling
+    records the subgraph and each copy's positions, validation and exact
+    unigrams go through it, and probs and weights are laid out from it on
+    first read (by row sampling, for one). The distinct-eigenvalue set of the
+    union is the subgraph's, plus eigenvalue 1 for the fillers.
     """
     sub = build_subgraph(spec)
     s = sub.n_states
     if target_states < s:
         raise ValueError(f"subgraph has {s} nodes but target_states is only {target_states}")
-    order = np.arange(target_states) if relabel is None else np.asarray(relabel)
-    if not np.array_equal(np.sort(order), np.arange(target_states)):
-        raise ValueError("relabel must be a permutation of range(target_states)")
     # node k of the consecutive layout lands at position[k]
-    position = np.argsort(order)
+    position = (np.arange(target_states) if relabel is None
+                else inverse_permutation(relabel, target_states))
     copies = target_states // s
     tiling = Tiling(sub, blocks=position[:copies * s].reshape(copies, s),
                     fillers=position[copies * s:])

@@ -64,11 +64,12 @@ class HmmLanguage:
             raise ValueError(f"T has {self.T.n_states} states, expected |X|^N = {states}")
         if self.pi.shape != (states,):
             raise ValueError(f"pi must have shape ({states},)")
-        if np.any(self.pi < 0) or abs(self.pi.sum() - 1.0) > PROB_TOL:
+        # each check is written to fail on NaN, for which every comparison is False
+        if not (np.all(self.pi >= 0) and abs(self.pi.sum() - 1.0) <= PROB_TOL):
             raise ValueError("pi must be a probability vector")
         if self.O.shape != (self.nx, self.ny):
             raise ValueError(f"O must be |X|x|Y| = ({self.nx}, {self.ny})")
-        if np.any(self.O < 0) or np.max(np.abs(self.O.sum(axis=1) - 1.0)) > PROB_TOL:
+        if not (np.all(self.O >= 0) and np.max(np.abs(self.O.sum(axis=1) - 1.0)) <= PROB_TOL):
             raise ValueError("O rows must be probability vectors")
 
 
@@ -109,8 +110,8 @@ class PositionalUnigramPair:
         if self.PX.ndim != 2 or self.PY.ndim != 2 or self.PX.shape[0] != self.PY.shape[0]:
             raise ValueError("PX and PY must be 2-D with a common number of block positions")
         tol = 1e-10
-        for name, M in (("PX", self.PX), ("PY", self.PY)):
-            if np.any(M < -tol) or np.max(np.abs(M.sum(axis=1) - 1.0)) > tol:
+        for name, M in (("PX", self.PX), ("PY", self.PY)):  # NaN fails both checks
+            if not (np.all(M >= -tol) and np.max(np.abs(M.sum(axis=1) - 1.0)) <= tol):
                 raise ValueError(f"{name} rows must be probability vectors")
 
     @property

@@ -7,7 +7,10 @@ rows' distinct nonzero counts and the smrm rows' gap statistics alike, comes
 from spectrum_of_chain. It reads a reversible chain through its subgraph (an
 untiled chain is its own one-copy subgraph) and takes a circulant or
 hypercube closed form, or else the eigenvalues of the subgraph's symmetrized
-weights D^{-1/2} W D^{-1/2}.
+weights D^{-1/2} W D^{-1/2}. A tiled union's distinct values are grouped
+over its subgraph's values alone, not over the S tiled ones, and inside
+subgraph_spectrum_memo, which run_experiment opens for each sweep, each
+GraphSpec's subgraph is diagonalised and grouped once.
 
 Eigenvalue conventions. Distinct-value merging uses EPS_EIG relative to the
 spectral radius (row-stochastic inputs have radius 1), always through
@@ -25,7 +28,9 @@ singular values below about 1e-8 * sigma_max in roundoff.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -124,38 +129,75 @@ def symmetrized_form(weights: np.ndarray) -> np.ndarray:
     return weights * np.outer(inv_sqrt, inv_sqrt)
 
 
+# Subgraph spectra shared by the cells of one sweep, or None outside one
+# (see subgraph_spectrum_memo): GraphSpec -> (the subgraph's sorted values,
+# their distinct count, their nonzero distinct count).
+_sweep_spectra: Optional[dict] = None
+
+
+@contextmanager
+def subgraph_spectrum_memo():
+    """Within the block, spectrum_of_chain diagonalises and groups the
+    subgraph of a tiled union once per GraphSpec. The memo starts empty and
+    is dropped when the block exits; a process pool forked inside it gives
+    each worker its own. It trusts that a tiled chain's spec describes its
+    subgraph, as assemble makes it; a tiled chain without a spec is not
+    memoised."""
+    global _sweep_spectra
+    _sweep_spectra = {}
+    try:
+        yield
+    finally:
+        _sweep_spectra = None
+
+
+def _subgraph_values(T: TransitionMatrix, sub: TransitionMatrix) -> np.ndarray:
+    """Eigenvalues of T's subgraph sub: the closed form T.spec provides, or
+    else the symmetrized weights' eigenvalues."""
+    family = T.spec.family if T.reversible and T.spec is not None else None
+    if family == "circulant":
+        return circulant_eigenvalues(T.spec.n, T.spec.action_set)
+    if family == "hypercube":
+        return hypercube_eigenvalues(T.spec.dim)
+    if T.reversible and sub.weights is not None:
+        return symmetric_eigen(symmetrized_form(sub.weights))[0]
+    raise NonReversibleNoClosedForm(
+        "not reversible, or no closed form and no symmetrizable weights; spectra "
+        "of directed circulants and interpolated matrices are unsupported by design"
+    )
+
+
+def _sorted_spectrum(values: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """values sorted, their distinct count and their nonzero distinct count."""
+    _, reps, tol = distinct_eigenvalues(values)
+    return np.sort(values), len(reps), int(np.sum(np.abs(reps) > tol))
+
+
 def spectrum_of_chain(T: TransitionMatrix) -> SpectrumReport:
     """Spectrum of a reversible transition matrix, from its subgraph.
 
-    An untiled chain is its own one-copy subgraph with no fillers; in a tiled
-    union each copy repeats the subgraph's spectrum and each filler adds
-    eigenvalue 1, under any relabel (a similarity). The subgraph's values
-    come from the closed form T.spec provides (circulant Fourier values,
-    hypercube level values), or else from symmetrizing its edge weights.
-    Anything else, directed circulants and interpolated chains among them,
-    has no supported route.
+    An untiled chain is its own subgraph. In a tiled union each copy repeats
+    the subgraph's spectrum and each filler adds eigenvalue 1, under any
+    relabel (a similarity). The union's distinct values are the subgraph's:
+    repeats add only zero gaps, and the row-stochastic subgraph has
+    eigenvalue 1 itself, so a filler's 1.0 joins its group and leaves the
+    tolerance (radius 1) as it is. The subgraph's values come from the
+    closed form T.spec provides (circulant Fourier values, hypercube level
+    values), or else from symmetrizing its edge weights. Anything else,
+    directed circulants and interpolated chains among them, has no
+    supported route. eigenvalues holds all S values, ascending.
     """
-    sub, copies, fillers = (T, 1, 0) if T.tiling is None else (
-        T.tiling.sub, T.tiling.copies, T.tiling.fillers.size)
-    family = T.spec.family if T.reversible and T.spec is not None else None
-    if family == "circulant":
-        vals = circulant_eigenvalues(T.spec.n, T.spec.action_set)
-    elif family == "hypercube":
-        vals = hypercube_eigenvalues(T.spec.dim)
-    elif T.reversible and sub.weights is not None:
-        vals = symmetric_eigen(symmetrized_form(sub.weights))[0]
-    else:
-        raise NonReversibleNoClosedForm(
-            "not reversible, or no closed form and no symmetrizable weights; spectra "
-            "of directed circulants and interpolated matrices are unsupported by design"
-        )
-    values = np.concatenate([np.tile(vals, copies), np.ones(fillers)])
-    _, reps, tol = distinct_eigenvalues(values)
-    return SpectrumReport(
-        eigenvalues=np.sort(values),
-        distinct_count=len(reps),
-        nonzero_distinct_count=int(np.sum(np.abs(reps) > tol)),
-    )
+    if T.tiling is None:
+        return SpectrumReport(*_sorted_spectrum(_subgraph_values(T, T)))
+    memo = _sweep_spectra if _sweep_spectra is not None and T.spec is not None else {}
+    if T.spec not in memo:
+        memo[T.spec] = _sorted_spectrum(_subgraph_values(T, T.tiling.sub))
+    values, distinct, nonzero = memo[T.spec]
+    # each subgraph value copies times, with the fillers' 1.0s in sorted place
+    copies, at = T.tiling.copies, np.searchsorted(values, 1.0)
+    eigenvalues = np.concatenate([np.repeat(values[:at], copies), np.ones(T.tiling.fillers.size),
+                                  np.repeat(values[at:], copies)])
+    return SpectrumReport(eigenvalues, distinct, nonzero)
 
 
 def right_eigensystem(T: TransitionMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from decipher import adversarial, experiments
+from decipher import adversarial, experiments, spectral
 from decipher.adversarial import TrainConfig, erm_least_squares, generator_gradient, train
 from decipher.experiments import (
     KIND_COLUMNS,
@@ -24,7 +24,7 @@ from decipher.experiments import (
 from decipher.hmm import exact_positional_unigrams, sample_corpus, empirical_positional_unigrams
 from decipher.ntk import discriminator_ntk, generator_ntk, integrate_dynamics
 from decipher.recovery import phoneme_error_rate
-from decipher.spectral import sigma_min
+from decipher.spectral import sigma_min, symmetric_eigen
 from decipher import cli
 
 
@@ -177,6 +177,25 @@ class TestAsymptoticRunner:
     def test_rerun_identical(self):
         cfg = tiny_asymptotic(seeds=(3,))
         assert strip_volatile(run_experiment(cfg)) == strip_volatile(run_experiment(cfg))
+
+    def test_each_subgraph_is_diagonalised_once_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(matrix):
+            calls.append(matrix.shape[0])
+            return symmetric_eigen(matrix)
+
+        monkeypatch.setattr(spectral, "symmetric_eigen", counting)
+        # DB(2, 1), DB(2, 3) and DB(2, 6), each over two nx and two seeds: 729
+        # states leave fillers under each, 1000 under DB(2, 6) only
+        cfg = replace(default_config("asymptotic_phase", family="de_bruijn"),
+                      nx_values=(9, 10), knob_values=(2, 8, 22), seeds=(0, 1))
+        first = run_experiment(cfg)
+        assert sorted(calls) == [2, 8, 64] and spectral._sweep_spectra is None
+        second = run_experiment(cfg)
+        assert sorted(calls) == [2, 2, 8, 8, 64, 64] and spectral._sweep_spectra is None
+        assert strip_volatile(first) == strip_volatile(second)
+        assert all(row["error"] == "" for row in first)
 
 
 class TestFiniteRunner:

@@ -17,6 +17,7 @@ from decipher.graphs import (
     build_subgraph,
     hamiltonian_cycle_matrix,
     interpolate_with_hamiltonian,
+    inverse_permutation,
 )
 from decipher.spectral import symmetrized_form
 
@@ -166,6 +167,43 @@ def test_hypercube_is_built_and_checked_without_dense_arrays():
     stepped = T.step(D)
     npt.assert_array_equal(stepped[:8], [0, 1 / 16, 0, 0, 1 / 16, 0, 0, 1 / 16])
     assert np.count_nonzero(stepped) == 16
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3)], ids=["1-D", "stacked", "stacked-3-D"])
+def test_hypercube_step_is_the_xor_gather_recipe(dim, shape):
+    # the recipe the take-based step replaces: gather D[..., idx ^ (1 << b)]
+    # from bit 0 up, sum, then divide by dim
+    D = np.random.default_rng(dim).random(shape + (2**dim,))
+    idx = np.arange(2**dim)
+    expected = D[..., idx ^ 1]
+    for bit in range(1, dim):
+        expected += D[..., idx ^ (1 << bit)]
+    expected = expected / dim
+    stepped = build_hypercube(dim).step(D)
+    assert stepped.shape == D.shape and stepped.flags.c_contiguous
+    assert stepped.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 12, 4096])
+def test_inverse_permutation_is_the_argsort(size):
+    for seed in range(3):
+        order = np.random.default_rng([size, seed]).permutation(size)
+        position = inverse_permutation(order, size)
+        assert position.dtype == np.argsort(order).dtype
+        npt.assert_array_equal(position, np.argsort(order))
+
+
+def test_inverse_permutation_rejects_a_float_relabel():
+    with pytest.raises(ValueError, match="permutation"):
+        inverse_permutation(np.arange(12.0), 12)
+
+
+def test_dense_validator_rejects_nan():
+    P = build_circulant(5, (-1, 1)).probs.copy()
+    P[0, 0] = np.nan  # NaN < 0 and NaN > 1 are both False
+    with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+        TransitionMatrix(P, reversible=False)
 
 
 def test_assemble_two_c5_into_12():

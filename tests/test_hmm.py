@@ -22,6 +22,7 @@ from decipher.hmm import (
     UNMATCHED_SEED_SPLIT,
     Corpus,
     HmmLanguage,
+    PositionalUnigramPair,
     empirical_positional_unigrams,
     exact_positional_unigrams,
     random_initial_vector,
@@ -70,6 +71,20 @@ def test_language_validation():
         HmmLanguage(pi=pi, T=T, O=np.full((4, 4), 0.3), N=1, nx=4, ny=4)
     with pytest.raises(ValueError):
         HmmLanguage(pi=pi, T=T, O=np.eye(4), N=2, nx=4, ny=4)  # dim must be nx**N
+
+
+def test_language_rejects_a_nan_initial_vector():
+    # NaN < 0 and |NaN - 1| > tol are both False; the checks must still fail
+    with pytest.raises(ValueError, match="pi must be a probability vector"):
+        HmmLanguage(pi=np.array([np.nan, 0.5, 0.25, 0.25]), T=build_circulant(4, (-1, 1)),
+                    O=np.eye(4), N=1, nx=4, ny=4)
+
+
+def test_unigram_pair_rejects_nan():
+    PX = np.full((3, 2), 0.5)
+    PX[1, 0] = np.nan
+    with pytest.raises(ValueError, match="PX rows must be probability vectors"):
+        PositionalUnigramPair(PX=PX, PY=np.full((3, 2), 0.5))
 
 
 def final_unit_marginal(dist, base):

@@ -34,6 +34,7 @@ from decipher.spectral import (
     sigma_min_lower_bound,
     singular_values,
     spectrum_of_chain,
+    subgraph_spectrum_memo,
     symmetric_eigen,
     symmetrized_form,
 )
@@ -140,6 +141,31 @@ def test_union_spectrum_matches_full_numeric():
     rep = spectrum_of_chain(T)
     w, _ = symmetric_eigen(symmetrized_form(T.weights))
     npt.assert_allclose(np.sort(rep.eigenvalues), w, atol=1e-8)
+
+
+@pytest.mark.parametrize("spec", [
+    GraphSpec(family="circulant", n=5, action_set=(1, 4)),
+    GraphSpec(family="circulant", n=12, action_set=(-1, 1, -3, 3)),
+    GraphSpec(family="de_bruijn", k=2, m=3),
+    GraphSpec(family="hypercube", dim=3),
+], ids=lambda spec: spec.family)
+@pytest.mark.parametrize("states", [48, 50])
+@pytest.mark.parametrize("relabelled", [False, True], ids=["consecutive", "relabelled"])
+def test_union_spectrum_equals_grouping_the_tiled_list(spec, states, relabelled):
+    # grouped over the subgraph's values, the counts equal those of every S
+    # tiled value, inside a sweep's memo (twice, the second from the memo) and
+    # outside it; each subgraph leaves fillers at one of 48 and 50 states only
+    relabel = np.random.default_rng(states).permutation(states) if relabelled else None
+    T = assemble(spec, states, relabel=relabel)
+    sub = spectrum_of_chain(T.tiling.sub).eigenvalues
+    tiled = np.concatenate([np.tile(sub, T.tiling.copies), np.ones(T.tiling.fillers.size)])
+    _, reps, tol = distinct_eigenvalues(tiled)
+    with subgraph_spectrum_memo():
+        reports = [spectrum_of_chain(T), spectrum_of_chain(T)]
+    for rep in reports + [spectrum_of_chain(T)]:
+        assert rep.distinct_count == len(reps)
+        assert rep.nonzero_distinct_count == int(np.sum(np.abs(reps) > tol))
+        npt.assert_array_equal(rep.eigenvalues, np.sort(tiled))
 
 
 def test_closed_forms_match_numeric_small_graphs():
