@@ -16,7 +16,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 from .adversarial import TrainConfig
 from .experiments import (FAMILIES, READS, VARIANTS, ExperimentConfig, default_config,
@@ -78,8 +78,8 @@ def config_from_args(args) -> ExperimentConfig:
     if train_overrides is not None:
         cfg = replace(cfg, train=TrainConfig(**{**asdict(cfg.train), **train_overrides}))
     cfg = replace(cfg, **overrides)
-    unread = [name for name in asdict(cfg) if name not in READS[kind] + ("kind", "write_traces")
-              and getattr(cfg, name) != getattr(published, name)]
+    unread = [f.name for f in fields(cfg) if f.name not in READS[kind] + ("kind", "write_traces")
+              and getattr(cfg, f.name) != getattr(published, f.name)]
     # the train fields a kind's variants set: each row takes its variant's value
     varied = dict.fromkeys(name for change in VARIANTS.get(kind, {}).values() for name in change)
     unread += [f"train.{name}" for name in varied

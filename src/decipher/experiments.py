@@ -63,6 +63,8 @@ from .graphs import (
     build_debruijn,
     build_hypercube,
     interpolate_with_hamiltonian,
+    memoised,
+    sweep_memo,
 )
 from .hmm import (
     HmmLanguage,
@@ -76,7 +78,7 @@ from .hmm import (
 from .ntk import integrate_dynamics, log_linear_tail_fit
 from .random_chains import random_reversible_chain
 from .recovery import phoneme_error_rate, recover_pseudoinverse
-from .spectral import sample_size_threshold, sigma_min, spectrum_of_chain, subgraph_spectrum_memo
+from .spectral import sample_size_threshold, sigma_min, spectrum_of_chain
 
 FAMILIES = ("circulant", "de_bruijn", "hypercube")
 
@@ -288,7 +290,9 @@ def asymptotic_language(family: str, nx: int, knob: int, ngram: int, seed: int) 
     candidate spectrum has about knob values. hypercube: copies of Q_knob.
     The chain is assembled once under a seeded relabel, and its tiling
     gives spectrum_of_chain the copy and filler counts and
-    exact_positional_unigrams the copies' positions.
+    exact_positional_unigrams the copies' positions. The relabel, pi and O
+    depend only on (states, nx, seed), so inside graphs.sweep_memo they are
+    drawn once for every knob and held read-only.
     """
     states = nx**ngram
     if family == "circulant":
@@ -304,11 +308,20 @@ def asymptotic_language(family: str, nx: int, knob: int, ngram: int, seed: int) 
     # which case every copy projects identically through the final-unit
     # selector and the visible diversity collapses below the eigenvalue
     # count. A seeded relabeling puts the selector in generic position.
-    relabel = np.random.default_rng([RELABEL_STREAM, seed]).permutation(states)
+    relabel, pi, O = memoised(("language", states, nx, seed),
+                              lambda: _language_draws(states, nx, seed))
     T = assemble(spec, states, relabel=relabel)
-    pi = random_initial_vector(states, [PI_STREAM, seed])
-    O = random_permutation_emission(nx, [EMISSION_STREAM, seed])
     return HmmLanguage(pi=pi, T=T, O=O, N=ngram, nx=nx, ny=nx)
+
+
+def _language_draws(states: int, nx: int, seed: int) -> tuple[np.ndarray, ...]:
+    """An asymptotic language's relabel, pi and O, read-only."""
+    draws = (np.random.default_rng([RELABEL_STREAM, seed]).permutation(states),
+             random_initial_vector(states, [PI_STREAM, seed]),
+             random_permutation_emission(nx, [EMISSION_STREAM, seed]))
+    for arr in draws:
+        arr.flags.writeable = False
+    return draws
 
 
 def finite_language(family: str, nx: int, knob, ngram: int, seed: int) -> HmmLanguage:
@@ -515,13 +528,14 @@ def _sort_key(row: dict) -> tuple:
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
     """Every row of cfg's sweep, sorted by grid coordinates.
 
-    The cells of one call share a subgraph spectrum memo, which starts empty
-    (spectral.subgraph_spectrum_memo): a tiled subgraph is diagonalised once
-    per call, or once per pool worker, and again in the next call.
+    The cells of one call share one memo (graphs.sweep_memo), which starts
+    empty and is dropped at the end: each subgraph is built, each asymptotic
+    (states, nx, seed)'s relabel, pi and O drawn and each subgraph spectrum
+    made once per call, or once per pool worker, and again in the next call.
     """
     worker, tasks = TASKS[cfg.kind]
     run = functools.partial(_run_task, worker, cfg)
-    with subgraph_spectrum_memo():
+    with sweep_memo():
         if jobs <= 1:
             blocks = [run(coords) for coords in tasks(cfg)]
         else:
@@ -599,9 +613,10 @@ def summarize(cfg: ExperimentConfig, rows: Sequence[dict]) -> dict:
             values = [r[metric] for r in good if isinstance(r.get(metric), float)
                       and not math.isnan(r[metric])]
             if values:
-                stat[f"mean_{metric}"] = float(np.mean(values))
-                stat[f"min_{metric}"] = float(np.min(values))
-                stat[f"max_{metric}"] = float(np.max(values))
+                # the bytes of np.mean, np.min and np.max, without their dispatch
+                stat[f"mean_{metric}"] = float(np.add.reduce(values) / len(values))
+                stat[f"min_{metric}"] = float(min(values))
+                stat[f"max_{metric}"] = float(max(values))
         cell_stats[label] = stat
     summary = {"config": asdict(cfg), "cells": cell_stats,
                "total_rows": len(rows), "total_errors": sum(1 for r in rows if r["error"])}

@@ -14,12 +14,18 @@ union, laid out from its Tiling, and a hypercube Q_n, laid out from its
 dimension, each only when its probabilities or weights are first read. Exact
 unigrams step a chain through TransitionMatrix.step, which moves Q_n by its n
 bit flips, so the asymptotic sweeps lay out no hypercube.
+
+Inside sweep_memo, the block each sweep runs in, what its cells share is
+made once: assemble's subgraph per GraphSpec, and whatever else a caller
+keys through memoised (the asymptotic languages' draws, the subgraph
+spectra). Outside it nothing is kept.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, Callable, Hashable, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +39,33 @@ import numpy as np
 STATE_COUNT_CAP = 8192
 
 ROW_SUM_TOL = 1e-12
+
+# What the cells of one sweep share, by key, or None outside one (see sweep_memo)
+_sweep_memo: Optional[dict] = None
+
+
+@contextmanager
+def sweep_memo():
+    """Within the block, memoised makes each key's value once. The memo
+    starts empty and is dropped when the block exits; a process pool forked
+    inside it gives each worker its own."""
+    global _sweep_memo
+    _sweep_memo = {}
+    try:
+        yield
+    finally:
+        _sweep_memo = None
+
+
+def memoised(key: Hashable, make: Callable[[], Any]) -> Any:
+    """make(), or inside sweep_memo the value it first made for key. A key
+    names its kind first, as ("subgraph", spec) does, so kinds cannot
+    collide. Cells share the value, so make returns its arrays read-only."""
+    if _sweep_memo is None:
+        return make()
+    if key not in _sweep_memo:
+        _sweep_memo[key] = make()
+    return _sweep_memo[key]
 
 
 @dataclass(frozen=True)
@@ -311,10 +344,19 @@ def inverse_permutation(order: Sequence[int], size: int) -> np.ndarray:
     order = np.asarray(order)
     if (order.shape != (size,) or order.dtype.kind not in "iu" or np.any(order < 0)
             or not np.all(np.bincount(order, minlength=size) == 1)):
-        raise ValueError(f"relabel must be a permutation of range({size})")
+        raise ValueError(f"order must be a permutation of range({size})")
     position = np.empty(size, dtype=np.intp)
     position[order] = np.arange(size)
     return position
+
+
+def _read_only_subgraph(spec: GraphSpec) -> TransitionMatrix:
+    """build_subgraph(spec), its dense probs and weights, if any, read-only."""
+    sub = build_subgraph(spec)
+    for arr in (sub._probs, sub._weights):
+        if arr is not None:
+            arr.flags.writeable = False
+    return sub
 
 
 def assemble(spec: GraphSpec, target_states: int,
@@ -331,9 +373,10 @@ def assemble(spec: GraphSpec, target_states: int,
     records the subgraph and each copy's positions, validation and exact
     unigrams go through it, and probs and weights are laid out from it on
     first read (by row sampling, for one). The distinct-eigenvalue set of the
-    union is the subgraph's, plus eigenvalue 1 for the fillers.
+    union is the subgraph's, plus eigenvalue 1 for the fillers. Inside
+    sweep_memo the subgraph is built once per spec and shared.
     """
-    sub = build_subgraph(spec)
+    sub = memoised(("subgraph", spec), lambda: _read_only_subgraph(spec))
     s = sub.n_states
     if target_states < s:
         raise ValueError(f"subgraph has {s} nodes but target_states is only {target_states}")
@@ -347,11 +390,11 @@ def assemble(spec: GraphSpec, target_states: int,
 
 
 def hamiltonian_cycle_matrix(order: Sequence[int]) -> np.ndarray:
-    """Deterministic cycle transition matrix visiting nodes in the given order."""
-    order = np.asarray(order, dtype=int)
+    """Deterministic cycle transition matrix visiting nodes in the given order,
+    a permutation of range(n) (checked by inverse_permutation)."""
+    order = np.asarray(order)
     n = order.size
-    if not np.array_equal(np.sort(order), np.arange(n)):
-        raise ValueError("cycle order must be a permutation of range(n_states)")
+    inverse_permutation(order, n)
     C = np.zeros((n, n))
     C[order, np.roll(order, -1)] = 1.0
     return C

@@ -98,7 +98,7 @@ def discriminator_ntk(ny: int) -> np.ndarray:
 def generator_ntk(O_row: np.ndarray) -> np.ndarray:
     """Kernel of one generator row: H(p)^2 at the given row p."""
     p = np.asarray(O_row, dtype=float)
-    if p.ndim != 1 or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+    if p.ndim != 1 or not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9):  # fails on NaN
         raise ValueError("O_row must be a probability vector")
     H = softmax_jacobian(p)
     return H @ H
@@ -249,7 +249,7 @@ def integrate_dynamics(pair: PositionalUnigramPair, O_0: Optional[np.ndarray] = 
         O = np.array(O_0, dtype=float)
         if O.shape != (nx, ny):
             raise ValueError(f"O_0 must be ({nx}, {ny})")
-        if np.any(O < 0) or np.max(np.abs(O.sum(axis=1) - 1.0)) > 1e-9:
+        if not (np.all(O >= 0) and np.max(np.abs(O.sum(axis=1) - 1.0)) <= 1e-9):  # fails on NaN
             raise ValueError("O_0 rows must be probability vectors")
     K_D = discriminator_ntk(ny)
     n = nx * ny

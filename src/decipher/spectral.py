@@ -9,8 +9,10 @@ untiled chain is its own one-copy subgraph) and takes a circulant or
 hypercube closed form, or else the eigenvalues of the subgraph's symmetrized
 weights D^{-1/2} W D^{-1/2}. A tiled union's distinct values are grouped
 over its subgraph's values alone, not over the S tiled ones, and inside
-subgraph_spectrum_memo, which run_experiment opens for each sweep, each
-GraphSpec's subgraph is diagonalised and grouped once.
+graphs.sweep_memo, which run_experiment opens for each sweep, each
+GraphSpec's subgraph is diagonalised and grouped once. A hypercube's sorted
+values and counts are read off its levels' binomial multiplicities, with
+no sort and no grouping.
 
 Eigenvalue conventions. Distinct-value merging uses EPS_EIG relative to the
 spectral radius (row-stochastic inputs have radius 1), always through
@@ -28,14 +30,14 @@ singular values below about 1e-8 * sigma_max in roundoff.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
+from .graphs import TransitionMatrix, memoised
 # perfbench's tracer patches spectral.build_subgraph by name, so the name stays
-from .graphs import TransitionMatrix, build_subgraph  # noqa: F401
+from .graphs import build_subgraph  # noqa: F401
 from .hmm import HmmLanguage, exact_positional_unigrams
 
 EPS_EIG = 1e-7
@@ -63,7 +65,7 @@ def symmetric_eigen(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     asym = np.max(np.abs(M - M.T)) if M.size else 0.0
-    if asym > SYMMETRY_TOL:
+    if not asym <= SYMMETRY_TOL:  # fails on NaN too
         raise ValueError(f"matrix is not symmetric: max |M - M^T| = {asym:.3e} > {SYMMETRY_TOL}")
     w, V = np.linalg.eigh((M + M.T) / 2.0)
     return w, V
@@ -77,7 +79,10 @@ def distinct_eigenvalues(values: np.ndarray) -> tuple[list[np.ndarray], np.ndarr
     n = values.size
     if n == 0:
         return [], np.array([]), EPS_EIG
-    tol = EPS_EIG * max(float(np.max(np.abs(values))), 1.0)
+    radius = float(np.max(np.abs(values)))
+    if not radius < np.inf:  # fails on NaN too
+        raise ValueError(f"eigenvalues must be finite, got radius {radius}")
+    tol = EPS_EIG * max(radius, 1.0)
     order = np.argsort(values)
     breaks = np.nonzero(np.diff(values[order]) > tol)[0]
     groups = [order[lo:hi] for lo, hi in zip(np.r_[0, breaks + 1], np.r_[breaks + 1, n])]
@@ -123,52 +128,34 @@ def debruijn_candidate_values(m: int) -> np.ndarray:
 def symmetrized_form(weights: np.ndarray) -> np.ndarray:
     """D^{-1/2} W D^{-1/2}: shares its spectrum with the chain D^{-1} W."""
     d = weights.sum(axis=1)
-    if np.any(d <= 0):
+    if not np.all(d > 0):  # fails on NaN too
         raise ValueError("row weights must be positive to symmetrize")
     inv_sqrt = 1.0 / np.sqrt(d)
     return weights * np.outer(inv_sqrt, inv_sqrt)
 
 
-# Subgraph spectra shared by the cells of one sweep, or None outside one
-# (see subgraph_spectrum_memo): GraphSpec -> (the subgraph's sorted values,
-# their distinct count, their nonzero distinct count).
-_sweep_spectra: Optional[dict] = None
-
-
-@contextmanager
-def subgraph_spectrum_memo():
-    """Within the block, spectrum_of_chain diagonalises and groups the
-    subgraph of a tiled union once per GraphSpec. The memo starts empty and
-    is dropped when the block exits; a process pool forked inside it gives
-    each worker its own. It trusts that a tiled chain's spec describes its
-    subgraph, as assemble makes it; a tiled chain without a spec is not
-    memoised."""
-    global _sweep_spectra
-    _sweep_spectra = {}
-    try:
-        yield
-    finally:
-        _sweep_spectra = None
-
-
-def _subgraph_values(T: TransitionMatrix, sub: TransitionMatrix) -> np.ndarray:
-    """Eigenvalues of T's subgraph sub: the closed form T.spec provides, or
+def _subgraph_spectrum(T: TransitionMatrix, sub: TransitionMatrix) -> tuple[np.ndarray, int, int]:
+    """T's subgraph sub: its eigenvalues sorted, their distinct count and
+    their nonzero distinct count, from the closed form T.spec provides, or
     else the symmetrized weights' eigenvalues."""
     family = T.spec.family if T.reversible and T.spec is not None else None
-    if family == "circulant":
-        return circulant_eigenvalues(T.spec.n, T.spec.action_set)
     if family == "hypercube":
-        return hypercube_eigenvalues(T.spec.dim)
-    if T.reversible and sub.weights is not None:
-        return symmetric_eigen(symmetrized_form(sub.weights))[0]
-    raise NonReversibleNoClosedForm(
-        "not reversible, or no closed form and no symmetrizable weights; spectra "
-        "of directed circulants and interpolated matrices are unsupported by design"
-    )
-
-
-def _sorted_spectrum(values: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """values sorted, their distinct count and their nonzero distinct count."""
+        # levels 1 - 2k/dim, ascending as k falls, each C(dim, k) times: the
+        # same values hypercube_eigenvalues gives, sorted; gaps of 2/dim keep
+        # every level its own group, and an even dim's level k = dim/2 is 0
+        dim = T.spec.dim
+        ks = np.arange(dim, -1, -1)
+        values = np.repeat(1.0 - 2.0 * ks / dim, [math.comb(dim, k) for k in ks])
+        return values, dim + 1, dim + 1 - (dim % 2 == 0)
+    if family == "circulant":
+        values = circulant_eigenvalues(T.spec.n, T.spec.action_set)
+    elif T.reversible and sub.weights is not None:
+        values = symmetric_eigen(symmetrized_form(sub.weights))[0]
+    else:
+        raise NonReversibleNoClosedForm(
+            "not reversible, or no closed form and no symmetrizable weights; spectra "
+            "of directed circulants and interpolated matrices are unsupported by design"
+        )
     _, reps, tol = distinct_eigenvalues(values)
     return np.sort(values), len(reps), int(np.sum(np.abs(reps) > tol))
 
@@ -185,14 +172,17 @@ def spectrum_of_chain(T: TransitionMatrix) -> SpectrumReport:
     closed form T.spec provides (circulant Fourier values, hypercube level
     values), or else from symmetrizing its edge weights. Anything else,
     directed circulants and interpolated chains among them, has no
-    supported route. eigenvalues holds all S values, ascending.
+    supported route. eigenvalues holds all S values, ascending. Inside
+    graphs.sweep_memo a tiled union's subgraph spectrum is made once per
+    spec; it trusts that the spec describes the subgraph, as assemble
+    makes it, and a tiled chain without a spec is not memoised.
     """
     if T.tiling is None:
-        return SpectrumReport(*_sorted_spectrum(_subgraph_values(T, T)))
-    memo = _sweep_spectra if _sweep_spectra is not None and T.spec is not None else {}
-    if T.spec not in memo:
-        memo[T.spec] = _sorted_spectrum(_subgraph_values(T, T.tiling.sub))
-    values, distinct, nonzero = memo[T.spec]
+        return SpectrumReport(*_subgraph_spectrum(T, T))
+    sub = T.tiling.sub
+    values, distinct, nonzero = (_subgraph_spectrum(T, sub) if T.spec is None else
+                                 memoised(("spectrum", T.spec), lambda: _subgraph_spectrum(T, sub)))
+    values.flags.writeable = False  # the cells of a sweep share it
     # each subgraph value copies times, with the fillers' 1.0s in sorted place
     copies, at = T.tiling.copies, np.searchsorted(values, 1.0)
     eigenvalues = np.concatenate([np.repeat(values[:at], copies), np.ones(T.tiling.fillers.size),

@@ -1,6 +1,7 @@
 """Adversarial training: gradients vs finite differences, trainer behavior, ERM."""
 
 import csv
+import hashlib
 import itertools
 import json
 import sys
@@ -763,6 +764,37 @@ class TestMlpLockstepGolden:
             for key, values in variant_want.items():
                 np.testing.assert_allclose(variant_got[key], values, rtol=1e-11, atol=0,
                                            err_msg=f"{name}: {key}")
+
+
+GOLDEN_BYTES = Path(__file__).with_name("golden_mlp_bytes.json")
+
+
+def final_weight_hashes() -> list[dict]:
+    """Per variant of one 30-epoch MLP averaging pair over ten units (an
+    unmatched pair of cycle_language(nx=10)): sha256 of the bytes of its
+    final U, W and v. Ten units, as in the sampled sweeps: over golden_runs'
+    four, a product summed in another order still gives the same bytes."""
+    lang = cycle_language(nx=10, seed=3)
+    pair = empirical_positional_unigrams(sample_corpus(lang, 300, 8, matched=False, seed=3))
+    cfgs = [TrainConfig(discriminator="mlp", objective="mmd", epochs=30, averaging=averaging)
+            for averaging in AVERAGING_MODES]
+    outcomes = train(pair, cfgs[0], true_O=lang.O, rngs=[np.random.default_rng(3)],
+                     variants=cfgs)
+    return [{key: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+             for key, a in (("U", res.generator.U), ("W", res.discriminator.W),
+                            ("v", res.discriminator.v))}
+            for [res] in outcomes]
+
+
+class TestMlpLockstepBytes:
+    """final_weight_hashes against golden_mlp_bytes.json, which pins the
+    bytes a reordered sum moves where golden_mlp_lockstep.json's 12 digits
+    cannot see it. It pins the bytes that the generating machine's numpy and
+    BLAS give, as golden_ntk_flow.json does, so on another machine a
+    mismatch may come from the library, not from the arithmetic."""
+
+    def test_final_weights_keep_their_bytes(self):
+        assert final_weight_hashes() == json.loads(GOLDEN_BYTES.read_text())
 
 
 class TestMlpTrainingOwnsItsWork:

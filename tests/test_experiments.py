@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from decipher import adversarial, experiments, spectral
+from decipher import adversarial, experiments, graphs, spectral
 from decipher.adversarial import TrainConfig, erm_least_squares, generator_gradient, train
 from decipher.experiments import (
     KIND_COLUMNS,
@@ -191,11 +191,83 @@ class TestAsymptoticRunner:
         cfg = replace(default_config("asymptotic_phase", family="de_bruijn"),
                       nx_values=(9, 10), knob_values=(2, 8, 22), seeds=(0, 1))
         first = run_experiment(cfg)
-        assert sorted(calls) == [2, 8, 64] and spectral._sweep_spectra is None
+        assert sorted(calls) == [2, 8, 64] and graphs._sweep_memo is None
         second = run_experiment(cfg)
-        assert sorted(calls) == [2, 2, 8, 8, 64, 64] and spectral._sweep_spectra is None
+        assert sorted(calls) == [2, 2, 8, 8, 64, 64] and graphs._sweep_memo is None
         assert strip_volatile(first) == strip_volatile(second)
         assert all(row["error"] == "" for row in first)
+
+
+class TestSweepMemo:
+    """What the cells of one run_experiment call share (graphs.sweep_memo)."""
+
+    CFG = replace(default_config("asymptotic_phase", family="de_bruijn"),
+                  nx_values=(9, 10), knob_values=(2, 8), seeds=(0, 1))
+
+    def counted(self, monkeypatch):
+        """Lists that grow with each subgraph build and each language draw."""
+        builds, draws = [], []
+        build, draw = graphs.build_subgraph, experiments._language_draws
+
+        def counting_build(spec):
+            builds.append(spec)
+            return build(spec)
+
+        def counting_draw(states, nx, seed):
+            draws.append((states, nx, seed))
+            return draw(states, nx, seed)
+
+        monkeypatch.setattr(graphs, "build_subgraph", counting_build)
+        monkeypatch.setattr(experiments, "_language_draws", counting_draw)
+        return builds, draws
+
+    def test_each_subgraph_and_draw_is_made_once_per_call(self, monkeypatch):
+        builds, draws = self.counted(monkeypatch)
+        # 8 cells: DB(2, 1) and DB(2, 3), over 729 and 1000 states and seeds 0 and 1
+        first = run_experiment(self.CFG)
+        assert sorted(spec.m for spec in builds) == [1, 3] and graphs._sweep_memo is None
+        assert sorted(draws) == [(729, 9, 0), (729, 9, 1), (1000, 10, 0), (1000, 10, 1)]
+        second = run_experiment(self.CFG)
+        assert len(builds) == 4 and len(draws) == 8 and graphs._sweep_memo is None
+        assert strip_volatile(first) == strip_volatile(second)
+        assert all(row["error"] == "" for row in first)
+
+    def test_outside_a_call_nothing_is_memoised(self, monkeypatch):
+        builds, draws = self.counted(monkeypatch)
+        assert graphs._sweep_memo is None
+        for _ in range(2):
+            experiments._asymptotic_cell(self.CFG, 9, 8, 0)
+        assert len(builds) == 2 and len(draws) == 2 and graphs._sweep_memo is None
+
+    def test_shared_arrays_are_read_only(self):
+        with graphs.sweep_memo():
+            one = experiments.asymptotic_language("de_bruijn", 9, 2, 3, 0)
+            other = experiments.asymptotic_language("de_bruijn", 9, 8, 3, 0)
+            again = experiments.asymptotic_language("de_bruijn", 9, 8, 3, 1)
+            report = spectral.spectrum_of_chain(again.T)
+            values, _, _ = graphs._sweep_memo[("spectrum", again.T.spec)]
+        assert one.pi is other.pi and one.O is other.O and other.T.tiling.sub is again.T.tiling.sub
+        shared = [one.pi, one.O, other.T.tiling.sub.probs, other.T.tiling.sub.weights, values]
+        assert not any(arr.flags.writeable for arr in shared)
+        with pytest.raises(ValueError, match="read-only"):
+            one.pi[0] = 0.5
+        assert report.eigenvalues.flags.writeable
+
+    @pytest.mark.parametrize("family, nx, knob", [("circulant", 10, 7), ("de_bruijn", 9, 16),
+                                                  ("hypercube", 5, 6)])
+    def test_a_memoised_cell_is_the_unmemoised_one(self, family, nx, knob):
+        cfg = replace(default_config("asymptotic_phase", family=family),
+                      nx_values=(nx,), knob_values=(knob,), seeds=(2,))
+        plain = experiments._asymptotic_cell(cfg, nx, knob, 2)
+        with graphs.sweep_memo():
+            experiments._asymptotic_cell(cfg, nx, knob + 1, 2)  # the draws come first
+            memoised = [experiments._asymptotic_cell(cfg, nx, knob, 2) for _ in range(2)]
+        for [row] in memoised:
+            assert row.keys() == plain[0].keys()
+            for key, value in plain[0].items():
+                got = row[key]
+                assert (got.tobytes() == value.tobytes() if key == "_matrix" else
+                        repr(got) == repr(value)), key
 
 
 class TestFiniteRunner:

@@ -329,6 +329,15 @@ def test_hamiltonian_cycle_matrix():
         hamiltonian_cycle_matrix(np.array([0, 0, 1]))
 
 
+@pytest.mark.parametrize("order", [[0.0, 1.0, 2.0], [0.5, 1, 2], [0, 0, 1], [1, 2, 3]],
+                         ids=["float", "fraction", "repeat", "shifted"])
+def test_hamiltonian_cycle_order_is_checked_as_a_relabel(order):
+    # one permutation check for a cycle order and a relabel: a float order
+    # is rejected, not cast to int, which would make 0.5 a 0
+    with pytest.raises(ValueError, match="permutation"):
+        hamiltonian_cycle_matrix(order)
+
+
 def test_interpolation_endpoints_and_midpoint():
     base = build_circulant(4, (-1, 1))
     same = interpolate_with_hamiltonian(base, w=0.0)

@@ -102,6 +102,11 @@ class TestGeneratorKernel:
         with pytest.raises(TypeError):  # one kernel, no modes
             generator_ntk(np.array([0.5, 0.5]), mode="analytic")
 
+    def test_rejects_a_nan_row(self):
+        # NaN < 0 and |NaN - 1| > 1e-9 are both False
+        with pytest.raises(ValueError, match="probability vector"):
+            generator_ntk(np.array([np.nan, 0.5, 0.5]))
+
 
 class TestDynamics:
     def test_interior_target_converges_exponentially(self):
@@ -317,6 +322,14 @@ class TestDynamics:
         bad = np.full((4, 4), 0.3)
         with pytest.raises(ValueError):
             integrate_dynamics(pair, O_0=bad, t_end=1.0)
+
+    def test_rejects_a_nan_start(self):
+        # checked at the start, not found as an underflowing step size at t = 0
+        _, pair = soft_cycle_language(peak=0.6)
+        O_0 = np.full((4, 4), 0.25)
+        O_0[0] = [np.nan, 0.5, 0.25, 0.25]
+        with pytest.raises(ValueError, match="O_0 rows must be probability vectors"):
+            integrate_dynamics(pair, O_0=O_0, t_end=1.0)
 
     def test_trajectory_csv_export(self, tmp_path):
         _, pair = soft_cycle_language(peak=0.6)

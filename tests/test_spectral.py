@@ -13,6 +13,7 @@ from decipher.graphs import (
     build_hypercube,
     hamiltonian_cycle_matrix,
     interpolate_with_hamiltonian,
+    sweep_memo,
 )
 from decipher.experiments import default_config, finite_language
 from decipher.hmm import (
@@ -34,7 +35,6 @@ from decipher.spectral import (
     sigma_min_lower_bound,
     singular_values,
     spectrum_of_chain,
-    subgraph_spectrum_memo,
     symmetric_eigen,
     symmetrized_form,
 )
@@ -76,6 +76,24 @@ def test_symmetric_eigen_contract_random():
 def test_symmetric_eigen_rejects_asymmetric():
     with pytest.raises(ValueError):
         symmetric_eigen(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+
+def test_symmetric_eigen_rejects_nan():
+    # |NaN - 0.5| > tol is False, and eigh would return finite eigenvalues
+    with pytest.raises(ValueError, match="not symmetric"):
+        symmetric_eigen(np.array([[np.nan, 0.5], [0.5, 1.0]]))
+
+
+def test_symmetrized_form_rejects_a_nan_degree():
+    W = np.array([[np.nan, 1.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="positive"):
+        symmetrized_form(W)
+
+
+def test_distinct_eigenvalues_rejects_nan():
+    # a NaN radius made a NaN tolerance and one group with a NaN mean
+    with pytest.raises(ValueError, match="finite"):
+        distinct_eigenvalues(np.array([np.nan, 0.5, 1.0]))
 
 
 def test_symmetric_eigen_hypercube_q3():
@@ -160,12 +178,28 @@ def test_union_spectrum_equals_grouping_the_tiled_list(spec, states, relabelled)
     sub = spectrum_of_chain(T.tiling.sub).eigenvalues
     tiled = np.concatenate([np.tile(sub, T.tiling.copies), np.ones(T.tiling.fillers.size)])
     _, reps, tol = distinct_eigenvalues(tiled)
-    with subgraph_spectrum_memo():
+    with sweep_memo():
         reports = [spectrum_of_chain(T), spectrum_of_chain(T)]
     for rep in reports + [spectrum_of_chain(T)]:
         assert rep.distinct_count == len(reps)
         assert rep.nonzero_distinct_count == int(np.sum(np.abs(reps) > tol))
         npt.assert_array_equal(rep.eigenvalues, np.sort(tiled))
+
+
+@pytest.mark.parametrize("dim", range(1, 17))
+def test_hypercube_spectrum_by_count_is_the_sorted_grouping(dim):
+    # the level counts give the bytes and counts that sorting and grouping
+    # hypercube_eigenvalues gives, untiled and tiled with fillers
+    per_node = hypercube_eigenvalues(dim)
+    _, reps, tol = distinct_eigenvalues(per_node)
+    rep = spectrum_of_chain(build_hypercube(dim))
+    assert rep.eigenvalues.tobytes() == np.sort(per_node).tobytes()
+    assert (rep.distinct_count, rep.nonzero_distinct_count) == (
+        len(reps), int(np.sum(np.abs(reps) > tol)))
+    tiled = spectrum_of_chain(assemble(GraphSpec(family="hypercube", dim=dim), 2**dim * 3 + 1))
+    assert tiled.eigenvalues.tobytes() == np.sort(np.r_[np.tile(per_node, 3), 1.0]).tobytes()
+    assert (tiled.distinct_count, tiled.nonzero_distinct_count) == (
+        rep.distinct_count, rep.nonzero_distinct_count)
 
 
 def test_closed_forms_match_numeric_small_graphs():
